@@ -10,7 +10,7 @@ pseudolinear quadruple detection, and Menger-style line embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +21,9 @@ from .errors import (
 )
 from .moduli import CompositeModulus, Modulus, _vectorized
 from .quasisymmetry import image_subset
+from .report import Report
 from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace, SubsetRef
+from .triangle import _QUAD_ORDERINGS
 
 #: sample count for the generator monotonicity probe on [0, 1]
 GENERATOR_GRID = 128
@@ -64,28 +66,24 @@ def betweenness_triples(
     return found
 
 
+class BetweennessViolation(NamedTuple):
+    """A domain betweenness triple whose image equality breaks."""
+
+    x: int
+    y: int
+    z: int
+    domain_slack: float
+    image_slack: float
+
+
 @dataclass(frozen=True)
-class BetweennessPreservationReport:
+class BetweennessPreservationReport(Report):
     """Do domain betweenness triples stay degenerate in the image?"""
 
     holds: bool
     checked: int
-    violations: tuple
+    violations: tuple  # of BetweennessViolation
     tol: float
-
-    def to_dict(self):
-        return {
-            "holds": bool(self.holds),
-            "checked": int(self.checked),
-            "violations": [
-                {
-                    "x": v[0], "y": v[1], "z": v[2],
-                    "domain_slack": float(v[3]), "image_slack": float(v[4]),
-                }
-                for v in self.violations
-            ],
-            "tol": float(self.tol),
-        }
 
 
 def preserves_betweenness(
@@ -101,12 +99,22 @@ def preserves_betweenness(
         through = R[t.x, t.y] + R[t.y, t.z]
         slack = abs(direct - through)
         if slack > tol * max(direct, through):
-            bad.append((t.x, t.y, t.z, t.slack, slack))
+            bad.append(BetweennessViolation(t.x, t.y, t.z, t.slack, slack))
     return BetweennessPreservationReport(not bad, len(triples), tuple(bad), tol)
 
 
+class PartitionViolation(NamedTuple):
+    """A partition sample t1 + t2 = 1 that no betweenness-preserving map
+    could realize, with both sums."""
+
+    t1: float
+    t2: float
+    sum: float
+    reciprocal_sum: float
+
+
 @dataclass(frozen=True)
-class PartitionConditionsReport:
+class PartitionConditionsReport(Report):
     """The two equality conditions on partitions t1 + t2 = 1.
 
     Sufficiency: eta(t1) + eta(t2) = 1 and 1/eta(1/t1) + 1/eta(1/t2) = 1
@@ -120,28 +128,10 @@ class PartitionConditionsReport:
     sufficiency_holds: bool
     max_sum_defect: float
     max_reciprocal_defect: float
-    necessity_violations: tuple
+    necessity_violations: tuple  # of PartitionViolation
     samples: int
     necessity_scope: str
     tol: float
-
-    def to_dict(self):
-        return {
-            "holds": bool(self.holds),
-            "sufficiency_holds": bool(self.sufficiency_holds),
-            "max_sum_defect": float(self.max_sum_defect),
-            "max_reciprocal_defect": float(self.max_reciprocal_defect),
-            "necessity_violations": [
-                {
-                    "t1": float(v[0]), "t2": float(v[1]),
-                    "sum": float(v[2]), "reciprocal_sum": float(v[3]),
-                }
-                for v in self.necessity_violations
-            ],
-            "samples": int(self.samples),
-            "necessity_scope": self.necessity_scope,
-            "tol": float(self.tol),
-        }
 
 
 def check_l02_conditions(
@@ -176,7 +166,9 @@ def check_l02_conditions(
 
     flagged = (recip > 1.0 + tol) | (direct < 1.0 - tol)
     violations = tuple(
-        (float(t1[i]), float(t2[i]), float(direct[i]), float(recip[i]))
+        PartitionViolation(
+            float(t1[i]), float(t2[i]), float(direct[i]), float(recip[i])
+        )
         for i in np.nonzero(flagged)[0]
     )
     return PartitionConditionsReport(
@@ -238,7 +230,7 @@ def eta_from_generators(f1: Callable, f2: Callable, label: str = "k8") -> Modulu
 
 
 @dataclass(frozen=True)
-class QuadrupleShape:
+class QuadrupleShape(Report):
     """Result of pattern-matching a 4-point space against side pattern
     (t, s, t, s) with both diagonals s + t."""
 
@@ -251,17 +243,7 @@ class QuadrupleShape:
         return self.ordering is not None
 
     def to_dict(self):
-        return {
-            "found": self.found,
-            "ordering": None if self.ordering is None else list(self.ordering),
-            "s": None if self.s is None else float(self.s),
-            "t": None if self.t is None else float(self.t),
-        }
-
-
-#: the three orderings that realize the three pairings of 4 points into
-#: two diagonals; sides are consecutive, diagonals are (1st,3rd), (2nd,4th)
-_QUAD_ORDERINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
+        return {"found": self.found, **super().to_dict()}
 
 
 def detect_pseudolinear(
@@ -337,7 +319,7 @@ def line_embed(
 
 
 @dataclass(frozen=True)
-class ImageStructureReport:
+class ImageStructureReport(Report):
     """Line and quadruple structure of a subset versus its image."""
 
     holds: bool
@@ -348,23 +330,6 @@ class ImageStructureReport:
     domain_quadruple: Optional[QuadrupleShape]
     image_quadruple: Optional[QuadrupleShape]
     tol: float
-
-    def to_dict(self):
-        as_list = lambda v: None if v is None else [float(x) for x in v]
-        return {
-            "holds": bool(self.holds),
-            "line_preserved": bool(self.line_preserved),
-            "quadruple_preserved": bool(self.quadruple_preserved),
-            "domain_line": as_list(self.domain_line),
-            "image_line": as_list(self.image_line),
-            "domain_quadruple": None
-            if self.domain_quadruple is None
-            else self.domain_quadruple.to_dict(),
-            "image_quadruple": None
-            if self.image_quadruple is None
-            else self.image_quadruple.to_dict(),
-            "tol": float(self.tol),
-        }
 
 
 def betweenness_image_structure(

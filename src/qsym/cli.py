@@ -33,6 +33,7 @@ from .fileio import (
 )
 from .generators import generate
 from .moduli import inverse_modulus, parse_modulus
+from .report import to_json
 from .spaces import DEFAULT_TOL, SubsetRef, build_map, spectrum
 from .triangle import (
     Additive,
@@ -47,38 +48,9 @@ from .triangle import (
 _PROPERTY_FAILURES = (UnboundedEnvelope, NotQuasisymmetric)
 
 
-def _fmt(x) -> str:
-    """Serialize one value as JSON with 17 significant digits on floats."""
-    if isinstance(x, bool) or isinstance(x, np.bool_):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if x != x:
-            return "NaN"
-        if x == float("inf"):
-            return "Infinity"
-        if x == float("-inf"):
-            return "-Infinity"
-        return f"{x:.17g}"
-    if x is None:
-        return "null"
-    if isinstance(x, str):
-        import json
-
-        return json.dumps(x)
-    if isinstance(x, dict):
-        items = ", ".join(f"{_fmt(str(k))}: {_fmt(v)}" for k, v in x.items())
-        return "{" + items + "}"
-    if isinstance(x, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_fmt(v) for v in x) + "]"
-    raise TypeError(f"cannot serialize {type(x).__name__}")
-
-
 def _emit(args, payload: dict, lines):
     if getattr(args, "json", False):
-        print(_fmt(payload))
+        print(to_json(payload))
     else:
         for line in lines:
             print(line)
@@ -195,7 +167,8 @@ def _cmd_modulus(args) -> int:
 def _cmd_qs_check(args) -> int:
     f = _load_map_bundle(args, args.tol)
     inputs = _inputs(args.domain, args.codomain, args.map)
-    env = qs.empirical_modulus(f)
+    if args.out or args.eta is None:
+        env = qs.empirical_modulus(f)
     if args.out:
         save_envelope(env, args.out)
     if args.eta is None:
@@ -211,7 +184,7 @@ def _cmd_qs_check(args) -> int:
     payload = {
         "command": "qs-check", "inputs": inputs, "tol": args.tol,
         "eta": eta.describe(), "report": rep.to_dict(),
-        "envelope_points": len(env),
+        "envelope_points": rep.checked,
     }
     if rep.holds:
         lines = [f"HOLDS: {eta.describe()} verifies the map "

@@ -116,7 +116,9 @@ def collinear_space(coordinates: Sequence[float]) -> SemimetricSpace:
         raise BadParams("collinear: coordinates must be distinct")
     arr = np.array(coords)
     m = np.abs(arr[:, None] - arr[None, :])
-    return build_space([f"{c:g}" for c in coords], m)
+    # the short label unless it rounds the coordinate (and so may repeat)
+    labels = [f"{c:g}" if float(f"{c:g}") == c else repr(c) for c in coords]
+    return build_space(labels, m)
 
 
 _KINDS = {

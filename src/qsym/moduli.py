@@ -36,10 +36,12 @@ INVERT_RESIDUAL_TOL = 1e-12
 STEP_SNAP = 1e-9
 
 
-def _vectorized(fn: Callable) -> Callable:
+def _vectorized(fn: Callable, arity: int = 1) -> Callable:
+    """``fn`` itself when it maps arrays elementwise, else its np.vectorize;
+    a two-argument fn is probed at the reciprocal pairs (0.5, 2), (2, 0.5)."""
     probe = np.array([0.5, 2.0])
     try:
-        out = np.asarray(fn(probe), dtype=float)
+        out = np.asarray(fn(*(probe, probe[::-1])[:arity]), dtype=float)
         if out.shape == probe.shape:
             return fn
     except Exception:
@@ -234,13 +236,7 @@ class InvolutiveModulus(Modulus):
     """
 
     def __init__(self, psi: Callable, label: str = "involutive"):
-        probe = np.array([0.5, 2.0])
-        try:
-            out = np.asarray(psi(probe, 1.0 / probe), dtype=float)
-            vec = out.shape == probe.shape
-        except Exception:
-            vec = False
-        self.psi = psi if vec else np.vectorize(psi, otypes=[float])
+        self.psi = _vectorized(psi, arity=2)
         self.name = label
         g = self.log_eval(MONOTONE_GRID)
         if not np.all(np.isfinite(g)):
@@ -351,24 +347,30 @@ def invert_modulus(eta: Modulus, y: float) -> float:
     Residual tolerance ``1e-12 * max(1, y)``; raises :class:`NoBracket`
     when doubling from 1 never reaches y.
     """
+    return _bisect(eta.eval, y, eta.name)
+
+
+def _bisect(fn: Callable, y: float, name: str) -> float:
+    """Solve fn(s) = y for an increasing fn with fn(0) = 0 (see
+    :func:`invert_modulus`); ``name`` labels the errors."""
     y = float(y)
     if y < 0:
-        raise NotInvertible(f"cannot invert {eta.name} at negative value {y}")
+        raise NotInvertible(f"cannot invert {name} at negative value {y}")
     if y == 0.0:
         return 0.0
     hi = 1.0
     doublings = 0
-    while float(np.asarray(eta.eval(hi))) < y:
+    while float(np.asarray(fn(hi))) < y:
         hi *= 2.0
         doublings += 1
         if doublings > 64:
-            raise NoBracket(f"{eta.name} never reaches {y:.6g} (bracket past 2^64)")
+            raise NoBracket(f"{name} never reaches {y:.6g} (bracket past 2^64)")
     lo = 0.0
     tol = INVERT_RESIDUAL_TOL * max(1.0, y)
     mid = hi
     for _ in range(400):
         mid = 0.5 * (lo + hi)
-        val = float(np.asarray(eta.eval(mid)))
+        val = float(np.asarray(fn(mid)))
         if abs(val - y) <= tol:
             return mid
         if val < y:
@@ -377,11 +379,11 @@ def invert_modulus(eta: Modulus, y: float) -> float:
             hi = mid
         if hi - lo <= 1e-17 * max(1.0, mid):
             break
-    val = float(np.asarray(eta.eval(mid)))
+    val = float(np.asarray(fn(mid)))
     if abs(val - y) <= tol:
         return mid
     raise NotInvertible(
-        f"{eta.name}: bisection stalled at residual {abs(val - y):.3g} inverting {y:.6g}"
+        f"{name}: bisection stalled at residual {abs(val - y):.3g} inverting {y:.6g}"
     )
 
 

@@ -35,6 +35,7 @@ from .moduli import (
     SandwichModulus,
     _vectorized,
 )
+from .report import Report
 from .spaces import DEFAULT_TOL, PointMap, SubsetRef, diameter
 from .triangle import TriangleFunction, invert_diag
 
@@ -153,7 +154,7 @@ def empirical_modulus(f: PointMap) -> EmpiricalEnvelope:
 
 
 @dataclass(frozen=True)
-class QsReport:
+class QsReport(Report):
     """Verdict of a quasisymmetry check against a concrete modulus."""
 
     holds: bool
@@ -165,21 +166,6 @@ class QsReport:
     modulus: str
     tol: float
     checked: int
-
-    def to_dict(self):
-        return {
-            "holds": bool(self.holds),
-            "witness": None if self.witness is None else list(self.witness),
-            "witness_labels": None
-            if self.witness_labels is None
-            else list(self.witness_labels),
-            "t": self.t,
-            "image_ratio": self.image_ratio,
-            "eta_at_t": self.eta_at_t,
-            "modulus": self.modulus,
-            "tol": float(self.tol),
-            "checked": int(self.checked),
-        }
 
 
 def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
@@ -208,7 +194,7 @@ def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
 
 
 @dataclass(frozen=True)
-class RatioIdentityReport:
+class RatioIdentityReport(Report):
     """Realized check of eta(t) eta(1/t) >= 1 and eta(1) >= 1."""
 
     holds: bool
@@ -218,17 +204,6 @@ class RatioIdentityReport:
     product_ok: bool
     eta_one_ok: bool
     checked: int
-
-    def to_dict(self):
-        return {
-            "holds": bool(self.holds),
-            "min_product": float(self.min_product),
-            "at_t": float(self.at_t),
-            "eta_one": float(self.eta_one),
-            "product_ok": bool(self.product_ok),
-            "eta_one_ok": bool(self.eta_one_ok),
-            "checked": int(self.checked),
-        }
 
 
 def eta_ratio_report(f: PointMap, eta: Modulus) -> RatioIdentityReport:
@@ -269,19 +244,12 @@ def eta_ratio_report(f: PointMap, eta: Modulus) -> RatioIdentityReport:
 
 
 @dataclass(frozen=True)
-class SnowflakeFit:
+class SnowflakeFit(Report):
     """An exact fit rho = scale * d**exponent across all pairs."""
 
     scale: float
     exponent: float
     similarity: bool
-
-    def to_dict(self):
-        return {
-            "scale": float(self.scale),
-            "exponent": float(self.exponent),
-            "similarity": bool(self.similarity),
-        }
 
 
 def fit_snowflake(f: PointMap, tol: float = DEFAULT_TOL) -> Optional[SnowflakeFit]:
@@ -388,7 +356,7 @@ def image_subset(f: PointMap, A: SubsetRef) -> SubsetRef:
 
 
 @dataclass(frozen=True)
-class ClassicalBoundsReport:
+class ClassicalBoundsReport(Report):
     """The two-sided diameter bound with scaled-additive coefficients."""
 
     K1: float
@@ -398,19 +366,9 @@ class ClassicalBoundsReport:
     upper: float
     holds: bool
 
-    def to_dict(self):
-        return {
-            "K1": float(self.K1),
-            "K2": float(self.K2),
-            "lower": float(self.lower),
-            "ratio": float(self.ratio),
-            "upper": float(self.upper),
-            "holds": bool(self.holds),
-        }
-
 
 @dataclass(frozen=True)
-class DiameterBoundsReport:
+class DiameterBoundsReport(Report):
     """Distortion of the diameter ratio of nested subsets A within B.
 
     ``upper_*`` is   diam f(A)/diam f(B) <= eta(diam A / phi1inv(diam B)),
@@ -434,25 +392,6 @@ class DiameterBoundsReport:
     classical: Optional[ClassicalBoundsReport]
     holds: bool
     tol: float
-
-    def to_dict(self):
-        return {
-            "diam_a": float(self.diam_a),
-            "diam_b": float(self.diam_b),
-            "diam_fa": float(self.diam_fa),
-            "diam_fb": float(self.diam_fb),
-            "upper_lhs": float(self.upper_lhs),
-            "upper_rhs": float(self.upper_rhs),
-            "upper_slack": float(self.upper_slack),
-            "upper_holds": bool(self.upper_holds),
-            "lower_lhs": float(self.lower_lhs),
-            "lower_rhs": float(self.lower_rhs),
-            "lower_slack": float(self.lower_slack),
-            "lower_holds": bool(self.lower_holds),
-            "classical": None if self.classical is None else self.classical.to_dict(),
-            "holds": bool(self.holds),
-            "tol": float(self.tol),
-        }
 
 
 def _require_qs(f: PointMap, eta: Modulus, tol: float):
@@ -532,7 +471,7 @@ def tv_bounds(
 
 
 @dataclass(frozen=True)
-class PairBoundsReport:
+class PairBoundsReport(Report):
     """Per-pair distance bounds from the diameters of the whole space."""
 
     diam_x: float
@@ -545,20 +484,6 @@ class PairBoundsReport:
     minimal_L: Optional[float]
     holds: bool
     tol: float
-
-    def to_dict(self):
-        return {
-            "diam_x": float(self.diam_x),
-            "diam_fx": float(self.diam_fx),
-            "worst_upper_slack": float(self.worst_upper_slack),
-            "worst_upper_pair": list(self.worst_upper_pair),
-            "worst_lower_slack": float(self.worst_lower_slack),
-            "worst_lower_pair": list(self.worst_lower_pair),
-            "derived_L": None if self.derived_L is None else float(self.derived_L),
-            "minimal_L": None if self.minimal_L is None else float(self.minimal_L),
-            "holds": bool(self.holds),
-            "tol": float(self.tol),
-        }
 
 
 def bounded_image_bounds(

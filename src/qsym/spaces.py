@@ -31,6 +31,7 @@ from .errors import (
     MapValidationError,
     ZeroOffDiagonal,
 )
+from .moduli import _vectorized
 
 DEFAULT_TOL = 1e-9
 
@@ -59,12 +60,6 @@ class SemimetricSpace:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def index_of(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no point labeled {label!r}") from None
 
     def subspace(self, indices: Sequence[int]) -> "SemimetricSpace":
         """The induced space on ``indices`` (order kept, no revalidation)."""
@@ -255,16 +250,6 @@ def diameter(subset: SubsetRef) -> float:
     return float(np.max(subset.space.dist[np.ix_(idx, idx)]))
 
 
-def _apply_scaler(scaler: Callable, values: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(scaler(values), dtype=float)
-        if out.shape == values.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(scaler(v)) for v in values.ravel()]).reshape(values.shape)
-
-
 def transform_distances(
     space: SemimetricSpace, scaler: Callable, tol: float = DEFAULT_TOL
 ) -> SemimetricSpace:
@@ -274,8 +259,9 @@ def transform_distances(
     the space's spectrum (:class:`ScalerOriginNonzero`,
     :class:`ScalerNotMonotone`).  The result is revalidated.
     """
+    g = _vectorized(scaler)
     sp = spectrum(space).values
-    scaled = _apply_scaler(scaler, sp)
+    scaled = np.asarray(g(sp), dtype=float)
     if not np.all(np.isfinite(scaled)):
         raise ScalerNotMonotone("scaler produced non-finite values on the spectrum")
     if scaled[0] != 0.0:
@@ -286,7 +272,7 @@ def transform_distances(
             f"scaler not strictly increasing on the spectrum: "
             f"g({sp[k]:.6g}) = {scaled[k]:.6g}, g({sp[k + 1]:.6g}) = {scaled[k + 1]:.6g}"
         )
-    new = _apply_scaler(scaler, np.asarray(space.dist))
+    new = np.asarray(g(space.dist.ravel()), dtype=float).reshape(space.dist.shape)
     return build_space(space.labels, new, tol=tol)
 
 

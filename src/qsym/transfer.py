@@ -12,21 +12,21 @@ four-ratio Ptolemy variant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import PreconditionFailed, Unbounded
 from .moduli import Modulus, PowerModulus
 from .quasisymmetry import check_qs
+from .report import Report
 from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace
 from .triangle import (
-    PTOLEMY_EXHAUSTIVE_LIMIT,
+    _QUAD_ORDERINGS,
     PtolemyReport,
     TriangleFunction,
     TriangleReport,
+    _quadruples,
     check_triangle,
     is_ptolemaic,
 )
@@ -43,7 +43,7 @@ def _inv_eta(eta: Modulus, t: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TransferReport:
+class TransferReport(Report):
     """Outcome of the ratio-pair implication scan.
 
     ``worst`` is (t1, t2, lhs1, lhs2): the first violation when failing,
@@ -55,15 +55,6 @@ class TransferReport:
     worst: Optional[tuple]
     mode: str
     tol: float
-
-    def to_dict(self):
-        return {
-            "holds": bool(self.holds),
-            "checked_pairs": int(self.checked_pairs),
-            "worst": None if self.worst is None else [float(v) for v in self.worst],
-            "mode": self.mode,
-            "tol": float(self.tol),
-        }
 
 
 def _scan_pairs(phi1, phi2, eta, t1, t2, tol, state):
@@ -139,21 +130,26 @@ def check_transfer_condition(
     return TransferReport(True, state["checked"], state["tightest"], mode, tol)
 
 
-def minimal_transfer_K2(
-    K1: float, eta: Modulus, grid_points: int = 2001, refine: bool = True
-) -> float:
+def minimal_transfer_K2(K1: float, eta: Modulus, grid_points: int = 2001) -> float:
     """Smallest K2 with 1 <= K1(1/t1+1/t2) implying 1 <= K2(1/eta(t1)+1/eta(t2)).
 
     Equals the supremum of 1/(1/eta(t1) + 1/eta(t2)) over the constraint
     boundary 1/t1 + 1/t2 = 1/K1 (the objective is increasing in both
     ratios, so the interior never beats the boundary).  The boundary is
-    scanned on a grid, the best cell is polished by bounded scalar
-    minimization, and the corner limit eta(K1) enters as a candidate;
-    the result is clamped to >= 1 (no gauge has a smaller coefficient).
+    scanned on a grid, the cell around the best grid point is re-scanned
+    twice on 2001 points, and the corner limit eta(K1) enters as a
+    candidate; the result is clamped to >= 1 (no gauge has a smaller
+    coefficient).
     """
     if K1 < 1:
         raise ValueError("K1 must be >= 1")
     b = 1.0 / K1
+
+    def objective(us):
+        with np.errstate(divide="ignore"):
+            t1 = 1.0 / us
+            t2 = 1.0 / (b - us)
+            return t1, t2, 1.0 / (_inv_eta(eta, t1) + _inv_eta(eta, t2))
 
     frac = np.unique(
         np.concatenate(
@@ -165,12 +161,7 @@ def minimal_transfer_K2(
         )
     )
     us = frac * b
-    with np.errstate(divide="ignore"):
-        t1 = 1.0 / us
-        t2 = 1.0 / (b - us)
-    denom = _inv_eta(eta, t1) + _inv_eta(eta, t2)
-    with np.errstate(divide="ignore"):
-        obj = 1.0 / denom
+    t1, t2, obj = objective(us)
     if np.any(~np.isfinite(obj)):
         i = int(np.argmax(~np.isfinite(obj)))
         raise Unbounded(
@@ -179,22 +170,15 @@ def minimal_transfer_K2(
     i = int(np.argmax(obj))
     best = float(obj[i])
 
-    if refine:
-        lo = us[max(i - 1, 0)]
-        hi = us[min(i + 1, len(us) - 1)]
-        if hi > lo:
-            def neg(u):
-                d = float(
-                    _inv_eta(eta, np.array([1.0 / u]))[0]
-                    + _inv_eta(eta, np.array([1.0 / (b - u)]))[0]
-                )
-                return -1.0 / d
-
-            res = minimize_scalar(
-                neg, bounds=(lo, hi), method="bounded", options={"xatol": 1e-14}
-            )
-            if np.isfinite(res.fun):
-                best = max(best, float(-res.fun))
+    # each pass narrows the bracketing cell a thousandfold; a gain within
+    # the objective's rounding error (a few ulps) is noise, not a higher
+    # maximum, so a maximum the grid hits exactly stays exact
+    for _ in range(2):
+        us = np.linspace(us[max(i - 1, 0)], us[min(i + 1, len(us) - 1)], 2001)
+        obj = objective(us)[2]
+        i = int(np.argmax(obj))
+        if np.isfinite(obj[i]) and obj[i] > best * (1.0 + 8 * np.finfo(float).eps):
+            best = float(obj[i])
 
     corner = float(
         1.0 / (_inv_eta(eta, np.array([1e15]))[0] + _inv_eta(eta, np.array([K1]))[0])
@@ -205,7 +189,7 @@ def minimal_transfer_K2(
 
 
 @dataclass(frozen=True)
-class EndToEndReport:
+class EndToEndReport(Report):
     """The full transfer chain on one map.
 
     ``consistent`` is the theorem itself at finite scale: either the
@@ -218,16 +202,6 @@ class EndToEndReport:
     qs: object
     transfer: TransferReport
     image_triangle: TriangleReport
-
-    def to_dict(self):
-        return {
-            "holds": bool(self.holds),
-            "consistent": bool(self.consistent),
-            "domain_triangle": self.domain_triangle.to_dict(),
-            "qs": self.qs.to_dict(),
-            "transfer": self.transfer.to_dict(),
-            "image_triangle": self.image_triangle.to_dict(),
-        }
 
 
 def verify_transfer_end_to_end(
@@ -266,25 +240,8 @@ def verify_transfer_end_to_end(
     )
 
 
-def _quadruple_sets(n: int, samples: int, seed: int):
-    """Index quadruples i<j<k<l: exhaustive when feasible, else sampled."""
-    if n <= PTOLEMY_EXHAUSTIVE_LIMIT:
-        Q = np.array(list(combinations(range(n), 4)), dtype=int).reshape(-1, 4)
-        return Q, "exhaustive"
-    rng = np.random.default_rng(seed)
-    rows = []
-    have = 0
-    while have < samples:
-        draw = rng.integers(0, n, size=(int((samples - have) * 1.3) + 16, 4))
-        draw.sort(axis=1)
-        good = draw[np.all(np.diff(draw, axis=1) > 0, axis=1)]
-        rows.append(good)
-        have += len(good)
-    return np.concatenate(rows)[:samples], "sampled"
-
-
 @dataclass(frozen=True)
-class PtolemyTransferReport:
+class PtolemyTransferReport(Report):
     """Four-ratio implication scan plus the image Ptolemy verdict."""
 
     holds: bool
@@ -296,28 +253,6 @@ class PtolemyTransferReport:
     worst_ratios: Optional[tuple]
     image: PtolemyReport
     tol: float
-
-    def to_dict(self):
-        return {
-            "holds": bool(self.holds),
-            "mode": self.mode,
-            "implication_holds": bool(self.implication_holds),
-            "checked": int(self.checked),
-            "worst_value": None if self.worst_value is None else float(self.worst_value),
-            "worst_quadruple": None
-            if self.worst_quadruple is None
-            else [int(v) for v in self.worst_quadruple],
-            "worst_ratios": None
-            if self.worst_ratios is None
-            else [float(v) for v in self.worst_ratios],
-            "image": self.image.to_dict(),
-            "tol": float(self.tol),
-        }
-
-
-#: the three (x, y, z, t) arrangements of a sorted quadruple that realize
-#: the three distinct Ptolemy pairings as the product d(x,z) d(t,y)
-_PTOLEMY_ARRANGEMENTS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
 
 
 def ptolemy_transfer_check(
@@ -368,11 +303,12 @@ def ptolemy_transfer_check(
         )
 
     D = np.asarray(f.domain.dist)
-    Q, _ = _quadruple_sets(f.domain.n, samples, seed)
+    Q, _ = _quadruples(f.domain.n, samples, seed)
     checked = 0
     violation = None
     worst = None
-    for perm in _PTOLEMY_ARRANGEMENTS:
+    # each ordering (x, y, z, t) puts one pairing in the product d(x,z) d(t,y)
+    for perm in _QUAD_ORDERINGS:
         X, Y, Z, T = (Q[:, p] for p in perm)
         t1 = D[X, Z] / D[X, Y]
         t2 = D[T, Y] / D[T, Z]

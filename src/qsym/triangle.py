@@ -19,7 +19,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GaugeInvalid, NoBracket, NotInvertible
+from .errors import GaugeInvalid, NotInvertible
+from .moduli import _bisect
+from .report import Report
 from .spaces import DEFAULT_TOL, SemimetricSpace
 
 #: probe grid used to validate custom gauges (both axes)
@@ -27,9 +29,6 @@ GAUGE_PROBE_AXIS = np.geomspace(1e-6, 1e6, 64)
 
 #: probe grid used to test diagonal invertibility
 DIAG_PROBE_AXIS = np.geomspace(1e-6, 1e6, 64)
-
-#: residual tolerance for numeric diagonal inversion
-INVERT_RESIDUAL_TOL = 1e-12
 
 #: quadruple count beyond which the Ptolemy checker samples
 PTOLEMY_EXHAUSTIVE_LIMIT = 64
@@ -39,7 +38,6 @@ class TriangleFunction:
     """Base class; subclasses implement ``__call__`` on scalars or arrays."""
 
     name = "abstract"
-    continuous = True  # capability flag, per variant
 
     def __call__(self, u, v):
         raise NotImplementedError
@@ -129,11 +127,9 @@ class CustomGauge(TriangleFunction):
     already accepts numpy arrays.
     """
 
-    def __init__(self, fn: Callable, name: str = "custom", continuous: bool = True,
-                 vectorized: bool = False):
+    def __init__(self, fn: Callable, name: str = "custom", vectorized: bool = False):
         self._fn = fn if vectorized else np.vectorize(fn, otypes=[float])
         self.name = name
-        self.continuous = continuous
         self._validate()
 
     def __call__(self, u, v):
@@ -165,46 +161,15 @@ class CustomGauge(TriangleFunction):
 
 
 def _bisect_diag(phi: TriangleFunction, y: float) -> float:
-    """Invert phi.diag by bracket doubling plus bisection on the residual."""
-    y = float(y)
-    if y < 0:
-        raise NotInvertible(f"cannot invert {phi.name} diagonal at negative value {y}")
-    if y == 0.0:
-        return 0.0
-    probe = np.asarray(phi.diag(DIAG_PROBE_AXIS), dtype=float)
-    if np.any(np.diff(probe) <= 0):
-        raise NotInvertible(
-            f"{phi.name}: diagonal gauge is not strictly increasing on the probe grid"
-        )
-    hi = 1.0
-    doublings = 0
-    while float(phi.diag(hi)) < y:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 64:
-            raise NoBracket(
-                f"{phi.name}: diag never reaches {y:.6g} (bracket grew past 2^64)"
+    """Invert phi.diag by the modulus bisection, once the diagonal is seen
+    to be strictly increasing on the probe grid."""
+    if float(y) > 0:
+        probe = np.asarray(phi.diag(DIAG_PROBE_AXIS), dtype=float)
+        if np.any(np.diff(probe) <= 0):
+            raise NotInvertible(
+                f"{phi.name}: diagonal gauge is not strictly increasing on the probe grid"
             )
-    lo = 0.0
-    tol = INVERT_RESIDUAL_TOL * max(1.0, y)
-    mid = hi
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        val = float(phi.diag(mid))
-        if abs(val - y) <= tol:
-            return mid
-        if val < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17 * max(1.0, mid):
-            break
-    val = float(phi.diag(mid))
-    if abs(val - y) <= tol:
-        return mid
-    raise NotInvertible(
-        f"{phi.name}: bisection stalled at residual {abs(val - y):.3g} inverting {y:.6g}"
-    )
+    return _bisect(phi.diag, y, f"{phi.name} diagonal")
 
 
 def invert_diag(phi: TriangleFunction, y: float) -> float:
@@ -217,7 +182,7 @@ def invert_diag(phi: TriangleFunction, y: float) -> float:
 
 
 @dataclass(frozen=True)
-class TriangleReport:
+class TriangleReport(Report):
     """Outcome of a generalized triangle check.
 
     ``worst_triple`` is (x, z, y): the inequality read d(x,y) <= Phi(d(x,z),
@@ -237,17 +202,6 @@ class TriangleReport:
         if self.worst_triple is None:
             return None
         return tuple(space.labels[i] for i in self.worst_triple)
-
-    def to_dict(self):
-        return {
-            "holds": bool(self.holds),
-            "worst_triple": None if self.worst_triple is None else list(self.worst_triple),
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "margin": float(self.margin),
-            "gauge": self.gauge,
-            "tol": float(self.tol),
-        }
 
 
 def check_triangle(
@@ -309,7 +263,7 @@ def minimal_bmetric_K(space: SemimetricSpace) -> float:
 
 
 @dataclass(frozen=True)
-class PtolemyReport:
+class PtolemyReport(Report):
     """Outcome of the four-point (Ptolemy) check.
 
     ``worst_quadruple`` is ordered (x, y, z, t) so that the inequality read
@@ -334,19 +288,29 @@ class PtolemyReport:
             return None
         return tuple(space.labels[i] for i in self.worst_quadruple)
 
-    def to_dict(self):
-        return {
-            "holds": bool(self.holds),
-            "worst_quadruple": None
-            if self.worst_quadruple is None
-            else list(self.worst_quadruple),
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "margin": float(self.margin),
-            "mode": self.mode,
-            "checked": int(self.checked),
-            "tol": float(self.tol),
-        }
+
+#: the three orderings (a, b, c, d) of a sorted quadruple whose diagonals
+#: (a, c), (b, d) run through the three pairings of 4 points into two pairs;
+#: sides are consecutive
+_QUAD_ORDERINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
+
+
+def _quadruples(n: int, samples: int, seed: int):
+    """Index quadruples i<j<k<l with their mode: all of them up to
+    ``PTOLEMY_EXHAUSTIVE_LIMIT`` points, else ``samples`` seeded draws."""
+    if n <= PTOLEMY_EXHAUSTIVE_LIMIT:
+        Q = np.array(list(itertools.combinations(range(n), 4)), dtype=int)
+        return Q.reshape(-1, 4), "exhaustive"
+    rng = np.random.default_rng(seed)
+    parts = []
+    need = samples
+    while need > 0:
+        draw = rng.integers(0, n, size=(int(need * 1.3) + 16, 4))
+        draw.sort(axis=1)
+        ok = np.all(np.diff(draw, axis=1) > 0, axis=1)
+        parts.append(draw[ok][:need])
+        need -= len(parts[-1])
+    return np.concatenate(parts), "sampled"
 
 
 def _ptolemy_margins(d, i, j, k, l):
@@ -377,22 +341,7 @@ def is_ptolemaic(
     if n < 4:
         return PtolemyReport(True, None, 0.0, 0.0, np.inf, "exhaustive", 0, tol)
 
-    if n <= PTOLEMY_EXHAUSTIVE_LIMIT:
-        quads = np.array(list(itertools.combinations(range(n), 4)), dtype=int)
-        mode = "exhaustive"
-    else:
-        rng = np.random.default_rng(seed)
-        parts = []
-        need = samples
-        while need > 0:
-            draw = rng.integers(0, n, size=(int(need * 1.3) + 16, 4))
-            draw.sort(axis=1)
-            ok = np.all(np.diff(draw, axis=1) > 0, axis=1)
-            parts.append(draw[ok][:need])
-            need -= len(parts[-1])
-        quads = np.concatenate(parts)
-        mode = "sampled"
-
+    quads, mode = _quadruples(n, samples, seed)
     i, j, k, l = quads.T
     ab, ce, fg, margins = _ptolemy_margins(d, i, j, k, l)
     lhs_products = np.stack([ab, ce, fg], axis=1)

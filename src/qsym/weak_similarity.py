@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .moduli import (
     _vectorized,
 )
 from .quasisymmetry import check_qs
+from .report import Report
 from .spaces import PointMap, SemimetricSpace
 
 #: relative tolerance for bucketing distances into spectrum ranks
@@ -238,13 +239,24 @@ def brute_force_weak_similarity(
     return None
 
 
+class PairsWitness(NamedTuple):
+    """Two point pairs with their domain and image distances."""
+
+    pair1: tuple
+    pair2: tuple
+    d1: float
+    d2: float
+    rho1: float
+    rho2: float
+
+
 @dataclass(frozen=True)
-class MonotoneImplicationsReport:
+class MonotoneImplicationsReport(Report):
     """The pairwise implications d < d' => rho < rho' and d = d' => rho = rho'.
 
     A bijection satisfies both exactly when it is a weak similarity, so a
-    passing report doubles as a certificate.  The witness holds two pairs
-    with their distances: ((i, j), (k, l), d_ij, d_kl, rho_ij, rho_kl).
+    passing report doubles as a certificate.  The witness is a
+    :class:`PairsWitness` ((i, j), (k, l), d_ij, d_kl, rho_ij, rho_kl).
     """
 
     holds: bool
@@ -253,26 +265,6 @@ class MonotoneImplicationsReport:
     witness: Optional[tuple]
     checked_pairs: int
     tol: float
-
-    def to_dict(self):
-        w = self.witness
-        return {
-            "holds": bool(self.holds),
-            "equality_holds": bool(self.equality_holds),
-            "order_holds": bool(self.order_holds),
-            "witness": None
-            if w is None
-            else {
-                "pair1": list(w[0]),
-                "pair2": list(w[1]),
-                "d1": float(w[2]),
-                "d2": float(w[3]),
-                "rho1": float(w[4]),
-                "rho2": float(w[5]),
-            },
-            "checked_pairs": int(self.checked_pairs),
-            "tol": float(self.tol),
-        }
 
 
 def check_monotone_implications(
@@ -304,7 +296,7 @@ def check_monotone_implications(
             first_pair[dr] = (int(i), int(j), int(rr))
         elif first_pair[dr][2] != rr and witness is None:
             a, b, _ = first_pair[dr]
-            witness = (
+            witness = PairsWitness(
                 (a, b), (int(i), int(j)),
                 float(D[a, b]), float(D[i, j]),
                 float(R[a, b]), float(R[i, j]),
@@ -318,7 +310,7 @@ def check_monotone_implications(
             if first_pair[cur][2] <= first_pair[prev][2]:
                 a, b, _ = first_pair[prev]
                 c, d, _ = first_pair[cur]
-                witness = (
+                witness = PairsWitness(
                     (a, b), (c, d),
                     float(D[a, b]), float(D[c, d]),
                     float(R[a, b]), float(R[c, d]),
@@ -332,7 +324,7 @@ def check_monotone_implications(
 
 
 @dataclass(frozen=True)
-class InvolutionReport:
+class InvolutionReport(Report):
     """Grid certification of eta(k) eta(1/k) = 1."""
 
     holds: bool
@@ -341,16 +333,6 @@ class InvolutionReport:
     points: int
     certification: str
     tol: float
-
-    def to_dict(self):
-        return {
-            "holds": bool(self.holds),
-            "max_defect": float(self.max_defect),
-            "worst_k": float(self.worst_k),
-            "points": int(self.points),
-            "certification": self.certification,
-            "tol": float(self.tol),
-        }
 
 
 def check_involution_identity(
@@ -386,12 +368,7 @@ def eta_from_antisymmetric(psi: Callable, label: str = "involutive") -> Modulus:
     still be strictly increasing with limit 0 at 0, which the constructor
     validates on the log grid.
     """
-    probe = np.array([0.5, 2.0])
-    try:
-        out = np.asarray(psi(probe, probe[::-1]), dtype=float)
-        p = psi if out.shape == probe.shape else np.vectorize(psi, otypes=[float])
-    except Exception:
-        p = np.vectorize(psi, otypes=[float])
+    p = _vectorized(psi, arity=2)
     x = np.repeat(ANTISYM_AXIS, len(ANTISYM_AXIS))
     z = np.tile(ANTISYM_AXIS, len(ANTISYM_AXIS))
     fwd = np.asarray(p(x, z), dtype=float)

@@ -7,10 +7,14 @@ input errors.
 """
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsym
 from qsym import (
     collinear_space,
     empirical_modulus,
@@ -413,6 +417,14 @@ def test_gen_kinds(files, capsys, argv, n):
     assert load_space(target).n == n
 
 
+def test_gen_collinear_coordinates_equal_to_six_digits(files, capsys):
+    target = files["tmp"] / "gen.json"
+    code, out, _ = run(capsys, "gen", "collinear", "--coords",
+                       "0.1234561,0.1234562,1", "-o", str(target))
+    assert code == 0
+    assert load_space(target).labels == ("0.1234561", "0.1234562", "1")
+
+
 def test_gen_name_and_param_errors(files, capsys):
     target = files["tmp"] / "gen.json"
     code, _, _ = run(capsys, "gen", "collinear", "--coords", "0,2",
@@ -455,3 +467,15 @@ def test_usage_errors_raise_systemexit_2(capsys):
             main(argv)
         assert err.value.code == 2
         capsys.readouterr()
+
+
+# ------------------------------------------------------------ dependencies
+
+
+def test_import_pulls_in_no_scipy():
+    probe = ("import sys, qsym, qsym.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", probe],
+                         cwd=Path(qsym.__file__).resolve().parents[1],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -92,6 +92,12 @@ def test_collinear_space_distances():
         collinear_space([])
 
 
+def test_collinear_labels_separate_coordinates_equal_to_six_digits():
+    X = collinear_space([0.1234561, 0.1234562, 1.0])
+    assert X.labels == ("0.1234561", "0.1234562", "1")
+    assert collinear_space([0.0, 3.0, 1e7]).labels == ("0", "3", "1e+07")
+
+
 def test_generate_dispatch():
     X = generate("euclidean", seed=5, n=4, dim=2)
     assert X.n == 4

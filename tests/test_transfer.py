@@ -115,6 +115,15 @@ def test_minimal_transfer_K2_matches_oracle(K1, alpha):
     assert got >= want - 1e-9  # refinement only ever sharpens upward
 
 
+def test_minimal_transfer_K2_finds_an_off_grid_maximum():
+    # eta(t) = t^2 + 3 sqrt(t) peaks off the boundary grid (u K1 ~ 0.1687),
+    # where the grid alone reads about 1.2e-8 low
+    eta = CallableModulus(lambda t: t ** 2 + 3.0 * np.sqrt(t), label="t2+3sqrt")
+    got = minimal_transfer_K2(1.0, eta)
+    assert got == pytest.approx(minimal_K2_oracle(1.0, eta, m=2_000_001), rel=1e-10)
+    assert got >= minimal_K2_oracle(1.0, eta) - 1e-12
+
+
 def test_minimal_transfer_K2_monotone_in_K1():
     eta = PowerModulus(2.0)
     vals = [minimal_transfer_K2(k, eta) for k in (1.0, 1.5, 2.0, 4.0)]
