@@ -109,7 +109,7 @@ def _cmd_check(args) -> int:
         _emit(args, payload, [f"minimal K = {K:g}"])
         return 0
     if args.cls == "ptolemaic":
-        rep = is_ptolemaic(space, tol=args.tol, seed=args.seed)
+        rep = is_ptolemaic(space, tol=args.tol)
         payload = {
             "command": "check", "inputs": inputs, "tol": args.tol,
             "class": "ptolemaic", "report": rep.to_dict(),
@@ -180,7 +180,9 @@ def _cmd_qs_check(args) -> int:
         _emit(args, payload, lines)
         return 0
     eta = parse_modulus(args.eta)
-    rep = qs.check_qs(f, eta, tol=args.tol)
+    # with -o the envelope is already built: compare against it, not a rebuild
+    rep = (qs._check_envelope(env, eta, args.tol) if args.out
+           else qs.check_qs(f, eta, tol=args.tol))
     payload = {
         "command": "qs-check", "inputs": inputs, "tol": args.tol,
         "eta": eta.describe(), "report": rep.to_dict(),
@@ -268,7 +270,7 @@ def _cmd_ptolemy_transfer(args) -> int:
     f = _load_map_bundle(args, args.tol, require_bijective=True)
     inputs = _inputs(args.domain, args.codomain, args.map)
     rep = tr.ptolemy_transfer_check(
-        f, eta, tol=args.tol, force_realized=args.force_realized, seed=args.seed
+        f, eta, tol=args.tol, force_realized=args.force_realized
     )
     payload = {
         "command": "ptolemy-transfer", "inputs": inputs, "tol": args.tol,
@@ -529,11 +531,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=False):
+    def common(sp):
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
         sp.add_argument("--json", action="store_true")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
 
     def map_flags(sp):
         sp.add_argument("--domain", required=True)
@@ -545,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--class", dest="cls",
                     choices=["metric", "bmetric", "ultrametric", "ptolemaic"])
     sp.add_argument("--phi", help="triangle gauge spec: additive | bmetric:K | max")
-    common(sp, seed=True)
+    common(sp)
     sp.set_defaults(handler=_cmd_check)
 
     sp = sub.add_parser("modulus", help="evaluate a modulus spec")
@@ -586,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", required=True)
     map_flags(sp)
     sp.add_argument("--force-realized", action="store_true")
-    common(sp, seed=True)
+    common(sp)
     sp.set_defaults(handler=_cmd_ptolemy_transfer)
 
     sp = sub.add_parser("distortion", help="two-sided diameter distortion bounds")
@@ -636,7 +636,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coords", help="comma-separated line coordinates")
     sp.add_argument("--name")
     sp.add_argument("-o", "--out", required=True)
-    common(sp, seed=True)
+    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(handler=_cmd_gen)
 
     sp = sub.add_parser("fit-snowflake", help="exact power-law fit of a map")

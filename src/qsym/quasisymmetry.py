@@ -171,7 +171,11 @@ class QsReport(Report):
 def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
     """Does eta verify f?  Holds iff eta(t_i) + tol >= H(t_i) at every
     envelope knot; the witness is the triple behind the first violation."""
-    env = empirical_modulus(f)
+    return _check_envelope(empirical_modulus(f), eta, tol)
+
+
+def _check_envelope(env: EmpiricalEnvelope, eta: Modulus, tol: float) -> QsReport:
+    """The knot comparison of :func:`check_qs` on an envelope already built."""
     if len(env) == 0:
         return QsReport(True, None, None, None, None, None, eta.describe(), tol, 0)
     vals = np.asarray(eta.eval(env.ts), dtype=float)

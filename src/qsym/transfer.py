@@ -26,7 +26,8 @@ from .triangle import (
     PtolemyReport,
     TriangleFunction,
     TriangleReport,
-    _quadruples,
+    _first_min,
+    _quadruple_blocks,
     check_triangle,
     is_ptolemaic,
 )
@@ -260,8 +261,6 @@ def ptolemy_transfer_check(
     eta: Modulus,
     tol: float = DEFAULT_TOL,
     force_realized: bool = False,
-    seed: int = 0,
-    samples: int = 200_000,
 ) -> PtolemyTransferReport:
     """Does the map carry the Ptolemy inequality to its image?
 
@@ -275,12 +274,14 @@ def ptolemy_transfer_check(
                          <= eta(t1)eta(t2) + eta(t3)eta(t4)
 
     is checked at realized quadruple ratios (t1 = d(x,z)/d(x,y),
-    t2 = d(t,y)/d(t,z), t3 = d(x,z)/d(x,t), t4 = d(t,y)/d(y,z)).
+    t2 = d(t,y)/d(t,z), t3 = d(x,z)/d(x,t), t4 = d(t,y)/d(y,z)) in all
+    three orderings of every 4-subset.  Every verdict is exhaustive: each
+    Ptolemy check costs 3 C(n, 4) inequalities, streamed in O(n^2) memory.
     """
-    dom = is_ptolemaic(f.domain, tol=tol, seed=seed)
+    dom = is_ptolemaic(f.domain, tol=tol)
     if not dom.holds:
         raise PreconditionFailed(
-            f"domain Ptolemy: fails at quadruple {dom.worst_quadruple}"
+            f"domain Ptolemy: fails at quadruple {dom.worst_labels(f.domain)}"
         )
     if not f.is_bijection():
         raise PreconditionFailed("bijection: the map is not a bijection onto the codomain")
@@ -291,64 +292,52 @@ def ptolemy_transfer_check(
             f"(witness {qs.witness_labels})"
         )
 
-    image = is_ptolemaic(f.codomain, tol=tol, seed=seed)
+    image = is_ptolemaic(f.codomain, tol=tol)
 
-    if (
-        isinstance(eta, PowerModulus)
-        and eta.alpha <= 1.0
-        and not force_realized
-    ):
+    if isinstance(eta, PowerModulus) and eta.alpha <= 1.0 and not force_realized:
         return PtolemyTransferReport(
             image.holds, "analytic", True, 0, None, None, None, image, tol
         )
 
-    D = np.asarray(f.domain.dist)
-    Q, _ = _quadruples(f.domain.n, samples, seed)
     checked = 0
-    violation = None
-    worst = None
-    # each ordering (x, y, z, t) puts one pairing in the product d(x,z) d(t,y)
-    for perm in _QUAD_ORDERINGS:
-        X, Y, Z, T = (Q[:, p] for p in perm)
-        t1 = D[X, Z] / D[X, Y]
-        t2 = D[T, Y] / D[T, Z]
-        t3 = D[X, Z] / D[X, T]
-        t4 = D[T, Y] / D[Y, Z]
-        lhs = t1 * t2 * t3 * t4
-        rhs = t1 * t2 + t3 * t4
-        premise = lhs <= rhs + tol * np.maximum(1.0, rhs)
-        if not np.any(premise):
-            continue
-        idx = np.nonzero(premise)[0]
-        l1 = np.asarray(eta.log_eval(t1[idx]), dtype=float)
-        l2 = np.asarray(eta.log_eval(t2[idx]), dtype=float)
-        l3 = np.asarray(eta.log_eval(t3[idx]), dtype=float)
-        l4 = np.asarray(eta.log_eval(t4[idx]), dtype=float)
-        with np.errstate(over="ignore"):
-            c = np.exp(-(l1 + l2)) + np.exp(-(l3 + l4))
-        checked += len(idx)
-        bad = c < 1.0 - tol
-        if np.any(bad) and violation is None:
-            k = idx[int(np.argmax(bad))]
-            violation = (
-                float(c[int(np.argmax(bad))]),
-                tuple(int(v) for v in (X[k], Y[k], Z[k], T[k])),
-                (float(t1[k]), float(t2[k]), float(t3[k]), float(t4[k])),
-            )
-        k = int(np.argmin(c))
-        if worst is None or c[k] < worst[0]:
-            kk = idx[k]
-            worst = (
-                float(c[k]),
-                tuple(int(v) for v in (X[kk], Y[kk], Z[kk], T[kk])),
-                (float(t1[kk]), float(t2[kk]), float(t3[kk]), float(t4[kk])),
-            )
-    if violation is not None:
-        return PtolemyTransferReport(
-            False, "realized", False, checked,
-            violation[0], violation[1], violation[2], image, tol,
-        )
-    wv, wq, wr = worst if worst is not None else (None, None, None)
-    return PtolemyTransferReport(
-        image.holds, "realized", True, checked, wv, wq, wr, image, tol
-    )
+    # one running state per ordering (x, y, z, t), each putting one pairing
+    # in the product d(x,z) d(t,y): the witnesses of a scan of all
+    # quadruples one ordering at a time
+    violations = [None] * len(_QUAD_ORDERINGS)
+    worsts = [None] * len(_QUAD_ORDERINGS)
+    for i, j, k, l, q in _quadruple_blocks(f.domain.dist):
+        for o, (X, Y, Z, T) in enumerate(_QUAD_ORDERINGS):
+            t1 = q[X][Z] / q[X][Y]
+            t2 = q[T][Y] / q[T][Z]
+            t3 = q[X][Z] / q[X][T]
+            t4 = q[T][Y] / q[Y][Z]
+            lhs = t1 * t2 * t3 * t4
+            rhs = t1 * t2 + t3 * t4
+            premise = lhs <= rhs + tol * np.maximum(1.0, rhs)
+            if not np.any(premise):
+                continue
+            idx = np.nonzero(premise)[0]
+            l1, l2, l3, l4 = (np.asarray(eta.log_eval(t[idx]), dtype=float)
+                              for t in (t1, t2, t3, t4))
+            with np.errstate(over="ignore"):
+                c = np.exp(-(l1 + l2)) + np.exp(-(l3 + l4))
+            checked += len(idx)
+
+            def witness(m):
+                s = idx[m]
+                quad = (i, int(j[s]), int(k[s]), int(l[s]))
+                return (float(c[m]), tuple(quad[p] for p in (X, Y, Z, T)),
+                        tuple(float(t[s]) for t in (t1, t2, t3, t4)))
+
+            bad = c < 1.0 - tol
+            if violations[o] is None and np.any(bad):
+                violations[o] = witness(int(np.argmax(bad)))
+            m = int(np.argmin(c))
+            if _first_min(c[m], None if worsts[o] is None else worsts[o][0]):
+                worsts[o] = witness(m)
+    violation = next((v for v in violations if v is not None), None)
+    worst = min((w for w in worsts if w is not None), key=lambda w: w[0], default=None)
+    implied = violation is None
+    value, quad, ratios = (worst if implied else violation) or (None, None, None)
+    return PtolemyTransferReport(implied and image.holds, "realized", implied, checked,
+                                 value, quad, ratios, image, tol)

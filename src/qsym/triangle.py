@@ -13,8 +13,8 @@ grid.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,9 +29,6 @@ GAUGE_PROBE_AXIS = np.geomspace(1e-6, 1e6, 64)
 
 #: probe grid used to test diagonal invertibility
 DIAG_PROBE_AXIS = np.geomspace(1e-6, 1e6, 64)
-
-#: quadruple count beyond which the Ptolemy checker samples
-PTOLEMY_EXHAUSTIVE_LIMIT = 64
 
 
 class TriangleFunction:
@@ -270,8 +267,8 @@ class PtolemyReport(Report):
 
         d(x, z) d(t, y) <= d(x, y) d(t, z) + d(x, t) d(y, z).
 
-    ``mode`` is "exhaustive" or "sampled"; sampling kicks in above
-    ``PTOLEMY_EXHAUSTIVE_LIMIT`` points.
+    Every verdict is exhaustive: ``checked`` counts 3 C(n, 4) inequalities,
+    one per pairing of each 4-subset, and ``mode`` is always "exhaustive".
     """
 
     holds: bool
@@ -295,72 +292,79 @@ class PtolemyReport(Report):
 _QUAD_ORDERINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
 
 
-def _quadruples(n: int, samples: int, seed: int):
-    """Index quadruples i<j<k<l with their mode: all of them up to
-    ``PTOLEMY_EXHAUSTIVE_LIMIT`` points, else ``samples`` seeded draws."""
-    if n <= PTOLEMY_EXHAUSTIVE_LIMIT:
-        Q = np.array(list(itertools.combinations(range(n), 4)), dtype=int)
-        return Q.reshape(-1, 4), "exhaustive"
-    rng = np.random.default_rng(seed)
-    parts = []
-    need = samples
-    while need > 0:
-        draw = rng.integers(0, n, size=(int(need * 1.3) + 16, 4))
-        draw.sort(axis=1)
-        ok = np.all(np.diff(draw, axis=1) > 0, axis=1)
-        parts.append(draw[ok][:need])
-        need -= len(parts[-1])
-    return np.concatenate(parts), "sampled"
+def _quadruple_blocks(d: np.ndarray):
+    """All quadruples i<j<k<l in lexicographic order, in blocks of O(n^2).
+
+    A block holds consecutive (i, j) runs of (k, l) pairs for one i, at
+    least C(n, 2) quadruples unless i runs out, so memory stays O(n^2)
+    while numpy calls stay few.  Yields ``(i, j, k, l, q)``: ``j``, ``k``
+    and ``l`` are index arrays over the block, and ``q[a][b]`` is the
+    array of distances between positions a and b of (i, j, k, l).
+    """
+    n = len(d)
+    K, L = np.triu_indices(n, 1)  # row-major: the pairs with k > j are a suffix
+    P = len(K)
+    after = np.cumsum(np.arange(n - 1, 0, -1))  # after[j]: first pair with k > j
+    dkl_all = d[K, L]
+    flat = d.ravel()  # flat[j n + k] gathers d[j, k] faster than d[j, k] does
+    for i in range(n - 3):
+        row = d[i]
+        js, size = [], 0
+        for jj in range(i + 1, n - 2):
+            js.append(jj)
+            size += P - after[jj]
+            if size < P and jj < n - 3:
+                continue
+            pos = np.concatenate([np.arange(after[j], P) for j in js])
+            j = np.repeat(js, P - after[js])
+            k, l = K[pos], L[pos]
+            dij, dik, dil = row[j], row[k], row[l]
+            jn = j * n
+            djk, djl, dkl = flat[jn + k], flat[jn + l], dkl_all[pos]
+            yield i, j, k, l, ((None, dij, dik, dil), (dij, None, djk, djl),
+                               (dik, djk, None, dkl), (dil, djl, dkl, None))
+            js, size = [], 0
 
 
-def _ptolemy_margins(d, i, j, k, l):
-    """Margins of the three pairings for 4-subsets given as index arrays."""
-    ab = d[i, j] * d[k, l]
-    ce = d[i, k] * d[j, l]
-    fg = d[i, l] * d[j, k]
-    m1 = ce + fg - ab
-    m2 = ab + fg - ce
-    m3 = ab + ce - fg
-    return ab, ce, fg, np.stack([m1, m2, m3], axis=1)
+def _first_min(value, best) -> bool:
+    """Does ``value`` replace the running minimum ``best`` (None at first)?
+    np.argmin's order across blocks: the first NaN, else the first smallest."""
+    return best is None or value < best or (value != value and best == best)
 
 
-def is_ptolemaic(
-    space: SemimetricSpace,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-    samples: int = 1_000_000,
-) -> PtolemyReport:
+def is_ptolemaic(space: SemimetricSpace, tol: float = DEFAULT_TOL) -> PtolemyReport:
     """Check every 4-subset against all three product pairings.
 
     Holds iff each product of "diagonal" distances is at most the sum of
-    the other two products, within ``tol * max(1, lhs)``.  Vacuously true
-    for n < 4.
+    the other two products, within ``tol * max(1, lhs)``.  Exhaustive at a
+    cost of 3 C(n, 4) inequalities, streamed in O(n^2) memory; the witness
+    is the first minimum of the relative slack in (i, j, k, l, pairing)
+    order.  Vacuously true for n < 4.
     """
     n = space.n
     d = space.dist
     if n < 4:
         return PtolemyReport(True, None, 0.0, 0.0, np.inf, "exhaustive", 0, tol)
 
-    quads, mode = _quadruples(n, samples, seed)
-    i, j, k, l = quads.T
-    ab, ce, fg, margins = _ptolemy_margins(d, i, j, k, l)
-    lhs_products = np.stack([ab, ce, fg], axis=1)
-    rel = margins / np.maximum(1.0, lhs_products)
-    flat = int(np.argmin(rel))
-    q, pairing = divmod(flat, 3)
-    ii, jj, kk, ll = quads[q]
+    best = worst = None
+    for i, j, k, l, q in _quadruple_blocks(d):
+        ab = q[0][1] * q[2][3]
+        ce = q[0][2] * q[1][3]
+        fg = q[0][3] * q[1][2]
+        products = np.stack([ab, ce, fg], axis=1)
+        margins = np.stack([ce + fg - ab, ab + fg - ce, ab + ce - fg], axis=1)
+        rel = margins / np.maximum(1.0, products)
+        flat = int(np.argmin(rel))
+        if _first_min(rel.flat[flat], best):
+            best = rel.flat[flat]
+            m, pairing = divmod(flat, 3)
+            worst = (i, int(j[m]), int(k[m]), int(l[m]), pairing,
+                     float(products[m, pairing]), float(margins[m, pairing]))
+    ii, jj, kk, ll, pairing, lhs, margin = worst
     # arrange the worst quadruple as (x, y, z, t) with lhs = d(x,z) d(t,y)
-    if pairing == 0:
-        worst = (ii, ll, jj, kk)
-    elif pairing == 1:
-        worst = (ii, ll, kk, jj)
-    else:
-        worst = (ii, kk, ll, jj)
-    lhs = float(lhs_products[q, pairing])
-    margin = float(margins[q, pairing])
-    rhs = lhs + margin
-    holds = bool(np.min(rel) >= -tol)
-    return PtolemyReport(holds, worst, lhs, rhs, margin, mode, len(quads) * 3, tol)
+    quad = ((ii, ll, jj, kk), (ii, ll, kk, jj), (ii, kk, ll, jj))[pairing]
+    return PtolemyReport(bool(best >= -tol), quad, lhs, lhs + margin, margin,
+                         "exhaustive", 3 * comb(n, 4), tol)
 
 
 def parse_triangle_function(text: str) -> TriangleFunction:

@@ -214,7 +214,9 @@ def test_ptolemy_transfer_preconditions():
     from qsym import build_space
 
     X = build_space(["a", "b", "c", "d"], bad)
-    with pytest.raises(PreconditionFailed, match="Ptolemy"):
+    # the failing quadruple is named by its labels
+    with pytest.raises(PreconditionFailed,
+                       match=r"Ptolemy: fails at quadruple \('a', 'd', 'c', 'b'\)$"):
         ptolemy_transfer_check(identity_map(X), PowerModulus(1.0))
 
     E = euclidean_space(5, 2, seed=0)

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,12 +165,48 @@ def test_is_ptolemaic_small_spaces_vacuous(line3):
     assert rep.holds and rep.checked == 0
 
 
+def ptolemy_sides(space, quadruple):
+    """(d(x,z) d(t,y), d(x,y) d(t,z) + d(x,t) d(y,z)) at (x, y, z, t)."""
+    d = np.asarray(space.dist)
+    x, y, z, t = quadruple
+    return d[x, z] * d[t, y], d[x, y] * d[t, z] + d[x, t] * d[y, z]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_ptolemaic_margin_matches_naive(seed):
     X = euclidean_space(7, 2, seed=seed)
     rep = is_ptolemaic(X)
     assert rep.mode == "exhaustive"
     assert rep.margin == pytest.approx(naive_ptolemaic(X), rel=1e-9, abs=1e-12)
+    # with every distance <= 1 the relative and absolute margins coincide,
+    # so the worst margin is the loop oracle's to the bit
+    R = random_semimetric_space(9, seed=seed)
+    R = build_space(R.labels, np.asarray(R.dist) / np.max(R.dist))
+    rep = is_ptolemaic(R)
+    assert not rep.holds
+    assert rep.margin == naive_ptolemaic(R)
+    lhs, rhs = ptolemy_sides(R, rep.worst_quadruple)
+    assert rep.lhs == lhs
+    assert rep.rhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_is_ptolemaic_exhaustive_above_64_points():
+    X = euclidean_space(65, 2, seed=4)
+    rep = is_ptolemaic(X)
+    assert rep.holds and rep.mode == "exhaustive"
+    assert rep.checked == 3 * comb(65, 4)
+    # one planted long distance breaks Ptolemy on quadruples through it
+    D = np.array(X.dist)
+    D[0, 1] = D[1, 0] = 3.0 * D.max()
+    bad = build_space(X.labels, D)
+    rep = is_ptolemaic(bad)
+    assert not rep.holds and rep.mode == "exhaustive"
+    assert rep.checked == 3 * comb(65, 4)
+    assert all(type(v) is int for v in rep.worst_quadruple)
+    assert {0, 1} <= set(rep.worst_quadruple)
+    lhs, rhs = ptolemy_sides(bad, rep.worst_quadruple)
+    assert rep.lhs == lhs
+    assert rep.rhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_parse_triangle_function():
