@@ -180,17 +180,14 @@ def _cmd_qs_check(args) -> int:
         _emit(args, payload, lines)
         return 0
     eta = parse_modulus(args.eta)
-    # with -o the envelope is already built: compare against it, not a rebuild
-    rep = (qs._check_envelope(env, eta, args.tol) if args.out
-           else qs.check_qs(f, eta, tol=args.tol))
+    rep = qs.check_qs(f, eta, tol=args.tol)
     payload = {
         "command": "qs-check", "inputs": inputs, "tol": args.tol,
         "eta": eta.describe(), "report": rep.to_dict(),
-        "envelope_points": rep.checked,
     }
     if rep.holds:
         lines = [f"HOLDS: {eta.describe()} verifies the map "
-                 f"({rep.checked} envelope points)"]
+                 f"({rep.checked} realized ratios)"]
     else:
         lines = [
             "FAILS",

@@ -327,13 +327,14 @@ class NumericInverseModulus(Modulus):
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.zeros_like(t)
-        for i, ti in enumerate(t):
-            if ti > 0:
-                out[i] = 1.0 / invert_modulus(self.base, 1.0 / ti)
-        return float(out[0]) if scalar else out
+        # one bisection per distinct argument
+        u, where = np.unique(t, return_inverse=True)
+        vals = np.zeros_like(u)
+        for i, ui in enumerate(u):
+            if ui > 0:
+                vals[i] = 1.0 / invert_modulus(self.base, 1.0 / ui)
+        out = vals[where].reshape(t.shape)
+        return float(out) if t.ndim == 0 else out
 
 
 def eval_modulus(eta: Modulus, t):

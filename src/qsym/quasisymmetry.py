@@ -1,20 +1,28 @@
 """Quasisymmetry checks for concrete maps between finite spaces.
 
-The workhorse is the empirical envelope: for a map f and every ordered
-triple (x, a, b) with a != x != b, the realized ratio t = d(x,a) / d(x,b)
-is paired with the image ratio r = rho(fx,fa) / rho(fx,fb).  The running
-maximum H of r over ratios <= t is the smallest step function any valid
-control function must dominate, so f verifies against eta exactly when
-eta(t_i) >= H(t_i) at the finitely many realized ratios.
+For a map f, every ordered triple (x, a, b) with a != x != b realizes a
+ratio t = d(x,a) / d(x,b) and an image ratio r = rho(fx,fa) / rho(fx,fb).
+``_rows`` walks them one base point x at a time, and the ratios of one x
+form two (n-1)**2 blocks, so every scan over them runs in O(n**2) memory.
 
-On top of the envelope sit the derived analyses: snowflake fitting,
+:func:`check_qs` decides the defining implication triple by triple: an
+increasing eta verifies f exactly when eta(t) + tol >= r for every
+realized pair, and the first failing envelope knot is the smallest flagged
+t.  :func:`eta_ratio_report` streams the same rows.  The empirical
+envelope, the running maximum H of r over ratios <= t with its witnesses
+(:func:`empirical_modulus`), is built by one global sort, which holds all
+n (n-1)**2 ratios at once.  It is built only where it is the output (the
+envelope dump, :class:`EmpiricalModulus`) and where a streamed verdict
+lands on a ratio that the envelope merges with a near duplicate.
+
+On top of these sit the derived analyses: snowflake fitting,
 sandwich-built moduli, bi-Lipschitz constants, and the two-sided diameter
 distortion bounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,59 +81,82 @@ class EmpiricalEnvelope:
         return (lab[x], lab[a], lab[b])
 
 
-def _realized(f: PointMap):
-    """All realized (t, r) pairs with their (x, a, b) triples.
+def _rows(f: PointMap):
+    """The base points x of the realized ratios, one at a time.
 
-    Raises :class:`UnboundedEnvelope` when some denominator pair collapses
-    while a numerator does not.
+    Yields ``(x, others, d, rho)``: the points other than x, their
+    distances d(x, .) and their image distances rho(fx, f.).  The ratios
+    of row x are ``_ratios(d)`` and ``_ratios(rho)``, whose position k is
+    the triple (x, others[k // m], others[k % m]) with m = n - 1.  A base
+    point whose whole image row collapsed (every ratio 0/0) yields nothing.
+
+    Raises :class:`UnboundedEnvelope`, before the first row, when some
+    denominator pair collapses while a numerator does not.
     """
-    D = np.asarray(f.domain.dist)
     R = f.image_matrix()
     n = f.domain.n
-    ts, rs, xs, as_, bs = [], [], [], [], []
-    all_idx = np.arange(n)
-    for x in range(n):
-        idx = all_idx[all_idx != x]
-        if len(idx) == 0:
-            continue
-        dx = D[x, idx]
-        rx = R[x, idx]
-        zero = rx == 0.0
-        if np.any(zero):
-            if np.any(rx > 0.0):
-                b = int(idx[int(np.argmax(zero))])
-                a = int(idx[int(np.argmax(rx > 0.0))])
-                raise UnboundedEnvelope(
-                    f"rho(f{f.domain.labels[x]}, f{f.domain.labels[b]}) = 0 but "
-                    f"rho(f{f.domain.labels[x]}, f{f.domain.labels[a]}) > 0: "
-                    "no finite control function exists",
-                    witness=(x, a, b),
-                )
-            continue  # x's whole image row collapsed: every ratio is 0/0
-        m = len(idx)
-        t = (dx[:, None] / dx[None, :]).ravel()
-        r = (rx[:, None] / rx[None, :]).ravel()
-        ts.append(t)
-        rs.append(r)
-        xs.append(np.full(m * m, x))
-        as_.append(np.repeat(idx, m))
-        bs.append(np.tile(idx, m))
+    off = ~np.eye(n, dtype=bool)
+    zero = (R == 0.0) & off
+    pos = (R > 0.0) & off
+    unbounded = zero.any(axis=1) & pos.any(axis=1)
+    if np.any(unbounded):
+        x = int(np.argmax(unbounded))
+        b = int(np.argmax(zero[x]))
+        a = int(np.argmax(pos[x]))
+        lab = f.domain.labels
+        raise UnboundedEnvelope(
+            f"rho(f{lab[x]}, f{lab[b]}) = 0 but "
+            f"rho(f{lab[x]}, f{lab[a]}) > 0: "
+            "no finite control function exists",
+            witness=(x, a, b),
+        )
+    # row x of each: its n - 1 entries off the diagonal
+    others = np.broadcast_to(np.arange(n), (n, n))[off].reshape(n, n - 1)
+    D = np.asarray(f.domain.dist)[off].reshape(n, n - 1)
+    R = R[off].reshape(n, n - 1)
+    for x in np.nonzero(pos.any(axis=1))[0]:
+        yield int(x), others[x], D[x], R[x]
+
+
+def _ratios(v: np.ndarray) -> np.ndarray:
+    """The raveled block v[a] / v[b] over all pairs (a, b)."""
+    return np.divide.outer(v, v).ravel()
+
+
+def _realized(f: PointMap):
+    """All realized (t, r) pairs with their (x, a, b) triples, in (x, a, b)
+    order (see :func:`_rows`)."""
+    ts, rs, triples = [], [], []
+    for x, others, d, rho in _rows(f):
+        m = len(others)
+        ts.append(_ratios(d))
+        rs.append(_ratios(rho))
+        triples.append(
+            np.stack([np.full(m * m, x), np.repeat(others, m), np.tile(others, m)], axis=1)
+        )
     if not ts:
         empty = np.array([])
         return empty, empty, np.zeros((0, 3), dtype=int)
-    ts = np.concatenate(ts)
-    rs = np.concatenate(rs)
-    triples = np.stack(
-        [np.concatenate(xs), np.concatenate(as_), np.concatenate(bs)], axis=1
-    )
-    return ts, rs, triples
+    return np.concatenate(ts), np.concatenate(rs), np.concatenate(triples)
+
+
+def _is_knot(f: PointMap, t0: float) -> bool:
+    """Is the realized ratio t0 an envelope knot?  :func:`empirical_modulus`
+    merges a realized ratio into the next larger one when they are within
+    relative ``RATIO_DEDUP``, so t0 is a knot unless that next one is that
+    close.  Only ratios in (t0, t0 (1 + 1000 RATIO_DEDUP)] can be, so the
+    scan gathers no others."""
+    w = t0 * (1.0 + 1e3 * RATIO_DEDUP)
+    near = (t[(t > t0) & (t <= w)] for t in (_ratios(d) for _, _, d, _ in _rows(f)))
+    t_next = min((u.min() for u in near if u.size), default=None)
+    return t_next is None or t_next - t0 > RATIO_DEDUP * t_next
 
 
 def empirical_modulus(f: PointMap) -> EmpiricalEnvelope:
     """Compute the cumulative-max envelope of a map's realized ratios.
 
     Knots within relative ``RATIO_DEDUP`` of each other are merged, keeping
-    the larger value.
+    the larger value.  Sorts all n (n-1)**2 realized ratios at once.
     """
     ts, rs, triples = _realized(f)
     if len(ts) == 0:
@@ -169,13 +200,62 @@ class QsReport(Report):
 
 
 def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
-    """Does eta verify f?  Holds iff eta(t_i) + tol >= H(t_i) at every
-    envelope knot; the witness is the triple behind the first violation."""
-    return _check_envelope(empirical_modulus(f), eta, tol)
+    """Does eta verify f?  Holds iff eta(t) + tol >= r at every realized
+    pair (t, r) of :func:`_rows`; ``checked`` counts the pairs scanned.
+
+    For an increasing eta that is the envelope test eta(t_i) + tol >=
+    H(t_i) at every knot, and the first failing knot is the smallest
+    flagged ratio lo: no smaller ratio is flagged, so none lifts H above
+    eta there.  Its value H is the largest flagged r at lo, and its witness
+    the last triple in (x, a, b) order that realizes H at lo, as the
+    envelope's stable sort carries it.  One scan of the rows settles the
+    verdict.  A failure costs a second scan, for the ratio after lo; only
+    when that ratio merges lo into a larger knot is the envelope built.
+    """
+    checked = 0
+    lo = np.inf
+    worst = None  # (r, eta(lo), x, a, b) of the kept violation at t = lo
+    for x, others, d, rho in _rows(f):
+        t = _ratios(d)
+        r = _ratios(rho)
+        checked += len(t)
+        vals = np.asarray(eta.eval(t), dtype=float)
+        bad = np.nonzero(vals + tol < r)[0]
+        if len(bad) == 0:
+            continue
+        t_bad = t[bad]
+        t_min = t_bad.min()
+        if t_min > lo:
+            continue
+        at = bad[t_bad == t_min]
+        k = at[np.nonzero(r[at] == r[at].max())[0][-1]]
+        if worst is None or t_min < lo or r[k] >= worst[0]:
+            m = len(others)
+            lo = t_min
+            worst = (r[k], vals[k], x, int(others[k // m]), int(others[k % m]))
+    if worst is None:
+        return QsReport(True, None, None, None, None, None, eta.describe(), tol, checked)
+    if not _is_knot(f, lo):
+        return replace(_check_envelope(empirical_modulus(f), eta, tol), checked=checked)
+    h, v, x, a, b = worst
+    lab = f.domain.labels
+    return QsReport(
+        False,
+        (x, a, b),
+        (lab[x], lab[a], lab[b]),
+        float(lo),
+        float(h),
+        float(v),
+        eta.describe(),
+        tol,
+        checked,
+    )
 
 
 def _check_envelope(env: EmpiricalEnvelope, eta: Modulus, tol: float) -> QsReport:
-    """The knot comparison of :func:`check_qs` on an envelope already built."""
+    """eta against the knots of an envelope already built: holds iff
+    eta(t_i) + tol >= H(t_i) at every knot, with the witness behind the
+    first violation; ``checked`` counts the knots."""
     if len(env) == 0:
         return QsReport(True, None, None, None, None, None, eta.describe(), tol, 0)
     vals = np.asarray(eta.eval(env.ts), dtype=float)
@@ -215,36 +295,60 @@ def eta_ratio_report(f: PointMap, eta: Modulus) -> RatioIdentityReport:
 
     Every realized ratio t comes with its reciprocal (swap a and b), so any
     modulus that verifies f must satisfy eta(t) eta(1/t) >= 1 there, and
-    eta(1) >= 1.  Pure report; tolerances are ``RATIO_PRODUCT_TOL`` and
-    ``ETA_ONE_TOL``.
+    eta(1) >= 1.  The rows of :func:`_rows` are streamed: ``min_product``
+    is the smallest product (a NaN first) and ``at_t`` the smallest ratio
+    attaining it, the envelope knot where the minimum over knots lands,
+    unless that ratio merges into a larger knot; then the knots decide.
+    ``checked`` counts the ratios scanned.  Pure report; tolerances are
+    ``RATIO_PRODUCT_TOL`` and ``ETA_ONE_TOL``.
     """
-    env = empirical_modulus(f)
+    checked = 0
+    best = None  # (product with NaN as -inf, t, product) of the minimum
+    for _, _, d, _ in _rows(f):
+        t = _ratios(d)
+        checked += len(t)
+        prod = _ratio_products(eta, t)
+        key = np.where(np.isnan(prod), -np.inf, prod)
+        tie = np.nonzero(key == key.min())[0]
+        j = tie[np.argmin(t[tie])]
+        if best is None or (key[j], t[j]) < best[:2]:
+            best = (key[j], t[j], prod[j])
     eta_one = float(np.asarray(eta.eval(1.0)))
-    if len(env) == 0:
-        ok1 = eta_one >= 1.0 - ETA_ONE_TOL
-        return RatioIdentityReport(ok1, np.inf, 1.0, eta_one, True, ok1, 0)
-    ts = env.ts
+    eta_one_ok = bool(eta_one >= 1.0 - ETA_ONE_TOL)
+    if best is None:
+        return RatioIdentityReport(eta_one_ok, np.inf, 1.0, eta_one, True, eta_one_ok, 0)
+    _, at_t, low = best
+    if not _is_knot(f, at_t):
+        ts = empirical_modulus(f).ts
+        prod = _ratio_products(eta, ts)
+        i = int(np.argmin(prod))
+        at_t, low = ts[i], prod[i]
+    product_ok = bool(low >= 1.0 - RATIO_PRODUCT_TOL)
+    return RatioIdentityReport(
+        product_ok and eta_one_ok,
+        float(low),
+        float(at_t),
+        eta_one,
+        product_ok,
+        eta_one_ok,
+        checked,
+    )
+
+
+def _ratio_products(eta: Modulus, ts: np.ndarray) -> np.ndarray:
+    """eta(t) eta(1/t), from ``log_eval`` where the direct product is not finite."""
     direct = np.asarray(eta.eval(ts), dtype=float) * np.asarray(
         eta.eval(1.0 / ts), dtype=float
     )
+    finite = np.isfinite(direct)
+    if np.all(finite):
+        return direct
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         stable = np.exp(
             np.asarray(eta.log_eval(ts), dtype=float)
             + np.asarray(eta.log_eval(1.0 / ts), dtype=float)
         )
-    prod = np.where(np.isfinite(direct), direct, stable)
-    i = int(np.argmin(prod))
-    product_ok = bool(prod[i] >= 1.0 - RATIO_PRODUCT_TOL)
-    eta_one_ok = bool(eta_one >= 1.0 - ETA_ONE_TOL)
-    return RatioIdentityReport(
-        product_ok and eta_one_ok,
-        float(prod[i]),
-        float(ts[i]),
-        eta_one,
-        product_ok,
-        eta_one_ok,
-        len(ts),
-    )
+    return np.where(finite, direct, stable)
 
 
 @dataclass(frozen=True)

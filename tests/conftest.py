@@ -83,6 +83,34 @@ def naive_envelope(f):
     return ts, hs
 
 
+def knot_ratio_report(f, eta):
+    """The reciprocal-ratio report read off the envelope knots: the first
+    knot with the smallest eta(t) eta(1/t) (a NaN first), the product taken
+    from ``log_eval`` where the direct one is not finite.  ``checked``
+    counts the knots."""
+    from qsym import RatioIdentityReport, empirical_modulus
+    from qsym.quasisymmetry import ETA_ONE_TOL, RATIO_PRODUCT_TOL
+
+    ts = empirical_modulus(f).ts
+    eta_one = float(np.asarray(eta.eval(1.0)))
+    eta_one_ok = eta_one >= 1.0 - ETA_ONE_TOL
+    if len(ts) == 0:
+        return RatioIdentityReport(eta_one_ok, np.inf, 1.0, eta_one, True, eta_one_ok, 0)
+    direct = np.asarray(eta.eval(ts), dtype=float) * np.asarray(eta.eval(1.0 / ts), dtype=float)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        stable = np.exp(np.asarray(eta.log_eval(ts), dtype=float)
+                        + np.asarray(eta.log_eval(1.0 / ts), dtype=float))
+    best = None
+    for i, (d, s) in enumerate(zip(direct, stable)):
+        p = float(d) if np.isfinite(d) else float(s)
+        if best is None or (np.isnan(p) and not np.isnan(best[0])) or p < best[0]:
+            best = (p, i)
+    p, i = best
+    product_ok = p >= 1.0 - RATIO_PRODUCT_TOL
+    return RatioIdentityReport(product_ok and eta_one_ok, p, float(ts[i]), eta_one,
+                               product_ok, eta_one_ok, len(ts))
+
+
 def naive_ptolemaic(space):
     """Worst Ptolemy margin (rhs - lhs) over all quadruples, by loops."""
     d = np.asarray(space.dist)

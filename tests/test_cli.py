@@ -181,6 +181,27 @@ def test_qs_check_verdicts(files, capsys):
     assert "FAILS" in out and "witness" in out
 
 
+def test_qs_check_counts_realized_ratios_with_or_without_dump(files, capsys):
+    base = [
+        "qs-check",
+        "--domain", files["line.json"], "--codomain", files["snow.json"],
+        "--map", files["idmap.json"],
+    ]
+    dump = ["-o", str(files["tmp"] / "env.txt")]
+    code, out, _ = run(capsys, *base, "--eta", "power:0.5")
+    assert code == 0 and "(36 realized ratios)" in out  # 4 * 3**2
+    for eta, status in (("power:0.5", 0), ("power:0.45", 1)):
+        reports = []
+        for extra in ([], dump):
+            code, out, _ = run(capsys, *base, "--eta", eta, "--json", *extra)
+            assert code == status
+            payload = json.loads(out)
+            assert "envelope_points" not in payload
+            assert payload["report"]["checked"] == 36
+            reports.append(payload["report"])
+        assert reports[0] == reports[1]
+
+
 def test_qs_check_unbounded_ratio_is_a_property_failure(files, capsys):
     code, _, err = run(
         capsys, "qs-check",

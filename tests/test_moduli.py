@@ -170,6 +170,23 @@ def test_closed_forms_increase(a, b):
         assert eta(hi) > eta(lo)
 
 
+def test_every_modulus_kind_evaluates_a_square_array_elementwise():
+    root = CallableModulus(lambda t: 2.0 * np.sqrt(t), label="2t^0.5")
+    kinds = [
+        PowerModulus(0.5), LinearModulus(3.0), BiLipschitzModulus(2.0), ExpRatioModulus(),
+        SandwichModulus(2.0, 3.0, lambda t: t, label="id"), parse_modulus("k8:2,3"),
+        InvolutiveModulus(lambda a, b: 0.5 * (np.log(a) - np.log(b)), label="logmean"),
+        root, EmpiricalModulus([0.1, 1.0, 5.0], [0.5, 1.5, 3.0]), inverse_modulus(root),
+    ]
+    # repeated arguments and 0 included
+    t = np.concatenate([[0.0, 1.0, 1.0, 20.0], np.geomspace(0.05, 20.0, 12)])
+    for eta in kinds:
+        flat = np.asarray(eta.eval(t), dtype=float)
+        square = eta.eval(t.reshape(4, 4))
+        assert np.shape(square) == (4, 4), eta.describe()
+        assert np.array_equal(square, flat.reshape(4, 4)), eta.describe()
+
+
 def test_eval_modulus_helper():
     assert eval_modulus(PowerModulus(2.0), 3.0) == 9.0
 

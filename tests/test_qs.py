@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsym import (
     Additive,
+    BiLipschitzModulus,
     CallableModulus,
+    EmpiricalModulus,
+    ExpRatioModulus,
     LinearModulus,
     MaxGauge,
     NotQuasisymmetric,
@@ -25,6 +30,7 @@ from qsym import (
     fit_snowflake,
     identity_map,
     image_subset,
+    inverse_modulus,
     minimal_bilipschitz_L,
     bounded_image_bounds,
     random_semimetric_space,
@@ -33,9 +39,11 @@ from qsym import (
     transform_distances,
     transform_map,
     tv_bounds,
+    ultrametric_space,
 )
+from qsym.quasisymmetry import _check_envelope
 
-from conftest import naive_envelope
+from conftest import knot_ratio_report, naive_envelope
 
 
 def exp_line_map():
@@ -295,3 +303,106 @@ def test_ratio_product_never_below_one_for_verifying_eta(seed):
     f = snowflake_map(X, 0.5)
     rep = eta_ratio_report(f, PowerModulus(0.5))
     assert rep.min_product >= 1.0 - 1e-9
+
+
+def _lattice_space(n, seed):
+    """n distinct points of the 4x4 integer grid: euclidean distances with
+    many exactly tied and near-tied realized ratios."""
+    cells = np.random.default_rng(seed).choice(16, size=n, replace=False)
+    P = np.stack([cells // 4, cells % 4], axis=1).astype(float)
+    D = np.sqrt(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=-1))
+    return build_space([f"g{c}" for c in cells], D)
+
+
+PARITY_SPACES = {
+    "euclidean": lambda n, seed: euclidean_space(n, 2, seed=seed),
+    "semimetric": lambda n, seed: random_semimetric_space(n, seed=seed),
+    "ultrametric": lambda n, seed: ultrametric_space(n, seed=seed),
+    "lattice": _lattice_space,
+}
+
+
+def _parity_map(kind, image, n, seed):
+    X = PARITY_SPACES[kind](n, seed)
+    if image == "snowflake":
+        return snowflake_map(X, 0.5)
+    if image == "inverse":
+        return snowflake_map(X, 0.5).inverse()
+    Y = PARITY_SPACES[image](n, seed + 1)
+    perm = np.random.default_rng(seed).permutation(n)
+    return build_map(X, Y, {X.labels[i]: Y.labels[j] for i, j in enumerate(perm)})
+
+
+def _parity_moduli(f):
+    root = CallableModulus(lambda t: 2.0 * np.sqrt(t), label="2t^0.5")
+    env = empirical_modulus(f)
+    return [
+        PowerModulus(0.5), PowerModulus(0.45), PowerModulus(2.0), LinearModulus(1.0),
+        BiLipschitzModulus(1.5), ExpRatioModulus(), root, inverse_modulus(root),
+        env.as_modulus(), EmpiricalModulus(env.ts, env.hs * (1 - 1e-6)),
+    ]
+
+
+def _without_checked(rep):
+    d = rep.to_dict()
+    del d["checked"]
+    return d
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(sorted(PARITY_SPACES)),
+    st.sampled_from(sorted(PARITY_SPACES) + ["snowflake", "inverse"]),
+    st.integers(3, 7),
+    st.integers(0, 10_000),
+    st.sampled_from([1e-9, 0.0]),
+)
+def test_streamed_verdicts_match_the_envelope_path(kind, image, n, seed, tol):
+    f = _parity_map(kind, image, n, seed)
+    env = empirical_modulus(f)
+    for eta in _parity_moduli(f):
+        rep = check_qs(f, eta, tol=tol)
+        assert _without_checked(rep) == _without_checked(_check_envelope(env, eta, tol))
+        assert rep.checked == n * (n - 1) ** 2
+        with np.errstate(all="ignore"):
+            ratio = eta_ratio_report(f, eta)
+            want = knot_ratio_report(f, eta)
+        assert _without_checked(ratio) == _without_checked(want)
+        assert ratio.checked == n * (n - 1) ** 2
+
+
+def test_first_violation_in_a_near_duplicate_chain():
+    # realized ratios 2 (row p) and 2 (1 + 5e-13) (row q) merge into one
+    # envelope knot at the larger; its image ratio 5.6 is the larger too
+    c = 1.0 / (1.0 + 5e-13)
+    X = build_space(["p", "q", "s"], [[0.0, 2.0, 1.0], [2.0, 0.0, c], [1.0, c, 0.0]])
+    Y = build_space(["p", "q", "s"], [[0.0, 5.6, 1.4], [5.6, 0.0, 1.0], [1.4, 1.0, 0.0]])
+    f = build_map(X, Y, {lab: lab for lab in "pqs"})
+    eta = LinearModulus(1.5)  # eta(2) = 3 < 4 = rho(p,q)/rho(p,s)
+    env = empirical_modulus(f)
+    want = _check_envelope(env, eta, 1e-9)
+    rep = check_qs(f, eta)
+    assert _without_checked(rep) == _without_checked(want)
+    assert rep.t == 2.0 / c > 2.0
+    assert rep.witness == (1, 0, 2) and rep.image_ratio == 5.6
+    assert rep.checked == 12
+    # a step modulus ties every product at 1: the smallest ratio c/2 merges
+    # into the knot 1/2, where the minimum over knots lands
+    step = EmpiricalModulus([0.25], [1.0])
+    ratio = eta_ratio_report(f, step)
+    assert _without_checked(ratio) == _without_checked(knot_ratio_report(f, step))
+    assert ratio.at_t == 0.5 and ratio.min_product == 1.0
+
+
+def test_check_qs_runs_in_quadratic_memory():
+    f = snowflake_map(euclidean_space(300, 2), 0.6)
+    for eta, holds in ((PowerModulus(0.6), True), (PowerModulus(0.3), False)):
+        tracemalloc.start()
+        try:
+            rep = check_qs(f, eta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.holds is holds
+        assert rep.checked == 300 * 299 ** 2
+        assert peak < 50 * 2 ** 20
