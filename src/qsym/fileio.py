@@ -36,8 +36,8 @@ def _require(cond: bool, message: str, path: PathLike, line: Optional[int] = Non
         raise ParseError(message, path=str(path), line=line)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+#: the JSON number types; bool, an int subclass, is not one of them
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _load_json(path: PathLike) -> dict:
@@ -85,7 +85,7 @@ def load_space_document(path: PathLike, tol: float = DEFAULT_TOL):
             path,
         )
         _require(
-            all(_is_number(v) for v in row),
+            set(map(type, row)) <= _NUMBER_TYPES,
             f"matrix row {i} contains a non-numeric entry",
             path,
         )

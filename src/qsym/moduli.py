@@ -327,12 +327,12 @@ class NumericInverseModulus(Modulus):
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        # one bisection per distinct argument
+        # one bisection over the distinct positive arguments
         u, where = np.unique(t, return_inverse=True)
         vals = np.zeros_like(u)
-        for i, ui in enumerate(u):
-            if ui > 0:
-                vals[i] = 1.0 / invert_modulus(self.base, 1.0 / ui)
+        pos = u > 0
+        with np.errstate(divide="ignore"):
+            vals[pos] = 1.0 / _bisect(self.base.eval, 1.0 / u[pos], self.base.name)
         out = vals[where].reshape(t.shape)
         return float(out) if t.ndim == 0 else out
 
@@ -351,41 +351,63 @@ def invert_modulus(eta: Modulus, y: float) -> float:
     return _bisect(eta.eval, y, eta.name)
 
 
-def _bisect(fn: Callable, y: float, name: str) -> float:
+def _bisect(fn: Callable, y, name: str):
     """Solve fn(s) = y for an increasing fn with fn(0) = 0 (see
-    :func:`invert_modulus`); ``name`` labels the errors."""
-    y = float(y)
-    if y < 0:
-        raise NotInvertible(f"cannot invert {name} at negative value {y}")
-    if y == 0.0:
-        return 0.0
-    hi = 1.0
-    doublings = 0
-    while float(np.asarray(fn(hi))) < y:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 64:
-            raise NoBracket(f"{name} never reaches {y:.6g} (bracket past 2^64)")
-    lo = 0.0
-    tol = INVERT_RESIDUAL_TOL * max(1.0, y)
-    mid = hi
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        val = float(np.asarray(fn(mid)))
-        if abs(val - y) <= tol:
-            return mid
-        if val < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17 * max(1.0, mid):
+    :func:`invert_modulus`); ``name`` labels the errors.
+
+    ``y`` may be an array of targets.  Each runs the scalar steps, bracket
+    doubling from 1 and then bisection, under a mask of the targets still
+    open, so fn sees one array per step and every value equals its own
+    scalar bisection.  The error raised is the first failing target's.
+    """
+    y = np.asarray(y, dtype=float)
+    scalar = y.ndim == 0
+    y = np.atleast_1d(y)
+    out = np.zeros_like(y)
+    failed = {}  # target index -> (error class, message)
+    for i in np.flatnonzero(y < 0).tolist():
+        failed[i] = (
+            NotInvertible, f"cannot invert {name} at negative value {float(y[i])}"
+        )
+    todo = y > 0
+    hi = np.ones_like(y)
+    k = np.flatnonzero(todo)
+    for _ in range(65):
+        if not k.size:
             break
-    val = float(np.asarray(fn(mid)))
-    if abs(val - y) <= tol:
-        return mid
-    raise NotInvertible(
-        f"{name}: bisection stalled at residual {abs(val - y):.3g} inverting {y:.6g}"
-    )
+        k = k[np.asarray(fn(hi[k]), dtype=float) < y[k]]
+        hi[k] *= 2.0
+    for i in k.tolist():
+        failed[i] = (NoBracket, f"{name} never reaches {y[i]:.6g} (bracket past 2^64)")
+    todo[k] = False
+    lo = np.zeros_like(y)
+    tol = INVERT_RESIDUAL_TOL * np.maximum(1.0, y)
+    k = np.flatnonzero(todo)
+    for step in range(400):
+        if not k.size:
+            break
+        mid = 0.5 * (lo[k] + hi[k])
+        val = np.asarray(fn(mid), dtype=float)
+        res = np.abs(val - y[k])
+        done = res <= tol[k]
+        out[k[done]] = mid[done]
+        below = val < y[k]
+        lo[k] = np.where(below, mid, lo[k])
+        hi[k] = np.where(below, hi[k], mid)
+        # a target stops when its bracket collapses or its steps run out;
+        # the residual at its last midpoint has then already failed
+        stop = ~done & ((hi[k] - lo[k] <= 1e-17 * np.maximum(1.0, mid)) | (step == 399))
+        for j in np.flatnonzero(stop).tolist():
+            failed[int(k[j])] = (
+                NotInvertible,
+                f"{name}: bisection stalled at residual {res[j]:.3g} inverting "
+                f"{y[k[j]]:.6g}",
+            )
+        k = k[~done & ~stop]
+    if failed:
+        error, message = failed[min(failed)]
+        raise error(message)
+    return float(out[0]) if scalar else out
 
 
 def inverse_modulus(eta: Modulus) -> Modulus:

@@ -36,6 +36,10 @@ from .triangle import (
 TRANSFER_GRID_POINTS = 256
 TRANSFER_GRID_SPAN = (1e-4, 1e4)
 
+#: pairs per batch of the realized scan (whole y-rows of one base point),
+#: small enough that its temporaries are reused rather than mapped afresh
+_SCAN_BLOCK_PAIRS = 32768
+
 
 def _inv_eta(eta: Modulus, t: np.ndarray) -> np.ndarray:
     """1/eta(t) through the log path, stable under overflow of eta."""
@@ -59,26 +63,46 @@ class TransferReport(Report):
 
 
 def _scan_pairs(phi1, phi2, eta, t1, t2, tol, state):
-    """Update the running scan state with one batch of (t1, t2) pairs."""
+    """Scan one batch of (t1, t2) pairs: count the premise pairs and keep
+    the first violation in ``state``; return the batch's tightest premise
+    pair (np.argmin's: the first minimum, a NaN first), or None."""
     lhs1 = np.asarray(phi1(1.0 / t1, 1.0 / t2), dtype=float)
     premise = lhs1 >= 1.0 - tol
-    if not np.any(premise):
-        return
-    t1p = t1[premise]
-    t2p = t2[premise]
+    if not premise.any():
+        return None
+    t1p, t2p, lhs1p = t1, t2, lhs1
+    if not premise.all():
+        t1p, t2p, lhs1p = t1[premise], t2[premise], lhs1[premise]
     lhs2 = np.asarray(phi2(_inv_eta(eta, t1p), _inv_eta(eta, t2p)), dtype=float)
     state["checked"] += len(t1p)
     bad = lhs2 < 1.0 - tol
     if np.any(bad) and state["violation"] is None:
         i = int(np.argmax(bad))
         state["violation"] = (
-            float(t1p[i]), float(t2p[i]), float(lhs1[premise][i]), float(lhs2[i])
+            float(t1p[i]), float(t2p[i]), float(lhs1p[i]), float(lhs2[i])
         )
     i = int(np.argmin(lhs2))
-    if state["tightest"] is None or lhs2[i] < state["tightest"][3]:
-        state["tightest"] = (
-            float(t1p[i]), float(t2p[i]), float(lhs1[premise][i]), float(lhs2[i])
-        )
+    return (float(t1p[i]), float(t2p[i]), float(lhs1p[i]), float(lhs2[i]))
+
+
+def _realized_blocks(D: np.ndarray, x: int):
+    """The realized ratio pairs at base point x, in (y, z) order over
+    distinct y, z != x, as (t1, t2) batches of whole y-rows of about
+    ``_SCAN_BLOCK_PAIRS`` pairs: t1 = d(x,y)/d(x,z), t2 = d(x,y)/d(y,z)."""
+    n = len(D)
+    step = max(1, _SCAN_BLOCK_PAIRS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        keep = np.ones((hi - lo, n), dtype=bool)
+        keep[:, x] = False
+        np.fill_diagonal(keep[:, lo:hi], False)
+        if lo <= x < hi:
+            keep[x - lo] = False
+        dxy = D[x, lo:hi, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = dxy / D[x]
+            t2 = dxy / D[lo:hi]
+        yield t1[keep], t2[keep]
 
 
 def check_transfer_condition(
@@ -97,7 +121,7 @@ def check_transfer_condition(
     triples; None scans a ``grid_points`` squared log grid over
     ``grid_span``.  The first violation (lowest scan index) wins.
     """
-    state = {"checked": 0, "violation": None, "tightest": None}
+    state = {"checked": 0, "violation": None}
     if pairs is None:
         axis = np.geomspace(grid_span[0], grid_span[1], grid_points)
         # anchor the small dyadic ratios where the classical equality
@@ -108,27 +132,29 @@ def check_transfer_condition(
         m = len(axis)
         t1 = np.repeat(axis, m)
         t2 = np.tile(axis, m)
-        _scan_pairs(phi1, phi2, eta, t1, t2, tol, state)
+        tightest = _scan_pairs(phi1, phi2, eta, t1, t2, tol, state)
         mode = "grid"
     else:
         space = pairs.domain if isinstance(pairs, PointMap) else pairs
         D = np.asarray(space.dist)
-        n = space.n
-        for x in range(n):
-            keep = ~np.eye(n, dtype=bool)
-            keep[x, :] = False
-            keep[:, x] = False
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = D[x, :][:, None] / D[x, :][None, :]
-                t2 = D[x, :][:, None] / D
+        tightest = None
+        for x in range(space.n):
+            # x's tightest pair is the one np.argmin over all of x's pairs
+            # picks; it replaces the running one only when strictly smaller
+            best = None
+            for t1, t2 in _realized_blocks(D, x):
+                b = _scan_pairs(phi1, phi2, eta, t1, t2, tol, state)
+                if b is not None and _first_min(b[3], None if best is None else best[3]):
+                    best = b
+            if best is not None and (tightest is None or best[3] < tightest[3]):
+                tightest = best
             # stop at the first violating x so the witness stays lexicographic
-            _scan_pairs(phi1, phi2, eta, t1[keep], t2[keep], tol, state)
             if state["violation"] is not None:
                 break
         mode = "realized"
     if state["violation"] is not None:
         return TransferReport(False, state["checked"], state["violation"], mode, tol)
-    return TransferReport(True, state["checked"], state["tightest"], mode, tol)
+    return TransferReport(True, state["checked"], tightest, mode, tol)
 
 
 def minimal_transfer_K2(K1: float, eta: Modulus, grid_points: int = 2001) -> float:

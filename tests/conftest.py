@@ -111,6 +111,35 @@ def knot_ratio_report(f, eta):
                                product_ok, eta_one_ok, len(ts))
 
 
+def scalar_bisect(fn, y):
+    """Solve fn(s) = y for one target by bracket doubling from 1 and then
+    bisection, one Python float at a time; None where no root is bracketed
+    or the bisection stalls."""
+    if y == 0.0:
+        return 0.0
+    hi = 1.0
+    for _ in range(65):
+        if float(np.asarray(fn(hi))) >= y:
+            break
+        hi *= 2.0
+    else:
+        return None
+    lo = 0.0
+    tol = 1e-12 * max(1.0, y)
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        val = float(np.asarray(fn(mid)))
+        if abs(val - y) <= tol:
+            return mid
+        if val < y:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-17 * max(1.0, mid):
+            return None
+    return None
+
+
 def naive_ptolemaic(space):
     """Worst Ptolemy margin (rhs - lhs) over all quadruples, by loops."""
     d = np.asarray(space.dist)

@@ -87,6 +87,20 @@ def test_space_json_shape_and_type_errors(tmp_path):
         load_space(path)
 
 
+@pytest.mark.parametrize("entry", ["true", '"1.0"'])
+def test_space_json_rejects_bool_and_string_entries(tmp_path, entry):
+    # a JSON bool loads as a Python int subclass and a numeric string
+    # converts to float cleanly; neither is a number of the format
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"points": ["a", "b", "c"], '
+        f'"matrix": [[0, 1, 1], [1, 0, 1], [1, {entry}, 0]]}}'
+    )
+    with pytest.raises(ParseError) as err:
+        load_space(path)
+    assert str(err.value) == f"{path}: matrix row 2 contains a non-numeric entry"
+
+
 def test_space_json_syntax_error_carries_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"points": ["a"],\n "matrix": [[0],]}')

@@ -18,8 +18,11 @@ from qsym import (
     inverse_modulus,
     invert_modulus,
     parse_modulus,
+    random_semimetric_space,
 )
 from qsym.moduli import MONOTONE_GRID, NumericInverseModulus
+
+from conftest import scalar_bisect
 
 POSITIVE_T = st.floats(1e-3, 1e3)
 
@@ -139,6 +142,42 @@ def test_inverse_modulus_numeric_fallback():
     # eta'(t) = 1/eta^{-1}(1/t); check against a brute solve at t = 2
     s = invert_modulus(ExpRatioModulus(), 0.5)
     assert inv(2.0) == pytest.approx(1.0 / s, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [CallableModulus(lambda t: 2.0 * np.sqrt(t), label="2t^0.5"), ExpRatioModulus()],
+    ids=["2sqrt", "expratio"],
+)
+def test_numeric_inverse_matches_scalar_bisections(base):
+    # one bisection over an array of targets gives, bit for bit, the value
+    # of a separate scalar bisection per target
+    rng = np.random.default_rng(5)
+    X = random_semimetric_space(12, seed=5)
+    D = np.asarray(X.dist)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (D[:, :, None] / D[:, None, :]).ravel()
+    t = np.concatenate([
+        ratios[np.isfinite(ratios) & (ratios > 0)],
+        np.exp(rng.uniform(-6.0, 6.0, 200)), [1.0, 2.0, 0.5],
+    ])
+    expect = np.array([1.0 / scalar_bisect(base.eval, 1.0 / u) for u in np.unique(t)])
+    got = NumericInverseModulus(base).eval(np.unique(t))
+    assert np.array_equal(got, expect)
+    shaped = NumericInverseModulus(base).eval(t[:300].reshape(20, 15))
+    assert np.array_equal(shaped.ravel(), NumericInverseModulus(base).eval(t[:300]))
+    for u in t[:50]:
+        assert invert_modulus(base, 1.0 / u) == scalar_bisect(base.eval, 1.0 / u)
+
+
+def test_array_bisection_names_the_first_failing_target():
+    # the distinct arguments run in ascending order, as one bisection each
+    # would: t = 0.05 asks for the unreachable 20 before t = 0.1 asks for 10
+    capped = CallableModulus(lambda t: t / (1.0 + t), label="capped")
+    with pytest.raises(NoBracket, match=r"^capped never reaches 20 \(bracket past 2\^64\)$"):
+        NumericInverseModulus(capped).eval(np.array([0.05, 0.1, 4.0]))
+    with pytest.raises(NotInvertible, match="^cannot invert power:1 at negative value -1.0$"):
+        invert_modulus(PowerModulus(1.0), -1.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,6 +18,7 @@ from qsym import (
     identity_map,
     minimal_transfer_K2,
     ptolemy_transfer_check,
+    random_semimetric_space,
     snowflake,
     snowflake_map,
     transform_distances,
@@ -91,6 +92,28 @@ def test_realized_transfer_accepts_space():
         Additive(), ScaledAdditive(2.0), PowerModulus(0.5), pairs=X
     )
     assert rep.holds and rep.mode == "realized"
+
+
+@pytest.mark.parametrize("block", [1, 7, 40])
+def test_realized_transfer_is_independent_of_the_block_size(monkeypatch, block):
+    # at these sizes the default batch is one whole base point; smaller
+    # batches must give the same count, first violation and tightest pair
+    from qsym import transfer
+
+    cases = [
+        (Additive(), Additive(), PowerModulus(0.5), euclidean_space(23, 2, seed=3)),
+        (Additive(), Additive(), PowerModulus(2.0), euclidean_space(23, 2, seed=3)),
+        (ScaledAdditive(2.0), ScaledAdditive(1.5), PowerModulus(0.7),
+         random_semimetric_space(19, seed=4)),
+        (MaxGauge(), MaxGauge(), PowerModulus(0.5), ultrametric_space(17, seed=5)),
+        (Additive(), Additive(), PowerModulus(0.5), collinear_space([0.0, 1.0])),
+    ]
+    whole = [check_transfer_condition(*c[:3], pairs=c[3]) for c in cases]
+    monkeypatch.setattr(transfer, "_SCAN_BLOCK_PAIRS", block)
+    for c, expect in zip(cases, whole):
+        assert check_transfer_condition(*c[:3], pairs=c[3]) == expect
+    assert not whole[1].holds and whole[0].holds
+    assert whole[4].checked_pairs == 0 and whole[4].worst is None
 
 
 def test_minimal_transfer_K2_known_values():

@@ -1,8 +1,12 @@
 """Weak similarity search, its certificates, and the bridges back to
 quasisymmetry moduli."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsym import (
     BiLipschitzModulus,
@@ -30,6 +34,7 @@ from qsym import (
     random_semimetric_space,
     space_ranks,
     transform_distances,
+    euclidean_space,
     transform_map,
     verify_weak_similarity,
 )
@@ -178,6 +183,132 @@ def test_verify_rejects_tampering():
     # breaks rank preservation
     swapped = PointMap(X, Y, (2, 1, 0), bijective=True)
     assert not verify_weak_similarity(WeakSimilarity(swapped, ws.phi))
+
+
+# ------------------------------------- individualization and refinement
+
+
+def cubic_graph(n, rng):
+    """Adjacency matrix of a uniform random simple 3-regular graph."""
+    while True:
+        ends = rng.permutation(np.repeat(np.arange(n), 3)).reshape(-1, 2)
+        A = np.zeros((n, n), dtype=int)
+        np.add.at(A, (ends[:, 0], ends[:, 1]), 1)
+        A = A + A.T
+        if np.all(np.diag(A) == 0) and A.max() == 1:
+            return A
+
+
+def cycles(n, count):
+    """Adjacency matrix of ``count`` disjoint cycles of n / count points."""
+    m = n // count
+    A = np.zeros((n, n), dtype=int)
+    for c in range(count):
+        for i in range(m):
+            a, b = c * m + i, c * m + (i + 1) % m
+            A[a, b] = A[b, a] = 1
+    return A
+
+
+def graph_space(A, near=1.0, far=2.0, prefix="p"):
+    """The 2-valued space of a graph: edges at ``near``, non-edges ``far``."""
+    D = np.where(A == 1, near, far).astype(float)
+    np.fill_diagonal(D, 0.0)
+    return build_space(tuple(f"{prefix}{i}" for i in range(len(A))), D)
+
+
+def distinct_by_invariants(A, B):
+    """Adjacency spectra or sorted triangle counts differ, which no pair of
+    isomorphic graphs allows."""
+    if not np.allclose(np.linalg.eigvalsh(A), np.linalg.eigvalsh(B), atol=1e-8):
+        return True
+    tri = lambda M: np.sort(np.diag(M @ M @ M))  # noqa: E731
+    return not np.array_equal(tri(A), tri(B))
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_search_rejects_distinct_cubic_pairs(n):
+    # every vertex of a cubic graph has the same rank counts, so only
+    # refinement after individualization tells these spaces apart
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        A, B = cubic_graph(n, rng), cubic_graph(n, rng)
+        assert distinct_by_invariants(A, B)
+        start = time.perf_counter()
+        assert find_weak_similarity(graph_space(A), graph_space(B, prefix="q")) is None
+        assert time.perf_counter() - start < 5.0
+
+
+def test_search_finds_relabeled_cubic_pairs():
+    rng = np.random.default_rng(48)
+    for _ in range(3):
+        A = cubic_graph(48, rng)
+        X = graph_space(A)
+        Y = relabeled_transform(X, rng.permutation(48), lambda d: 3.0 if d > 1 else 0.5)
+        start = time.perf_counter()
+        ws = find_weak_similarity(X, Y)
+        assert time.perf_counter() - start < 5.0
+        assert ws is not None and verify_weak_similarity(ws)
+
+
+def test_search_rejects_one_cycle_against_two():
+    # C48 and 2 x C24 are both 2-regular: colour refinement alone cannot
+    # split them, and individualizing a point exposes the diameters
+    X = graph_space(cycles(48, 1))
+    Y = graph_space(cycles(48, 2), prefix="q")
+    assert find_weak_similarity(X, Y) is None
+
+
+def test_search_is_iterative_on_a_large_snowflake():
+    # 200 points with distinct distances: one refinement makes every class
+    # a singleton, and no step of the search may recurse per point
+    X = euclidean_space(200, 2, seed=4)
+    Y = relabeled_transform(X, np.random.default_rng(4).permutation(200), np.sqrt)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        ws = find_weak_similarity(X, Y)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ws is not None and verify_weak_similarity(ws)
+
+
+@st.composite
+def few_valued_pairs(draw):
+    """(X, Y) on 3-7 points with distances from a 2- or 3-value set.
+    Either space may be circulant (vertex-transitive); Y is a relabelled
+    transform of X or drawn independently."""
+    n = draw(st.integers(3, 7))
+    values = [1.0, 2.0, 3.0][: draw(st.integers(2, 3))]
+
+    def space(prefix):
+        if draw(st.booleans()):
+            steps = [draw(st.sampled_from(values)) for _ in range(n // 2)]
+            D = np.array([[steps[min(abs(i - j), n - abs(i - j)) - 1] if i != j else 0.0
+                           for j in range(n)] for i in range(n)])
+        else:
+            D = np.zeros((n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    D[i, j] = D[j, i] = draw(st.sampled_from(values))
+        return build_space(tuple(f"{prefix}{i}" for i in range(n)), D)
+
+    X = space("x")
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        return X, relabeled_transform(X, perm, lambda d: d**2 + 1.0)
+    return X, space("y")
+
+
+@settings(max_examples=300, deadline=None)
+@given(few_valued_pairs())
+def test_search_agrees_with_oracle_on_few_valued_spaces(pair):
+    X, Y = pair
+    ws = find_weak_similarity(X, Y)
+    oracle = brute_force_weak_similarity(X, Y)
+    assert (ws is None) == (oracle is None)
+    if ws is not None:
+        assert verify_weak_similarity(ws)
 
 
 # ------------------------------------------------- monotone implications
