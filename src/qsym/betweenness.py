@@ -23,7 +23,7 @@ from .moduli import CompositeModulus, Modulus, _vectorized
 from .quasisymmetry import image_subset
 from .report import Report
 from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace, SubsetRef
-from .triangle import _QUAD_ORDERINGS
+from .triangle import _QUAD_ORDERINGS, _pair_rows
 
 #: sample count for the generator monotonicity probe on [0, 1]
 GENERATOR_GRID = 128
@@ -32,8 +32,7 @@ GENERATOR_GRID = 128
 PARTITION_SAMPLES = 512
 
 
-@dataclass(frozen=True)
-class BetweennessTriple:
+class BetweennessTriple(NamedTuple):
     """y between x and z, with the realized equality slack."""
 
     x: int
@@ -42,28 +41,30 @@ class BetweennessTriple:
     slack: float
 
 
+def _between_columns(D: np.ndarray, tol: float):
+    """The betweenness triples of D as four lists x, y, z, slack, with
+    x < z, in (x, z, y) order: each pair row (x, z) against every y."""
+    xs, ys, zs, slacks = [], [], [], []
+    for x, lo, hi in _pair_rows(len(D)):
+        direct = D[x, lo:hi, None]
+        slack = np.abs(direct - (D[x] + D[lo:hi]))  # |d(x,z) - (d(x,y) + d(y,z))|
+        ok = slack <= tol * direct
+        ok[:, x] = False
+        np.fill_diagonal(ok[:, lo:hi], False)
+        z, y = np.nonzero(ok)
+        xs += [x] * len(z)
+        ys += y.tolist()
+        zs += (z + lo).tolist()
+        slacks += slack[z, y].tolist()
+    return xs, ys, zs, slacks
+
+
 def betweenness_triples(
     space: SemimetricSpace, tol: float = DEFAULT_TOL
 ) -> list:
     """All triples with d(x,z) = d(x,y) + d(y,z) within relative tol,
     canonicalized to x < z and sorted by (x, z, y)."""
-    n = space.n
-    if n < 3:
-        return []
-    D = np.asarray(space.dist)
-    found = []
-    for y in range(n):
-        through = D[:, y][:, None] + D[y, :][None, :]
-        slack = np.abs(D - through)
-        ok = slack <= tol * D
-        ok[y, :] = False
-        ok[:, y] = False
-        np.fill_diagonal(ok, False)
-        xs, zs = np.nonzero(np.triu(ok, k=1))
-        for x, z in zip(xs, zs):
-            found.append(BetweennessTriple(int(x), int(y), int(z), float(slack[x, z])))
-    found.sort(key=lambda t: (t.x, t.z, t.y))
-    return found
+    return list(map(BetweennessTriple, *_between_columns(np.asarray(space.dist), tol)))
 
 
 class BetweennessViolation(NamedTuple):
@@ -91,16 +92,16 @@ def preserves_betweenness(
 ) -> BetweennessPreservationReport:
     """Check that every domain betweenness triple maps to an image triple
     satisfying the same additive equality within relative tol."""
-    triples = betweenness_triples(f.domain, tol)
+    xs, ys, zs, slacks = _between_columns(np.asarray(f.domain.dist), tol)
     R = f.image_matrix()
-    bad = []
-    for t in triples:
-        direct = R[t.x, t.z]
-        through = R[t.x, t.y] + R[t.y, t.z]
-        slack = abs(direct - through)
-        if slack > tol * max(direct, through):
-            bad.append(BetweennessViolation(t.x, t.y, t.z, t.slack, slack))
-    return BetweennessPreservationReport(not bad, len(triples), tuple(bad), tol)
+    direct = R[xs, zs]
+    through = R[xs, ys] + R[ys, zs]
+    image = np.abs(direct - through)
+    bad = np.flatnonzero(image > tol * np.maximum(direct, through)).tolist()
+    violations = tuple(
+        BetweennessViolation(xs[i], ys[i], zs[i], slacks[i], float(image[i])) for i in bad
+    )
+    return BetweennessPreservationReport(not bad, len(xs), violations, tol)
 
 
 class PartitionViolation(NamedTuple):
@@ -290,15 +291,7 @@ def line_embed(
     if n == 1:
         return coords
     diam = float(np.max(D))
-    anchor = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if D[i, j] == diam:
-                anchor = (i, j)
-                break
-        if anchor:
-            break
-    a, b = anchor
+    a, b = divmod(int(np.argmax(D == diam)), n)  # D is symmetric, so a < b
     coords[a] = 0.0
     coords[b] = D[a, b]
     slack = tol * diam

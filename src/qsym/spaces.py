@@ -29,6 +29,7 @@ from .errors import (
     UnassignedPoint,
     UnknownTarget,
     MapValidationError,
+    ValidationError,
     ZeroOffDiagonal,
 )
 from .moduli import _vectorized
@@ -200,14 +201,15 @@ def build_space(labels: Sequence[str], matrix, tol: float = DEFAULT_TOL) -> Semi
         raise DuplicateLabel(f"label {dup!r} appears more than once")
     m = np.array(matrix, dtype=float)
     n = len(labels)
+    if n == 0:
+        raise ValidationError("a space needs at least one point")
     if m.shape != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match {n} labels")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
 
-    scale = float(np.max(np.abs(m))) if n else 0.0
-    scale = max(scale, 1e-300)
-    asym = float(np.max(np.abs(m - m.T))) if n else 0.0
+    scale = max(float(np.max(np.abs(m))), 1e-300)
+    asym = float(np.max(np.abs(m - m.T)))
     if asym > tol * scale:
         i, j = np.unravel_index(np.argmax(np.abs(m - m.T)), m.shape)
         raise NonSymmetric(

@@ -121,7 +121,9 @@ class CustomGauge(TriangleFunction):
     The function must vanish at (0, 0), be symmetric, and be monotone
     (non-strictly) in each variable on the grid; violations raise
     :class:`GaugeInvalid`.  Pass ``vectorized=True`` if the callable
-    already accepts numpy arrays.
+    already accepts numpy arrays.  Calls evaluate fn(min(u, v), max(u, v)),
+    so the gauge is symmetric bit for bit off the grid too, as the pair
+    scans need; the grid probe sees the unsorted fn.
     """
 
     def __init__(self, fn: Callable, name: str = "custom", vectorized: bool = False):
@@ -130,14 +132,14 @@ class CustomGauge(TriangleFunction):
         self._validate()
 
     def __call__(self, u, v):
-        return np.asarray(self._fn(u, v), dtype=float)
+        return np.asarray(self._fn(np.minimum(u, v), np.maximum(u, v)), dtype=float)
 
     def _validate(self):
         z = float(self._fn(0.0, 0.0))
         if abs(z) > 1e-12:
             raise GaugeInvalid(f"{self.name}: Phi(0,0) = {z:.3g}, expected 0")
         g = GAUGE_PROBE_AXIS
-        vals = self(g[:, None], g[None, :])
+        vals = np.asarray(self._fn(g[:, None], g[None, :]), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise GaugeInvalid(f"{self.name}: non-finite value on the probe grid")
         scale = np.maximum(1.0, np.abs(vals))
@@ -201,14 +203,29 @@ class TriangleReport(Report):
         return tuple(space.labels[i] for i in self.worst_triple)
 
 
+#: (pair, z) entries per block of the pair scans: temporaries stay cached
+_PAIR_BLOCK = 32768
+
+
+def _pair_rows(n: int):
+    """The pairs x < y in lexicographic order as ``(x, lo, hi)``: blocks of
+    whole y-rows lo <= y < hi for one x, about ``_PAIR_BLOCK`` (pair, z)
+    entries each, which a kernel reads as the slices d[x] and d[lo:hi]."""
+    step = max(1, _PAIR_BLOCK // n)
+    for x in range(n - 1):
+        for lo in range(x + 1, n, step):
+            yield x, lo, min(lo + step, n)
+
+
 def check_triangle(
     space: SemimetricSpace, phi: TriangleFunction, tol: float = DEFAULT_TOL
 ) -> TriangleReport:
     """Check d(x, y) <= Phi(d(x, z), d(y, z)) over all triples.
 
     x and y range over distinct pairs; z ranges over *all* points,
-    including x and y themselves.  The report carries the minimum-margin
-    triple.
+    including x and y themselves.  The report carries the first
+    minimum-margin triple in (x, y, z) order.  Phi and d are symmetric,
+    so that triple has x < y and the scan reads each pair once.
     """
     n = space.n
     d = space.dist
@@ -217,16 +234,15 @@ def check_triangle(
 
     best = np.inf
     best_triple = None
-    for x in range(n):
-        # rhs[y, z] = Phi(d(x, z), d(y, z)); lhs[y] = d(x, y)
-        rhs = np.asarray(phi(d[x, :][None, :], d), dtype=float)
-        margin = rhs - d[x, :][:, None]
-        margin[x, :] = np.inf  # exclude y == x
+    for x, lo, hi in _pair_rows(n):
+        # margin[y - lo, z] = Phi(d(x, z), d(y, z)) - d(x, y)
+        margin = np.asarray(phi(d[x][None, :], d[lo:hi]), dtype=float)
+        margin -= d[x, lo:hi, None]
         k = int(np.argmin(margin))
-        y, z = divmod(k, n)
-        if margin[y, z] < best:
-            best = float(margin[y, z])
-            best_triple = (x, z, y)
+        if margin.flat[k] < best:
+            best = float(margin.flat[k])
+            y, z = divmod(k, n)
+            best_triple = (x, z, lo + y)
 
     x, z, y = best_triple
     lhs = float(d[x, y])
@@ -247,13 +263,9 @@ def minimal_bmetric_K(space: SemimetricSpace) -> float:
         return 0.0
     d = space.dist
     best = 0.0
-    for x in range(n):
-        denom = d[x, :][None, :] + d.T  # denom[y, z] = d(x, z) + d(z, y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = d[x, :][:, None] / denom
-        ratio[x, :] = 0.0
-        np.nan_to_num(ratio, copy=False, nan=0.0, posinf=0.0)
-        m = float(np.max(ratio))
+    for x, lo, hi in _pair_rows(n):
+        # y > x, so each denominator has a positive term: no 0/0, no t/0
+        m = float(np.max(d[x, lo:hi, None] / (d[x][None, :] + d[lo:hi])))
         if m > best:
             best = m
     return best

@@ -341,40 +341,28 @@ def check_monotone_implications(
     sigma = np.asarray(f.assignment, dtype=int)
     rkR = rkR_all[np.ix_(sigma, sigma)]
 
-    n = X.n
-    iu = np.triu_indices(n, k=1)
-    first_pair = {}
+    i, j = np.triu_indices(X.n, k=1)
+    rr = rkR[i, j]
+    # first[r]: the first pair of the r-th domain rank in scan order
+    _, first, rank = np.unique(rkX[i, j], return_index=True, return_inverse=True)
+    mismatch = rr != rr[first][rank]
+    drop = np.diff(rr[first]) <= 0
+    eq_ok = not mismatch.any()
+    order_ok = not (eq_ok and drop.any())  # tested only once equality holds
     witness = None
-    eq_ok = True
-    for i, j, dr, rr in zip(iu[0], iu[1], rkX[iu], rkR[iu]):
-        if dr not in first_pair:
-            first_pair[dr] = (int(i), int(j), int(rr))
-        elif first_pair[dr][2] != rr and witness is None:
-            a, b, _ = first_pair[dr]
-            witness = PairsWitness(
-                (a, b), (int(i), int(j)),
-                float(D[a, b]), float(D[i, j]),
-                float(R[a, b]), float(R[i, j]),
-            )
-            eq_ok = False
-
-    order_ok = True
-    if eq_ok:
-        ranks = sorted(first_pair)
-        for prev, cur in zip(ranks, ranks[1:]):
-            if first_pair[cur][2] <= first_pair[prev][2]:
-                a, b, _ = first_pair[prev]
-                c, d, _ = first_pair[cur]
-                witness = PairsWitness(
-                    (a, b), (c, d),
-                    float(D[a, b]), float(D[c, d]),
-                    float(R[a, b]), float(R[c, d]),
-                )
-                order_ok = False
-                break
+    if not eq_ok:  # the first pair whose image rank differs from its rank's first
+        b = int(np.argmax(mismatch))
+        a = first[rank[b]]
+    elif not order_ok:  # consecutive domain ranks whose first image ranks drop
+        p = int(np.argmax(drop))
+        a, b = first[p], first[p + 1]
+    if not (eq_ok and order_ok):
+        (x, y), (z, t) = (int(i[a]), int(j[a])), (int(i[b]), int(j[b]))
+        witness = PairsWitness((x, y), (z, t), float(D[x, y]), float(D[z, t]),
+                               float(R[x, y]), float(R[z, t]))
 
     return MonotoneImplicationsReport(
-        eq_ok and order_ok, eq_ok, order_ok, witness, len(iu[0]), tol
+        eq_ok and order_ok, eq_ok, order_ok, witness, len(i), tol
     )
 
 

@@ -22,20 +22,27 @@ def subspace(space, indices):
     return build_space(labels, sub)
 
 
-def naive_triangle_margin(space, phi):
-    """min over x != y, all z of Phi(d(x,z), d(y,z)) - d(x,y), by loops."""
+def naive_triangle_worst(space, phi):
+    """The first minimum of Phi(d(x,z), d(y,z)) - d(x,y) in loop order
+    (x, y, z) over x != y and all z, by loops: (margin, (x, z, y), lhs, rhs)."""
     d = np.asarray(space.dist)
     n = space.n
-    best = np.inf
+    best = (np.inf, None, 0.0, 0.0)
     for x in range(n):
         for y in range(n):
             if x == y:
                 continue
             for z in range(n):
-                m = float(np.asarray(phi(d[x, z], d[y, z]))) - d[x, y]
-                if m < best:
-                    best = m
+                rhs = float(np.asarray(phi(d[x, z], d[y, z])))
+                m = rhs - d[x, y]
+                if m < best[0]:
+                    best = (float(m), (x, z, y), float(d[x, y]), rhs)
     return best
+
+
+def naive_triangle_margin(space, phi):
+    """min over x != y, all z of Phi(d(x,z), d(y,z)) - d(x,y), by loops."""
+    return naive_triangle_worst(space, phi)[0]
 
 
 def naive_minimal_K(space):
@@ -155,6 +162,50 @@ def naive_ptolemaic(space):
         for lhs, rhs in pairs:
             worst = min(worst, rhs - lhs)
     return worst
+
+
+def naive_monotone_implications(f, tol=1e-9):
+    """The monotone-implication report by a loop over the pairs i < j:
+    the first pair whose image rank differs from the first pair of its
+    domain rank, else the first consecutive domain ranks whose first
+    pairs' image ranks fail to increase."""
+    from qsym.weak_similarity import MonotoneImplicationsReport, PairsWitness, space_ranks
+
+    D = np.asarray(f.domain.dist)
+    R = f.image_matrix()
+    _, rkX = space_ranks(f.domain, tol)
+    _, rkY = space_ranks(f.codomain, tol)
+    sigma = np.asarray(f.assignment, dtype=int)
+    rkR = rkY[np.ix_(sigma, sigma)]
+
+    def witness(a, b, c, d):
+        return PairsWitness((a, b), (c, d), float(D[a, b]), float(D[c, d]),
+                            float(R[a, b]), float(R[c, d]))
+
+    n = f.domain.n
+    first_pair = {}
+    found = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            dr, rr = rkX[i, j], rkR[i, j]
+            if dr not in first_pair:
+                first_pair[dr] = (i, j, rr)
+            elif first_pair[dr][2] != rr and found is None:
+                a, b, _ = first_pair[dr]
+                found = witness(a, b, i, j)
+    eq_ok = found is None
+    order_ok = True
+    if eq_ok:
+        ranks = sorted(first_pair)
+        for prev, cur in zip(ranks, ranks[1:]):
+            if first_pair[cur][2] <= first_pair[prev][2]:
+                a, b, _ = first_pair[prev]
+                c, d, _ = first_pair[cur]
+                found = witness(a, b, c, d)
+                order_ok = False
+                break
+    return MonotoneImplicationsReport(eq_ok and order_ok, eq_ok, order_ok, found,
+                                      n * (n - 1) // 2, tol)
 
 
 def naive_betweenness(space, tol=1e-9):

@@ -118,6 +118,14 @@ def test_check_missing_file(files, capsys):
     assert "cannot read file" in err
 
 
+def test_check_rejects_a_space_without_points(files, capsys):
+    path = files["tmp"] / "empty.json"
+    path.write_text('{"points": [], "matrix": []}\n')
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "at least one point" in err
+
+
 def test_check_json_payload(files, capsys):
     code, out, _ = run(capsys, "check", files["line.json"], "--json")
     assert code == 0

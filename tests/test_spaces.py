@@ -15,6 +15,7 @@ from qsym import (
     SubsetRef,
     UnassignedPoint,
     UnknownTarget,
+    ValidationError,
     ZeroOffDiagonal,
     build_map,
     build_space,
@@ -73,6 +74,11 @@ def test_build_space_rejects_negative():
 def test_build_space_rejects_duplicate_labels():
     with pytest.raises(DuplicateLabel):
         build_space(["a", "a"], [[0, 1], [1, 0]])
+
+
+def test_build_space_rejects_no_points():
+    with pytest.raises(ValidationError, match="at least one point"):
+        build_space([], np.zeros((0, 0)))
 
 
 def test_spectrum_and_diameter(line4):

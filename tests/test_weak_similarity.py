@@ -39,6 +39,8 @@ from qsym import (
     verify_weak_similarity,
 )
 
+from conftest import naive_monotone_implications
+
 
 def relabeled_transform(space, perm, scaler):
     """A space weakly similar to `space` by construction: permute the
@@ -344,6 +346,46 @@ def test_monotone_implications_order_violation():
     assert rep.equality_holds and not rep.order_holds and not rep.holds
     pair1, pair2, d1, d2, r1, r2 = rep.witness
     assert d1 < d2 and r1 > r2
+
+
+@st.composite
+def monotone_cases(draw):
+    """A bijection out of a 2-7 point space X with 1-4 distance values:
+    onto a relabelled increasing or decreasing transform of X, or onto an
+    independent space; by the relabelling itself or by any bijection."""
+    n = draw(st.integers(2, 7))
+    values = [1.0, 2.0, 3.0, 5.0][: draw(st.integers(1, 4))]
+
+    def space(prefix):
+        D = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                D[i, j] = D[j, i] = draw(st.sampled_from(values))
+        return build_space(tuple(f"{prefix}{i}" for i in range(n)), D)
+
+    X = space("x")
+    perm = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["increasing", "decreasing", "independent"]))
+    if kind == "independent":
+        Y = space("y")
+    else:
+        Y = relabeled_transform(X, perm, (lambda d: d * d + 1.0) if kind == "increasing"
+                                else (lambda d: 10.0 - d))
+    relabelling = draw(st.booleans())
+    sigma = np.argsort(perm) if relabelling else draw(st.permutations(range(n)))
+    return kind if relabelling else "any", PointMap(X, Y, tuple(sigma), bijective=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monotone_cases())
+def test_monotone_implications_match_the_pair_loop(case):
+    kind, f = case
+    rep = check_monotone_implications(f)
+    assert rep == naive_monotone_implications(f)
+    if kind == "increasing":
+        assert rep.holds
+    if kind == "decreasing" and len(np.unique(f.domain.dist)) > 2:
+        assert rep.equality_holds and not rep.order_holds
 
 
 def test_monotone_implications_need_bijection():
