@@ -9,6 +9,7 @@ pseudolinear quadruple detection, and Menger-style line embedding.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -64,7 +65,16 @@ def betweenness_triples(
 ) -> list:
     """All triples with d(x,z) = d(x,y) + d(y,z) within relative tol,
     canonicalized to x < z and sorted by (x, z, y)."""
-    return list(map(BetweennessTriple, *_between_columns(np.asarray(space.dist), tol)))
+    columns = _between_columns(np.asarray(space.dist), tol)
+    # the tuples hold no references back, so the cyclic collector that
+    # their allocation would trigger over and over can find nothing
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(map(BetweennessTriple, *columns))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class BetweennessViolation(NamedTuple):

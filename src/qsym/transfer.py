@@ -27,6 +27,7 @@ from .triangle import (
     TriangleFunction,
     TriangleReport,
     _first_min,
+    _pair_rows,
     _quadruple_blocks,
     check_triangle,
     is_ptolemaic,
@@ -35,10 +36,6 @@ from .triangle import (
 #: default grid for the a-priori (non-realized) implication scan
 TRANSFER_GRID_POINTS = 256
 TRANSFER_GRID_SPAN = (1e-4, 1e4)
-
-#: pairs per batch of the realized scan (whole y-rows of one base point),
-#: small enough that its temporaries are reused rather than mapped afresh
-_SCAN_BLOCK_PAIRS = 32768
 
 
 def _inv_eta(eta: Modulus, t: np.ndarray) -> np.ndarray:
@@ -64,45 +61,28 @@ class TransferReport(Report):
 
 def _scan_pairs(phi1, phi2, eta, t1, t2, tol, state):
     """Scan one batch of (t1, t2) pairs: count the premise pairs and keep
-    the first violation in ``state``; return the batch's tightest premise
-    pair (np.argmin's: the first minimum, a NaN first), or None."""
+    the first violation in ``state``, where a NaN conclusion violates too.
+    Return the premise mask and the batch's tightest premise pair (its
+    first minimum), or None."""
     lhs1 = np.asarray(phi1(1.0 / t1, 1.0 / t2), dtype=float)
     premise = lhs1 >= 1.0 - tol
-    if not premise.any():
-        return None
+    count = int(np.count_nonzero(premise))
+    if not count:
+        return premise, None
     t1p, t2p, lhs1p = t1, t2, lhs1
-    if not premise.all():
+    if count < premise.size:
         t1p, t2p, lhs1p = t1[premise], t2[premise], lhs1[premise]
     lhs2 = np.asarray(phi2(_inv_eta(eta, t1p), _inv_eta(eta, t2p)), dtype=float)
-    state["checked"] += len(t1p)
-    bad = lhs2 < 1.0 - tol
-    if np.any(bad) and state["violation"] is None:
-        i = int(np.argmax(bad))
-        state["violation"] = (
-            float(t1p[i]), float(t2p[i]), float(lhs1p[i]), float(lhs2[i])
-        )
+    state["checked"] += count
     i = int(np.argmin(lhs2))
-    return (float(t1p[i]), float(t2p[i]), float(lhs1p[i]), float(lhs2[i]))
-
-
-def _realized_blocks(D: np.ndarray, x: int):
-    """The realized ratio pairs at base point x, in (y, z) order over
-    distinct y, z != x, as (t1, t2) batches of whole y-rows of about
-    ``_SCAN_BLOCK_PAIRS`` pairs: t1 = d(x,y)/d(x,z), t2 = d(x,y)/d(y,z)."""
-    n = len(D)
-    step = max(1, _SCAN_BLOCK_PAIRS // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        keep = np.ones((hi - lo, n), dtype=bool)
-        keep[:, x] = False
-        np.fill_diagonal(keep[:, lo:hi], False)
-        if lo <= x < hi:
-            keep[x - lo] = False
-        dxy = D[x, lo:hi, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = dxy / D[x]
-            t2 = dxy / D[lo:hi]
-        yield t1[keep], t2[keep]
+    # np.argmin finds the first NaN if there is one, so the batch violates
+    # iff its pick does
+    if not lhs2[i] >= 1.0 - tol and state["violation"] is None:
+        k = int(np.argmax(~(lhs2 >= 1.0 - tol)))
+        state["violation"] = (
+            float(t1p[k]), float(t2p[k]), float(lhs1p[k]), float(lhs2[k])
+        )
+    return premise, (float(t1p[i]), float(t2p[i]), float(lhs1p[i]), float(lhs2[i]))
 
 
 def check_transfer_condition(
@@ -119,7 +99,14 @@ def check_transfer_condition(
     ``pairs`` selects the source of ratio pairs: a map or space takes the
     realized ratios t1 = d(x,y)/d(x,z), t2 = d(x,y)/d(z,y) over its
     triples; None scans a ``grid_points`` squared log grid over
-    ``grid_span``.  The first violation (lowest scan index) wins.
+    ``grid_span``.  A conclusion side that is NaN or below 1 - tol is a
+    violation, and the first one (lowest scan index) wins.
+
+    The realized scan reads the pairs x < y of ``_pair_rows``: swapping x
+    and y swaps t1 and t2 bit for bit and the gauges are symmetric, so the
+    first violation and the tightest pair (the first smallest conclusion)
+    of the scan over all ordered (x, y, z) have x < y.  That scan stops
+    after the first violating x; ``checked_pairs`` counts its premise pairs.
     """
     state = {"checked": 0, "violation": None}
     if pairs is None:
@@ -132,25 +119,33 @@ def check_transfer_condition(
         m = len(axis)
         t1 = np.repeat(axis, m)
         t2 = np.tile(axis, m)
-        tightest = _scan_pairs(phi1, phi2, eta, t1, t2, tol, state)
+        tightest = _scan_pairs(phi1, phi2, eta, t1, t2, tol, state)[1]
         mode = "grid"
     else:
         space = pairs.domain if isinstance(pairs, PointMap) else pairs
         D = np.asarray(space.dist)
+        n = space.n
+        # colsum[y]: premise pairs (x, y, z) over x < y, which the scan over
+        # all ordered pairs meets again in row y
+        colsum = np.zeros(n, dtype=np.int64)
+        off = ~np.eye(n, dtype=bool)
         tightest = None
-        for x in range(space.n):
-            # x's tightest pair is the one np.argmin over all of x's pairs
-            # picks; it replaces the running one only when strictly smaller
-            best = None
-            for t1, t2 in _realized_blocks(D, x):
-                b = _scan_pairs(phi1, phi2, eta, t1, t2, tol, state)
-                if b is not None and _first_min(b[3], None if best is None else best[3]):
-                    best = b
-            if best is not None and (tightest is None or best[3] < tightest[3]):
-                tightest = best
-            # stop at the first violating x so the witness stays lexicographic
-            if state["violation"] is not None:
+        stop = n - 1
+        for x, lo, hi in _pair_rows(n):
+            if x > stop:
                 break
+            keep = off[lo:hi] & off[x]  # z != y and z != x
+            dxy = D[x, lo:hi, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (dxy / D[x])[keep]
+                t2 = (dxy / D[lo:hi])[keep]
+            premise, b = _scan_pairs(phi1, phi2, eta, t1, t2, tol, state)
+            colsum[lo:hi] += premise.reshape(hi - lo, n - 2).sum(axis=1)
+            if b is not None and (tightest is None or b[3] < tightest[3]):
+                tightest = b
+            if state["violation"] is not None:
+                stop = x  # finish this x, where the full scan stops
+        state["checked"] += int(colsum[:stop + 1].sum())
         mode = "realized"
     if state["violation"] is not None:
         return TransferReport(False, state["checked"], state["violation"], mode, tol)
@@ -340,17 +335,19 @@ def ptolemy_transfer_check(
             lhs = t1 * t2 * t3 * t4
             rhs = t1 * t2 + t3 * t4
             premise = lhs <= rhs + tol * np.maximum(1.0, rhs)
-            if not np.any(premise):
+            count = int(np.count_nonzero(premise))
+            if not count:
                 continue
-            idx = np.nonzero(premise)[0]
-            l1, l2, l3, l4 = (np.asarray(eta.log_eval(t[idx]), dtype=float)
-                              for t in (t1, t2, t3, t4))
+            # idx None: every pair passes, so no gathers
+            idx = None if count == len(premise) else np.flatnonzero(premise)
+            l1, l2, l3, l4 = (np.asarray(eta.log_eval(t if idx is None else t[idx]),
+                                         dtype=float) for t in (t1, t2, t3, t4))
             with np.errstate(over="ignore"):
                 c = np.exp(-(l1 + l2)) + np.exp(-(l3 + l4))
-            checked += len(idx)
+            checked += count
 
             def witness(m):
-                s = idx[m]
+                s = m if idx is None else idx[m]
                 quad = (i, int(j[s]), int(k[s]), int(l[s]))
                 return (float(c[m]), tuple(quad[p] for p in (X, Y, Z, T)),
                         tuple(float(t[s]) for t in (t1, t2, t3, t4)))

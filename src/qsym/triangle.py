@@ -224,22 +224,22 @@ def check_triangle(
 
     x and y range over distinct pairs; z ranges over *all* points,
     including x and y themselves.  The report carries the first
-    minimum-margin triple in (x, y, z) order.  Phi and d are symmetric,
-    so that triple has x < y and the scan reads each pair once.
+    minimum-margin triple in (x, y, z) order, where a NaN margin counts
+    as the minimum and fails.  Phi and d are symmetric, so that triple
+    has x < y and the scan reads each pair once.
     """
     n = space.n
     d = space.dist
     if n < 2:
         return TriangleReport(True, None, 0.0, 0.0, np.inf, phi.describe(), tol)
 
-    best = np.inf
-    best_triple = None
+    best = best_triple = None
     for x, lo, hi in _pair_rows(n):
         # margin[y - lo, z] = Phi(d(x, z), d(y, z)) - d(x, y)
         margin = np.asarray(phi(d[x][None, :], d[lo:hi]), dtype=float)
         margin -= d[x, lo:hi, None]
         k = int(np.argmin(margin))
-        if margin.flat[k] < best:
+        if _first_min(margin.flat[k], best):
             best = float(margin.flat[k])
             y, z = divmod(k, n)
             best_triple = (x, z, lo + y)

@@ -24,7 +24,8 @@ def subspace(space, indices):
 
 def naive_triangle_worst(space, phi):
     """The first minimum of Phi(d(x,z), d(y,z)) - d(x,y) in loop order
-    (x, y, z) over x != y and all z, by loops: (margin, (x, z, y), lhs, rhs)."""
+    (x, y, z) over x != y and all z, by loops: (margin, (x, z, y), lhs, rhs).
+    A NaN margin is the minimum: the first NaN wins."""
     d = np.asarray(space.dist)
     n = space.n
     best = (np.inf, None, 0.0, 0.0)
@@ -35,7 +36,7 @@ def naive_triangle_worst(space, phi):
             for z in range(n):
                 rhs = float(np.asarray(phi(d[x, z], d[y, z])))
                 m = rhs - d[x, y]
-                if m < best[0]:
+                if m < best[0] or (m != m and best[0] == best[0]):
                     best = (float(m), (x, z, y), float(d[x, y]), rhs)
     return best
 
@@ -61,6 +62,49 @@ def naive_minimal_K(space):
                 if q > best:
                     best = float(q)
     return best
+
+
+def naive_transfer_scan(phi1, phi2, eta, space, tol=1e-9):
+    """The realized transfer report by loops over the ordered triples
+    (x, y, z), z != x, y, with t1 = d(x,y)/d(x,z) and t2 = d(x,y)/d(y,z).
+
+    A premise pair has Phi1(1/t1, 1/t2) >= 1 - tol; its conclusion side
+    Phi2(1/eta(t1), 1/eta(t2)) violates when it is NaN or below 1 - tol.
+    The scan stops after the row x of the first violation, which is the
+    witness; else the witness is the first minimum of the first row whose
+    minimum is smallest.  ``checked_pairs`` counts the premise pairs read.
+    """
+    from qsym import TransferReport
+
+    def conclusion(t):  # 1/eta(t) by the log path, like the library
+        return float(np.exp(-float(np.asarray(eta.log_eval(t)))))
+
+    d = np.asarray(space.dist)
+    n = space.n
+    checked, violation, tightest = 0, None, None
+    for x in range(n):
+        row_best = None
+        for y in range(n):
+            for z in range(n):
+                if len({x, y, z}) < 3:
+                    continue
+                t1 = d[x, y] / d[x, z]
+                t2 = d[x, y] / d[y, z]
+                lhs1 = float(np.asarray(phi1(1.0 / t1, 1.0 / t2)))
+                if not lhs1 >= 1.0 - tol:
+                    continue
+                checked += 1
+                lhs2 = float(np.asarray(phi2(conclusion(t1), conclusion(t2))))
+                pair = (float(t1), float(t2), lhs1, lhs2)
+                if violation is None and not lhs2 >= 1.0 - tol:
+                    violation = pair
+                if row_best is None or lhs2 < row_best[3]:
+                    row_best = pair
+        if violation is not None:
+            return TransferReport(False, checked, violation, "realized", tol)
+        if row_best is not None and (tightest is None or row_best[3] < tightest[3]):
+            tightest = row_best
+    return TransferReport(True, checked, tightest, "realized", tol)
 
 
 def naive_envelope(f):

@@ -1,6 +1,8 @@
 """Betweenness triples, partition conditions, generator moduli, and
 line/quadruple structure."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -289,3 +291,15 @@ def test_image_structure_on_three_point_subset(line4):
     assert rep.holds
     assert rep.domain_quadruple is None and rep.image_quadruple is None
     np.testing.assert_allclose(rep.domain_line, [0.0, 1.0, 3.0])
+
+
+def test_betweenness_triples_leaves_the_collector_as_it_found_it():
+    # the collector is off while the triples are built, and only then
+    X = collinear_space(range(6))
+    assert gc.isenabled()
+    assert len(betweenness_triples(X)) == 20 and gc.isenabled()
+    gc.disable()
+    try:
+        assert len(betweenness_triples(X)) == 20 and not gc.isenabled()
+    finally:
+        gc.enable()

@@ -119,3 +119,28 @@ def test_custom_gauge_is_symmetric_off_the_probe_grid():
     margin, triple, lhs, rhs = naive_triangle_worst(X, phi)
     rep = check_triangle(X, phi)
     assert (rep.worst_triple, rep.lhs, rep.rhs, rep.margin) == (triple, lhs, rhs, margin)
+
+
+def test_a_nan_margin_fails_the_triangle_check():
+    # d(a, b) = 10 > d(a, c) + d(c, b) = 2, and d, e lie 6e7 from a, b, c,
+    # where the gauge is NaN: the NaN shares a block with the margin -8 of
+    # (a, c, b) and used to hide it behind holds=True
+    D = np.full((5, 5), 6e7)
+    np.fill_diagonal(D, 0.0)
+    D[0, 1] = D[1, 0] = 10.0
+    D[0, 2] = D[2, 0] = D[1, 2] = D[2, 1] = D[3, 4] = D[4, 3] = 1.0
+    X = build_space(list("abcde"), D)
+    phi = CustomGauge(lambda u, v: u + v if min(u, v) <= 1e6 else float("nan"))
+    # a point at distance 1 from all: its row of the scan has no NaN, and
+    # the NaN of a later row must still win
+    C = np.pad(D, (1, 0), constant_values=1.0)
+    C[0, 0] = 0.0
+    W = build_space(list("oabcde"), C)
+    # NaN in every block used to raise TypeError
+    Y = transform_distances(euclidean_space(5, 2, seed=1), lambda d: 1e8 * d)
+    psi = CustomGauge(lambda u, v: u + v if max(u, v) <= 1e6 else float("nan"))
+    for space, gauge in ((X, phi), (W, phi), (Y, psi)):
+        rep = check_triangle(space, gauge)
+        assert not rep.holds and np.isnan(rep.margin)
+        # the first NaN in (x, y, z) order
+        assert rep.worst_triple == naive_triangle_worst(space, gauge)[1]

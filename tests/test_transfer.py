@@ -6,11 +6,13 @@ from qsym import (
     Additive,
     CallableModulus,
     BiLipschitzModulus,
+    CustomGauge,
     MaxGauge,
     PowerModulus,
     PreconditionFailed,
     ScaledAdditive,
     build_map,
+    build_space,
     check_qs,
     check_transfer_condition,
     collinear_space,
@@ -26,6 +28,8 @@ from qsym import (
     ultrametric_space,
     verify_transfer_end_to_end,
 )
+
+from conftest import naive_transfer_scan
 
 
 def minimal_K2_oracle(K1, eta, m=20_001):
@@ -98,7 +102,7 @@ def test_realized_transfer_accepts_space():
 def test_realized_transfer_is_independent_of_the_block_size(monkeypatch, block):
     # at these sizes the default batch is one whole base point; smaller
     # batches must give the same count, first violation and tightest pair
-    from qsym import transfer
+    from qsym import triangle
 
     cases = [
         (Additive(), Additive(), PowerModulus(0.5), euclidean_space(23, 2, seed=3)),
@@ -109,11 +113,62 @@ def test_realized_transfer_is_independent_of_the_block_size(monkeypatch, block):
         (Additive(), Additive(), PowerModulus(0.5), collinear_space([0.0, 1.0])),
     ]
     whole = [check_transfer_condition(*c[:3], pairs=c[3]) for c in cases]
-    monkeypatch.setattr(transfer, "_SCAN_BLOCK_PAIRS", block)
+    monkeypatch.setattr(triangle, "_PAIR_BLOCK", block)
     for c, expect in zip(cases, whole):
         assert check_transfer_condition(*c[:3], pairs=c[3]) == expect
     assert not whole[1].holds and whole[0].holds
     assert whole[4].checked_pairs == 0 and whole[4].worst is None
+
+
+#: validated on its probe grid, which stops at 1e6, and NaN past it
+NAN_PAST_1E6 = CustomGauge(lambda u, v: u + v if max(u, v) <= 1e6 else float("nan"),
+                           name="nan-past-1e6")
+TRANSFER_GAUGES = [(Additive(), Additive()), (Additive(), ScaledAdditive(2.0)),
+                   (MaxGauge(), MaxGauge()), (ScaledAdditive(1.5), Additive()),
+                   (Additive(), MaxGauge()), (Additive(), NAN_PAST_1E6)]
+TRANSFER_MODULI = [PowerModulus(0.5), PowerModulus(1.0), PowerModulus(2.0),
+                   BiLipschitzModulus(1.5)]
+
+
+@st.composite
+def tie_heavy_spaces(draw):
+    """3 to 9 points at distances 1, 2 or 3, so many ratio pairs tie;
+    optionally two points 1e-7 apart, whose ratios pass 1e6."""
+    n = draw(st.integers(3, 9))
+    D = np.zeros((n, n))
+    D[np.triu_indices(n, 1)] = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]),
+                                             min_size=n * (n - 1) // 2,
+                                             max_size=n * (n - 1) // 2))
+    if draw(st.booleans()):
+        D[0, 1] = 1e-7
+    return build_space([f"p{i}" for i in range(n)], D + D.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_spaces(), st.sampled_from(TRANSFER_GAUGES), st.sampled_from(TRANSFER_MODULI))
+def test_realized_transfer_matches_the_loop_oracle(X, gauges, eta):
+    # the scan over x < y must give the report of the scan over all
+    # ordered triples: its first violation, the tightest pair and the
+    # premise count up to the violating row
+    # (reprs, as a NaN witness never compares equal to itself)
+    phi1, phi2 = gauges
+    assert repr(check_transfer_condition(phi1, phi2, eta, pairs=X)) == \
+        repr(naive_transfer_scan(phi1, phi2, eta, X))
+
+
+def test_a_nan_conclusion_violates_the_transfer_condition():
+    # two points 1e-7 apart give 1/t near 1e7, where the gauge is NaN;
+    # such a conclusion used to pass as holds=True with a NaN worst pair
+    P = np.array([[0, 0], [1e-7, 0], [1, 0], [0, 1], [1, 1], [2, 0.5]])
+    X = build_space([f"p{i}" for i in range(6)],
+                    np.sqrt(((P[:, None] - P[None]) ** 2).sum(-1)))
+    rep = check_transfer_condition(Additive(), NAN_PAST_1E6, PowerModulus(1.0), pairs=X)
+    assert not rep.holds and np.isnan(rep.worst[3])
+    assert repr(rep) == repr(naive_transfer_scan(Additive(), NAN_PAST_1E6,
+                                                 PowerModulus(1.0), X))
+    grid = check_transfer_condition(Additive(), NAN_PAST_1E6, PowerModulus(1.0),
+                                    grid_span=(1e-7, 1e4))
+    assert not grid.holds and np.isnan(grid.worst[3])
 
 
 def test_minimal_transfer_K2_known_values():
