@@ -64,7 +64,9 @@ def betweenness_triples(
     space: SemimetricSpace, tol: float = DEFAULT_TOL
 ) -> list:
     """All triples with d(x,z) = d(x,y) + d(y,z) within relative tol,
-    canonicalized to x < z and sorted by (x, z, y)."""
+    canonicalized to x < z and sorted by (x, z, y).  The cyclic garbage
+    collector is paused while the list is built and switched back on
+    afterwards only if it was on before."""
     columns = _between_columns(np.asarray(space.dist), tol)
     # the tuples hold no references back, so the cyclic collector that
     # their allocation would trigger over and over can find nothing

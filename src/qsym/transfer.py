@@ -296,8 +296,9 @@ def ptolemy_transfer_check(
 
     is checked at realized quadruple ratios (t1 = d(x,z)/d(x,y),
     t2 = d(t,y)/d(t,z), t3 = d(x,z)/d(x,t), t4 = d(t,y)/d(y,z)) in all
-    three orderings of every 4-subset.  Every verdict is exhaustive: each
-    Ptolemy check costs 3 C(n, 4) inequalities, streamed in O(n^2) memory.
+    three orderings of every 4-subset; a NaN conclusion is a violation.
+    Every verdict is exhaustive: each Ptolemy check costs 3 C(n, 4)
+    inequalities, streamed in O(n^2) memory.
     """
     dom = is_ptolemaic(f.domain, tol=tol)
     if not dom.holds:
@@ -335,24 +336,22 @@ def ptolemy_transfer_check(
             lhs = t1 * t2 * t3 * t4
             rhs = t1 * t2 + t3 * t4
             premise = lhs <= rhs + tol * np.maximum(1.0, rhs)
-            count = int(np.count_nonzero(premise))
-            if not count:
+            if not np.any(premise):
                 continue
-            # idx None: every pair passes, so no gathers
-            idx = None if count == len(premise) else np.flatnonzero(premise)
-            l1, l2, l3, l4 = (np.asarray(eta.log_eval(t if idx is None else t[idx]),
-                                         dtype=float) for t in (t1, t2, t3, t4))
+            idx = np.nonzero(premise)[0]
+            l1, l2, l3, l4 = (np.asarray(eta.log_eval(t[idx]), dtype=float)
+                              for t in (t1, t2, t3, t4))
             with np.errstate(over="ignore"):
                 c = np.exp(-(l1 + l2)) + np.exp(-(l3 + l4))
-            checked += count
+            checked += len(idx)
 
             def witness(m):
-                s = m if idx is None else idx[m]
+                s = idx[m]
                 quad = (i, int(j[s]), int(k[s]), int(l[s]))
                 return (float(c[m]), tuple(quad[p] for p in (X, Y, Z, T)),
                         tuple(float(t[s]) for t in (t1, t2, t3, t4)))
 
-            bad = c < 1.0 - tol
+            bad = ~(c >= 1.0 - tol)  # a NaN conclusion violates
             if violations[o] is None and np.any(bad):
                 violations[o] = witness(int(np.argmax(bad)))
             m = int(np.argmin(c))

@@ -303,6 +303,18 @@ def test_ptolemy_transfer_preconditions():
         ptolemy_transfer_check(f, PowerModulus(0.4))
 
 
+def test_a_nan_conclusion_violates_the_ptolemy_transfer():
+    # the ratios of two points 1e-7 apart reach 1e7, where eta is NaN
+    P = np.array([[0, 0], [1e-7, 0], [1, 0], [0, 1], [1, 1], [2, 0.5]])
+    X = build_space([f"p{i}" for i in range(6)],
+                    np.sqrt(((P[:, None] - P[None]) ** 2).sum(-1)))
+    eta = CallableModulus(lambda t: np.where(t <= 1e6, t, np.nan), label="nan-past-1e6")
+    rep = ptolemy_transfer_check(identity_map(X), eta)
+    assert rep.mode == "realized" and rep.image.holds
+    assert not rep.holds and not rep.implication_holds
+    assert np.isnan(rep.worst_value)
+
+
 def test_ptolemy_transfer_small_spaces(line3):
     f = snowflake_map(line3, 0.5)
     rep = ptolemy_transfer_check(f, PowerModulus(0.5), force_realized=True)
