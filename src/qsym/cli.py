@@ -5,6 +5,9 @@ produced), 1 when the property fails (a witness is printed), 2 on usage
 or input errors.  ``--json`` switches every report to one structured
 document with floats at 17 significant digits; reports echo input hashes
 and tolerances so failures are reproducible from the report alone.
+
+A process loads only the modules its subcommand runs: each handler
+imports what it calls, and the parser needs only ``spaces``.
 """
 
 from __future__ import annotations
@@ -14,35 +17,8 @@ import sys
 
 import numpy as np
 
-from . import betweenness as btw
-from . import quasisymmetry as qs
-from . import transfer as tr
-from . import weak_similarity as wsim
-from .errors import (
-    NotQuasisymmetric,
-    ParseError,
-    QsymError,
-    UnboundedEnvelope,
-)
-from .fileio import (
-    load_map_document,
-    load_space_document,
-    save_envelope,
-    save_space,
-    sha256_file,
-)
-from .generators import generate
-from .moduli import inverse_modulus, parse_modulus
-from .report import to_json
-from .spaces import DEFAULT_TOL, SubsetRef, build_map, spectrum
-from .triangle import (
-    Additive,
-    MaxGauge,
-    check_triangle,
-    is_ptolemaic,
-    minimal_bmetric_K,
-    parse_triangle_function,
-)
+from .errors import NotQuasisymmetric, ParseError, QsymError, UnboundedEnvelope
+from .spaces import DEFAULT_TOL, RANK_TOL, build_map
 
 #: errors that represent a failing property rather than bad input
 _PROPERTY_FAILURES = (UnboundedEnvelope, NotQuasisymmetric)
@@ -50,13 +26,16 @@ _PROPERTY_FAILURES = (UnboundedEnvelope, NotQuasisymmetric)
 
 def _emit(args, payload: dict, lines):
     if getattr(args, "json", False):
+        from .report import to_json
+
         print(to_json(payload))
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.write("".join([f"{line}\n" for line in lines]))
 
 
 def _inputs(*paths) -> dict:
+    from .fileio import sha256_file
+
     return {str(p): sha256_file(p) for p in paths if p}
 
 
@@ -72,6 +51,8 @@ def _indices(text: str, n: int, what: str):
 
 
 def _load_map_bundle(args, tol, require_bijective=False):
+    from .fileio import load_map_document, load_space_document
+
     dom, dom_name = load_space_document(args.domain, tol)
     cod, cod_name = load_space_document(args.codomain, tol)
     want_dom, want_cod, assignment = load_map_document(args.map)
@@ -94,6 +75,16 @@ def _load_map_bundle(args, tol, require_bijective=False):
 
 
 def _cmd_check(args) -> int:
+    from .fileio import load_space_document
+    from .triangle import (
+        Additive,
+        MaxGauge,
+        check_triangle,
+        is_ptolemaic,
+        minimal_bmetric_K,
+        parse_triangle_function,
+    )
+
     space, _ = load_space_document(args.space, args.tol)
     inputs = _inputs(args.space)
     if args.phi is not None and args.cls is not None:
@@ -143,6 +134,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_modulus(args) -> int:
+    from .moduli import parse_modulus
+
     eta = parse_modulus(args.eta)
     ts = args.at if args.at else [0.25, 0.5, 1.0, 2.0, 4.0]
     vals = [float(np.asarray(eta.eval(t))) for t in ts]
@@ -153,7 +146,9 @@ def _cmd_modulus(args) -> int:
     lines = [eta.describe()] + [f"eta({t:g}) = {v:.12g}" for t, v in zip(ts, vals)]
     code = 0
     if args.involution:
-        rep = wsim.check_involution_identity(eta, tol=args.tol)
+        from .weak_similarity import check_involution_identity
+
+        rep = check_involution_identity(eta, tol=args.tol)
         payload["involution"] = rep.to_dict()
         lines.append(
             f"involution identity {'HOLDS' if rep.holds else 'FAILS'} "
@@ -165,22 +160,27 @@ def _cmd_modulus(args) -> int:
 
 
 def _cmd_qs_check(args) -> int:
+    from .fileio import envelope_text, save_envelope
+    from .moduli import parse_modulus
+    from .quasisymmetry import check_qs, empirical_modulus
+
     f = _load_map_bundle(args, args.tol)
     inputs = _inputs(args.domain, args.codomain, args.map)
     if args.out or args.eta is None:
-        env = qs.empirical_modulus(f)
-    if args.out:
-        save_envelope(env, args.out)
+        env = empirical_modulus(f)
+        text = save_envelope(env, args.out) if args.out else None
     if args.eta is None:
-        payload = {
-            "command": "qs-check", "inputs": inputs, "tol": args.tol,
-            "envelope": [[float(t), float(h)] for t, h in zip(env.ts, env.hs)],
-        }
-        lines = [f"{float(t)!r} {float(h)!r}" for t, h in zip(env.ts, env.hs)]
-        _emit(args, payload, lines)
+        if args.json:
+            payload = {
+                "command": "qs-check", "inputs": inputs, "tol": args.tol,
+                "envelope": [[t, h] for t, h in zip(env.ts.tolist(), env.hs.tolist())],
+            }
+            _emit(args, payload, [])
+        else:
+            sys.stdout.write(envelope_text(env) if text is None else text)
         return 0
     eta = parse_modulus(args.eta)
-    rep = qs.check_qs(f, eta, tol=args.tol)
+    rep = check_qs(f, eta, tol=args.tol)
     payload = {
         "command": "qs-check", "inputs": inputs, "tol": args.tol,
         "eta": eta.describe(), "report": rep.to_dict(),
@@ -199,6 +199,8 @@ def _cmd_qs_check(args) -> int:
 
 
 def _cmd_invert_eta(args) -> int:
+    from .moduli import inverse_modulus, parse_modulus
+
     eta = parse_modulus(args.eta)
     inv = inverse_modulus(eta)
     ts = args.at if args.at else [0.25, 0.5, 1.0, 2.0, 4.0]
@@ -215,6 +217,10 @@ def _cmd_invert_eta(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
+    from . import transfer as tr
+    from .moduli import parse_modulus
+    from .triangle import parse_triangle_function
+
     eta = parse_modulus(args.eta)
     if args.minimal_k2 is not None:
         K2 = tr.minimal_transfer_K2(args.minimal_k2, eta)
@@ -263,10 +269,13 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_ptolemy_transfer(args) -> int:
+    from .moduli import parse_modulus
+    from .transfer import ptolemy_transfer_check
+
     eta = parse_modulus(args.eta)
     f = _load_map_bundle(args, args.tol, require_bijective=True)
     inputs = _inputs(args.domain, args.codomain, args.map)
-    rep = tr.ptolemy_transfer_check(
+    rep = ptolemy_transfer_check(
         f, eta, tol=args.tol, force_realized=args.force_realized
     )
     payload = {
@@ -285,6 +294,11 @@ def _cmd_ptolemy_transfer(args) -> int:
 
 
 def _cmd_distortion(args) -> int:
+    from . import quasisymmetry as qs
+    from .moduli import parse_modulus
+    from .spaces import SubsetRef
+    from .triangle import parse_triangle_function
+
     eta = parse_modulus(args.eta)
     phi1 = parse_triangle_function(args.phi1)
     phi2 = parse_triangle_function(args.phi2)
@@ -342,6 +356,9 @@ def _cmd_distortion(args) -> int:
 
 
 def _cmd_between(args) -> int:
+    from . import betweenness as btw
+    from .fileio import load_space_document
+
     space, _ = load_space_document(args.space, args.tol)
     inputs = _inputs(args.space)
     if args.quadruple is not None:
@@ -410,6 +427,8 @@ def _cmd_between(args) -> int:
 
 
 def _cmd_eta_k8(args) -> int:
+    from . import betweenness as btw
+
     eta = btw.eta_from_generators(
         btw.power_generator(args.n1),
         btw.power_generator(args.n2),
@@ -437,6 +456,9 @@ def _cmd_eta_k8(args) -> int:
 
 
 def _cmd_weaksim(args) -> int:
+    from . import weak_similarity as wsim
+    from .fileio import load_space_document
+
     X, _ = load_space_document(args.X, args.tol)
     Y, _ = load_space_document(args.Y, args.tol)
     inputs = _inputs(args.X, args.Y)
@@ -486,6 +508,9 @@ def _cmd_gen(args) -> int:
             params["coordinates"] = [float(v) for v in args.coords.split(",")]
         except ValueError:
             raise ParseError(f"bad --coords {args.coords!r}")
+    from .fileio import save_space
+    from .generators import generate
+
     space = generate(args.kind, seed=args.seed, **params)
     save_space(space, args.out, name=args.name or f"{args.kind}")
     payload = {
@@ -497,9 +522,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_fit_snowflake(args) -> int:
+    from .quasisymmetry import fit_snowflake
+
     f = _load_map_bundle(args, args.tol)
     inputs = _inputs(args.domain, args.codomain, args.map)
-    fit = qs.fit_snowflake(f, tol=args.tol)
+    fit = fit_snowflake(f, tol=args.tol)
     if fit is None:
         payload = {
             "command": "fit-snowflake", "inputs": inputs, "tol": args.tol,
@@ -617,7 +644,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("X")
     sp.add_argument("Y")
     sp.add_argument("--oracle", action="store_true", help="factorial brute force")
-    sp.add_argument("--rank-tol", type=float, default=wsim.RANK_TOL)
+    sp.add_argument("--rank-tol", type=float, default=RANK_TOL)
     common(sp)
     sp.set_defaults(handler=_cmd_weaksim)
 

@@ -185,14 +185,31 @@ def save_map(
         fh.write("\n")
 
 
-def save_envelope(env, path: PathLike):
-    """Write envelope step points as ascending "t H" lines.
+#: knots formatted per block: the float objects and line strings of one
+#: block are freed before the next, so the peak is about twice the text
+_TEXT_BLOCK = 1 << 16
+
+
+def envelope_text(env) -> str:
+    """Envelope step points as ascending "t H" lines, each ending in a newline.
 
     Accepts anything with ``ts``/``hs`` arrays (envelope or step modulus).
     """
+    ts = np.asarray(env.ts, dtype=float)
+    hs = np.asarray(env.hs, dtype=float)
+    blocks = []
+    for i in range(0, len(ts), _TEXT_BLOCK):
+        tb, hb = ts[i:i + _TEXT_BLOCK].tolist(), hs[i:i + _TEXT_BLOCK].tolist()
+        blocks.append("".join([f"{t!r} {h!r}\n" for t, h in zip(tb, hb)]))
+    return "".join(blocks)
+
+
+def save_envelope(env, path: PathLike) -> str:
+    """Write :func:`envelope_text` to ``path``; returns the text written."""
+    text = envelope_text(env)
     with open(path, "w", encoding="utf-8") as fh:
-        for t, h in zip(env.ts, env.hs):
-            fh.write(f"{float(t)!r} {float(h)!r}\n")
+        fh.write(text)
+    return text
 
 
 def load_envelope_points(path: PathLike):

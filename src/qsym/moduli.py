@@ -337,11 +337,6 @@ class NumericInverseModulus(Modulus):
         return float(out) if t.ndim == 0 else out
 
 
-def eval_modulus(eta: Modulus, t):
-    """Evaluate a modulus; step moduli follow right-continuous semantics."""
-    return eta.eval(t)
-
-
 def invert_modulus(eta: Modulus, y: float) -> float:
     """Solve eta(s) = y for s >= 0 by bracket doubling plus bisection.
 

@@ -220,7 +220,7 @@ def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
         r = _ratios(rho)
         checked += len(t)
         vals = np.asarray(eta.eval(t), dtype=float)
-        bad = np.nonzero(vals + tol < r)[0]
+        bad = np.nonzero(~(vals + tol >= r))[0]  # a NaN eta(t) violates
         if len(bad) == 0:
             continue
         t_bad = t[bad]
@@ -259,7 +259,7 @@ def _check_envelope(env: EmpiricalEnvelope, eta: Modulus, tol: float) -> QsRepor
     if len(env) == 0:
         return QsReport(True, None, None, None, None, None, eta.describe(), tol, 0)
     vals = np.asarray(eta.eval(env.ts), dtype=float)
-    bad = vals + tol < env.hs
+    bad = ~(vals + tol >= env.hs)  # a NaN eta(t) violates
     if not np.any(bad):
         return QsReport(True, None, None, None, None, None, eta.describe(), tol, len(env))
     i = int(np.argmax(bad))

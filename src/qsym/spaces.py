@@ -1,4 +1,4 @@
-"""Core data model: finite semimetric spaces, spectra, subsets, point maps.
+"""Core data model: finite semimetric spaces, subsets, point maps.
 
 A semimetric space here is a finite labeled point set with a symmetric
 distance matrix that vanishes exactly on the diagonal and is strictly
@@ -35,6 +35,8 @@ from .errors import (
 from .moduli import _vectorized
 
 DEFAULT_TOL = 1e-9
+#: relative tolerance for bucketing distances into spectrum ranks
+RANK_TOL = 1e-9
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -81,24 +83,6 @@ class SemimetricSpace:
 
     def __repr__(self):
         return f"SemimetricSpace(n={self.n}, labels={list(self.labels[:4])}...)"
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """The sorted set of distance values of a space, 0 included."""
-
-    values: np.ndarray
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
 
 
 @dataclass(frozen=True)
@@ -239,11 +223,6 @@ def build_space(labels: Sequence[str], matrix, tol: float = DEFAULT_TOL) -> Semi
     return SemimetricSpace(labels, _frozen_array(m))
 
 
-def spectrum(space: SemimetricSpace) -> Spectrum:
-    """All distinct distance values, ascending; starts with 0."""
-    return Spectrum(_frozen_array(np.unique(space.dist)))
-
-
 def diameter(subset: SubsetRef) -> float:
     """Largest pairwise distance within the subset (0 for a singleton)."""
     idx = list(subset.indices)
@@ -262,7 +241,7 @@ def transform_distances(
     :class:`ScalerNotMonotone`).  The result is revalidated.
     """
     g = _vectorized(scaler)
-    sp = spectrum(space).values
+    sp = np.unique(space.dist)  # the spectrum, 0 first
     scaled = np.asarray(g(sp), dtype=float)
     if not np.all(np.isfinite(scaled)):
         raise ScalerNotMonotone("scaler produced non-finite values on the spectrum")

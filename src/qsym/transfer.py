@@ -341,7 +341,7 @@ def ptolemy_transfer_check(
             idx = np.nonzero(premise)[0]
             l1, l2, l3, l4 = (np.asarray(eta.log_eval(t[idx]), dtype=float)
                               for t in (t1, t2, t3, t4))
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
                 c = np.exp(-(l1 + l2)) + np.exp(-(l3 + l4))
             checked += len(idx)
 

@@ -39,10 +39,7 @@ from .moduli import (
 )
 from .quasisymmetry import check_qs
 from .report import Report
-from .spaces import PointMap, SemimetricSpace
-
-#: relative tolerance for bucketing distances into spectrum ranks
-RANK_TOL = 1e-9
+from .spaces import RANK_TOL, PointMap, SemimetricSpace
 
 #: brute-force oracle guard
 ORACLE_MAX_N = 9

@@ -18,6 +18,7 @@ import qsym
 from qsym import (
     collinear_space,
     empirical_modulus,
+    euclidean_space,
     load_envelope_points,
     load_space,
     pseudolinear_quadruple,
@@ -162,18 +163,23 @@ def test_modulus_bad_spec(capsys):
 
 
 def test_qs_check_envelope_dump(files, capsys):
+    base = ["qs-check", "--domain", files["line.json"], "--codomain", files["snow.json"],
+            "--map", files["idmap.json"]]
     env_path = files["tmp"] / "env.txt"
-    code, out, _ = run(
-        capsys, "qs-check",
-        "--domain", files["line.json"], "--codomain", files["snow.json"],
-        "--map", files["idmap.json"], "-o", str(env_path),
-    )
+    code, out, _ = run(capsys, *base, "-o", str(env_path))
     assert code == 0
+    # the file and stdout carry the one text, also without -o
+    assert env_path.read_text(encoding="utf-8") == out
+    assert run(capsys, *base) == (0, out, "")
     ts, hs = load_envelope_points(env_path)
     env = empirical_modulus(snowflake_map(collinear_space([0.0, 1.0, 3.0, 6.0]), 0.5))
-    assert np.array_equal(ts, env.ts)
-    assert np.array_equal(hs, env.hs)
+    assert ts.tobytes() == env.ts.tobytes() and hs.tobytes() == env.hs.tobytes()
     assert len(out.splitlines()) == len(env)
+    # --json changes stdout only
+    json_path = files["tmp"] / "env_json.txt"
+    code, out, _ = run(capsys, *base, "--json", "-o", str(json_path))
+    assert code == 0 and json_path.read_bytes() == env_path.read_bytes()
+    assert json.loads(out)["envelope"] == [[t, h] for t, h in zip(ts.tolist(), hs.tolist())]
 
 
 def test_qs_check_verdicts(files, capsys):
@@ -501,10 +507,50 @@ def test_usage_errors_raise_systemexit_2(capsys):
 # ------------------------------------------------------------ dependencies
 
 
+def _probe(code, *argv):
+    """stdout of ``python -c code argv...``, started beside the package."""
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          cwd=Path(qsym.__file__).resolve().parents[1],
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_import_pulls_in_no_scipy():
-    probe = ("import sys, qsym, qsym.cli; "
-             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", probe],
-                         cwd=Path(qsym.__file__).resolve().parents[1],
-                         capture_output=True, text=True, check=True).stdout
+    # the star import loads every submodule behind the public names
+    out = _probe("import sys, qsym.cli; from qsym import *; "
+                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert out.strip() == "[]"
+
+
+#: analysis modules that neither ``check`` nor ``invert-eta`` runs
+ANALYSIS_MODULES = ("quasisymmetry", "transfer", "betweenness", "weak_similarity",
+                    "generators")
+
+
+def test_cli_loads_only_what_its_subcommand_runs(tmp_path):
+    space = tmp_path / "E8.json"
+    save_space(euclidean_space(8, 2, seed=5), space, name="E8")
+    probe = ("import sys; from qsym.cli import main; code = main(sys.argv[1:]); "
+             f"print(code, [m for m in {ANALYSIS_MODULES!r} if 'qsym.' + m in sys.modules])")
+    for argv in (["check", str(space)], ["invert-eta", "--eta", "expratio"]):
+        assert _probe(probe, *argv).splitlines()[-1] == "0 []"
+
+
+def test_every_public_name_resolves():
+    for name in qsym.__all__:
+        assert getattr(qsym, name) is not None
+    assert set(qsym.__all__) <= set(dir(qsym))
+    star = {}
+    exec("from qsym import *", star)
+    assert set(qsym.__all__) <= set(star)
+    assert star["check_qs"] is qsym.check_qs
+    for gone in ("spectrum", "Spectrum", "eval_modulus", "no_such_name"):
+        with pytest.raises(AttributeError):
+            getattr(qsym, gone)
+
+
+def test_rank_tol_default_is_the_search_constant():
+    from qsym import weak_similarity
+    from qsym.cli import _build_parser
+
+    args = _build_parser().parse_args(["weaksim", "X.json", "Y.json"])
+    assert args.rank_tol is weak_similarity.RANK_TOL

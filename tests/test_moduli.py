@@ -14,7 +14,6 @@ from qsym import (
     NotInvertible,
     PowerModulus,
     SandwichModulus,
-    eval_modulus,
     inverse_modulus,
     invert_modulus,
     parse_modulus,
@@ -224,10 +223,6 @@ def test_every_modulus_kind_evaluates_a_square_array_elementwise():
         square = eta.eval(t.reshape(4, 4))
         assert np.shape(square) == (4, 4), eta.describe()
         assert np.array_equal(square, flat.reshape(4, 4)), eta.describe()
-
-
-def test_eval_modulus_helper():
-    assert eval_modulus(PowerModulus(2.0), 3.0) == 9.0
 
 
 def test_parse_modulus_grammar():

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,6 +113,27 @@ def test_check_qs_verdicts(line3):
     assert rep.t is not None and rep.image_ratio > rep.eta_at_t
     # witness labels name actual domain points
     assert all(lab in line3.labels for lab in rep.witness_labels)
+
+
+def test_a_nan_modulus_value_fails_check_qs():
+    # p0 and p1 are 1e-7 apart, so ratios pass 1e6, where eta is NaN; the
+    # grid check of CallableModulus stops at 1e6 and lets it through
+    P = np.array([[0, 0], [1e-7, 0], [1, 0], [0, 1], [1, 1], [2, 0.5]])
+    X = build_space([f"p{i}" for i in range(6)],
+                    np.sqrt(((P[:, None] - P[None]) ** 2).sum(-1)))
+    f = identity_map(X)
+    eta = CallableModulus(lambda t: t if t <= 1e6 else float("nan"))
+    rep = check_qs(f, eta)
+    assert not rep.holds and rep.checked == 150
+    # the smallest ratio past 1e6: d(p1, p2) / d(p1, p0) = (1 - 1e-7) / 1e-7
+    assert rep.witness_labels == ("p1", "p2", "p0")
+    assert rep.t == rep.image_ratio == X.dist[1, 2] / X.dist[1, 0]
+    assert np.isnan(rep.eta_at_t)
+    # the envelope path flags the same knot ...
+    assert repr(_check_envelope(empirical_modulus(f), eta, 1e-9)) == \
+        repr(replace(rep, checked=len(empirical_modulus(f))))
+    # ... and the ratio report agrees that no product is defined there
+    assert np.isnan(eta_ratio_report(f, eta).min_product)
 
 
 def test_check_qs_envelope_is_minimal(line4):

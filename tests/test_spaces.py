@@ -24,7 +24,6 @@ from qsym import (
     identity_map,
     snowflake,
     snowflake_map,
-    spectrum,
     transform_distances,
     transform_map,
 )
@@ -81,9 +80,7 @@ def test_build_space_rejects_no_points():
         build_space([], np.zeros((0, 0)))
 
 
-def test_spectrum_and_diameter(line4):
-    sp = spectrum(line4)
-    assert list(sp.values) == [0.0, 1.0, 2.0, 3.0, 5.0, 6.0]
+def test_diameter(line4):
     assert diameter(SubsetRef(line4, (0, 1, 2, 3))) == 6.0
     assert diameter(SubsetRef(line4, (1, 2))) == 2.0
 

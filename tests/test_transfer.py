@@ -304,12 +304,25 @@ def test_ptolemy_transfer_preconditions():
 
 
 def test_a_nan_conclusion_violates_the_ptolemy_transfer():
-    # the ratios of two points 1e-7 apart reach 1e7, where eta is NaN
-    P = np.array([[0, 0], [1e-7, 0], [1, 0], [0, 1], [1, 1], [2, 0.5]])
-    X = build_space([f"p{i}" for i in range(6)],
-                    np.sqrt(((P[:, None] - P[None]) ** 2).sum(-1)))
+    def planar(*points):
+        P = np.array(points)
+        return build_space([f"p{i}" for i in range(len(P))],
+                           np.sqrt(((P[:, None] - P[None]) ** 2).sum(-1)))
+
+    # the ratios of two points 1e-7 apart reach 1e7, where eta is NaN, so
+    # eta does not verify the map and the precondition stops the check
+    X = planar([0, 0], [1e-7, 0], [1, 0], [0, 1], [1, 1], [2, 0.5])
     eta = CallableModulus(lambda t: np.where(t <= 1e6, t, np.nan), label="nan-past-1e6")
-    rep = ptolemy_transfer_check(identity_map(X), eta)
+    with pytest.raises(PreconditionFailed, match="quasisymmetry"):
+        ptolemy_transfer_check(identity_map(X), eta)
+    # eta is 0 below the probe grid and inf above it, which verifies the
+    # map at tol 1e-6; three points 1e-7 apart put t1 = 1e-7 and t2 = 1e7
+    # in one product, whose 0 * inf conclusion is NaN
+    X = planar([0, 0], [1e-7, 0], [0, 1e-7], [1, 0], [1, 1], [2, 0.5])
+    eta = CallableModulus(lambda t: np.where(t < 1e-6, 0.0, np.where(t <= 1e6, t, np.inf)),
+                          label="0-t-inf")
+    assert check_qs(identity_map(X), eta, tol=1e-6).holds
+    rep = ptolemy_transfer_check(identity_map(X), eta, tol=1e-6)
     assert rep.mode == "realized" and rep.image.holds
     assert not rep.holds and not rep.implication_holds
     assert np.isnan(rep.worst_value)
