@@ -51,10 +51,15 @@ def space_ranks(space: SemimetricSpace, tol: float = RANK_TOL):
     Returns (reps, rank_matrix): strictly increasing representative values
     (reps[0] = 0) and the integer rank of every matrix entry.  Buckets
     grow greedily from below: a sorted value starts a new bucket when it
-    exceeds the previous one by more than tol relative.
+    exceeds the current bucket's first value, its representative, by more
+    than tol relative.  One sort of the upper triangle ranks every entry,
+    which relies on the bit-symmetric dist and exact zero diagonal that
+    every space constructor stores.
     """
     D = np.asarray(space.dist)
-    vals = np.unique(D)
+    upper = ~np.tri(len(D), dtype=bool)
+    off, inverse = np.unique(D[upper], return_inverse=True)
+    vals = np.concatenate(([0.0], off))
     # a value more than tol above its predecessor clears any bucket's
     # representative as well, so it starts a bucket; only values nearer
     # their predecessor need the greedy walk
@@ -67,9 +72,9 @@ def space_ranks(space: SemimetricSpace, tol: float = RANK_TOL):
         if vals[i] - vals[max(last[i], walked)] > tol * vals[i]:
             start[i] = True
             walked = i
-    reps = vals[start]
-    ranks = np.searchsorted(reps, D, side="right") - 1
-    return reps, ranks
+    ranks = np.zeros(D.shape, dtype=np.intp)
+    ranks[upper] = (np.cumsum(start) - 1)[1:][inverse]
+    return vals[start], ranks + ranks.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +98,7 @@ class ScalingFunction:
         dv = self.domain_values
         i = int(np.searchsorted(dv, value))
         for k in (i - 1, i):
-            if 0 <= k < len(dv) and abs(value - dv[k]) <= tol * max(1.0, abs(dv[k])):
+            if 0 <= k < len(dv) and abs(value - dv[k]) <= tol * abs(dv[k]):
                 return float(self.codomain_values[k])
         raise ValueError(f"{value!r} is not in the domain spectrum")
 
@@ -117,8 +122,9 @@ class WeakSimilarity:
 
 
 def _edge_multiplicities(ranks: np.ndarray, nranks: int) -> np.ndarray:
-    iu = np.triu_indices(ranks.shape[0], k=1)
-    return np.bincount(ranks[iu], minlength=nranks)
+    counts = np.bincount(ranks.ravel(), minlength=nranks)
+    counts[0] -= len(ranks)  # the diagonal
+    return counts // 2
 
 
 def forced_scaling(
@@ -149,7 +155,8 @@ def _forced_scaling(ranksX, ranksY) -> Optional[ScalingFunction]:
 
 def verify_weak_similarity(ws: WeakSimilarity, tol: float = RANK_TOL) -> bool:
     """Independent validity check of a realization: every pair's distance
-    rank must be preserved and phi must match the bucketed spectra."""
+    rank must be preserved and phi must match the bucketed spectra, each
+    value within tol relative to its representative."""
     X, Y = ws.f.domain, ws.f.codomain
     repX, rkX = space_ranks(X, tol)
     repY, rkY = space_ranks(Y, tol)
@@ -157,9 +164,9 @@ def verify_weak_similarity(ws: WeakSimilarity, tol: float = RANK_TOL) -> bool:
         ws.phi.codomain_values
     ):
         return False
-    if np.any(np.abs(repX - ws.phi.domain_values) > tol * np.maximum(1.0, repX)):
+    if np.any(np.abs(repX - ws.phi.domain_values) > tol * repX):
         return False
-    if np.any(np.abs(repY - ws.phi.codomain_values) > tol * np.maximum(1.0, repY)):
+    if np.any(np.abs(repY - ws.phi.codomain_values) > tol * repY):
         return False
     sigma = np.asarray(ws.f.assignment, dtype=int)
     return bool(np.array_equal(rkY[np.ix_(sigma, sigma)], rkX))

@@ -38,8 +38,9 @@ from qsym import (
     transform_map,
     verify_weak_similarity,
 )
+from qsym.spaces import RANK_TOL
 
-from conftest import naive_monotone_implications
+from conftest import naive_monotone_implications, naive_space_ranks
 
 
 def relabeled_transform(space, perm, scaler):
@@ -76,6 +77,60 @@ def test_space_ranks_buckets_near_ties():
     assert ranks[1, 2] == 2
 
 
+def test_space_ranks_compare_with_the_bucket_representative():
+    # no gap between neighbours exceeds tol, yet 1 + 1.2e-9 is more than
+    # tol above the bucket's first value, 1, so it starts a bucket
+    sp = build_space(
+        ("a", "b", "c"),
+        [[0.0, 1.0, 1.0 + 0.6e-9], [1.0, 0.0, 1.0 + 1.2e-9], [1.0 + 0.6e-9, 1.0 + 1.2e-9, 0.0]],
+    )
+    reps, ranks = space_ranks(sp)
+    assert reps.tolist() == [0.0, 1.0, 1.0 + 1.2e-9]
+    assert ranks.tolist() == [[0, 1, 1], [1, 0, 2], [1, 2, 0]]
+
+
+@st.composite
+def rank_cases(draw):
+    """(space, tol): a 2-valued cubic-graph space, integer lattice points
+    under the Euclidean metric, a chain of near ties within RANK_TOL at
+    scale 1e-12, 1 or 1e12, or one or two points."""
+    kind = draw(st.sampled_from(["cubic", "lattice", "near-ties", "tiny"]))
+    if kind == "cubic":
+        n = 2 * draw(st.integers(2, 7))
+        A = cubic_graph(n, np.random.default_rng(draw(st.integers(0, 2**16))))
+        X = graph_space(A, near=draw(st.sampled_from([0.5, 1.0, 3.0])), far=4.0)
+    elif kind == "lattice":
+        pts = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                            min_size=2, max_size=10, unique=True))
+        P = np.array(pts, dtype=float)
+        D = np.sqrt(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2))
+        X = build_space(tuple(f"p{i}" for i in range(len(P))), D)
+    elif kind == "near-ties":
+        n = draw(st.integers(2, 8))
+        scale = draw(st.sampled_from([1e-12, 1.0, 1e12]))
+        step = draw(st.sampled_from([0.3, 0.6, 0.9, 1.1, 2.0])) * RANK_TOL
+        D = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                D[i, j] = D[j, i] = scale * (1.0 + draw(st.integers(0, 6)) * step)
+        X = build_space(tuple(f"p{i}" for i in range(n)), D)
+    else:
+        X = draw(st.sampled_from([build_space(("p",), [[0.0]]),
+                                  build_space(("p", "q"), [[0.0, 2.5], [2.5, 0.0]])]))
+    return X, draw(st.sampled_from([RANK_TOL, 1e-3, 0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_cases())
+def test_space_ranks_match_the_bisect_oracle(case):
+    X, tol = case
+    reps, ranks = space_ranks(X, tol)
+    want_reps, want_ranks = naive_space_ranks(X, tol)
+    assert reps.tobytes() == want_reps.tobytes()
+    assert ranks.dtype == np.intp
+    assert np.array_equal(ranks, want_ranks)
+
+
 # ------------------------------------------------------ scaling functions
 
 
@@ -89,6 +144,17 @@ def test_scaling_function_basics():
     assert phi != ScalingFunction([0.0, 1.0, 2.0], [0.0, 1.0, 5.0])
     with pytest.raises(ValueError):
         phi(1.5)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_scaling_function_is_scale_free(scale):
+    phi = ScalingFunction([0.0, scale, 2.0 * scale], [0.0, 1.0, 4.0])
+    assert phi(0.0) == 0.0
+    assert phi(scale) == 1.0
+    assert phi(2.0 * scale * (1.0 + 1e-12)) == 4.0
+    for off_spectrum in (1.5 * scale, 1e-3 * scale):
+        with pytest.raises(ValueError):
+            phi(off_spectrum)
 
 
 def test_scaling_function_validation():
@@ -185,6 +251,16 @@ def test_verify_rejects_tampering():
     # breaks rank preservation
     swapped = PointMap(X, Y, (2, 1, 0), bijective=True)
     assert not verify_weak_similarity(WeakSimilarity(swapped, ws.phi))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0])
+def test_verify_rejects_a_tampered_spectrum_at_any_scale(scale):
+    X = transform_distances(euclidean_space(6, 2, seed=1), lambda d: scale * d)
+    ws = find_weak_similarity(X, transform_distances(X, np.sqrt))
+    assert verify_weak_similarity(ws)
+    tripled = ws.phi.domain_values * 3.0  # 0 stays 0
+    bad_phi = ScalingFunction(tripled, ws.phi.codomain_values)
+    assert not verify_weak_similarity(WeakSimilarity(ws.f, bad_phi))
 
 
 # ------------------------------------- individualization and refinement
