@@ -548,6 +548,16 @@ def _cmd_fit_snowflake(args) -> int:
 # ----------------------------------------------------------------- parser
 
 
+def _domain_point(text: str) -> float:
+    try:
+        t = float(text)
+    except ValueError:
+        t = np.nan
+    if not t >= 0.0:  # a modulus is defined on t >= 0; NaN fails too
+        raise argparse.ArgumentTypeError(f"need a number t >= 0, got {text!r}")
+    return t
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qsym",
@@ -574,7 +584,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("modulus", help="evaluate a modulus spec")
     sp.add_argument("--eta", required=True)
-    sp.add_argument("--at", type=float, action="append")
+    sp.add_argument("--at", type=_domain_point, action="append")
     sp.add_argument("--involution", action="store_true",
                     help="also certify eta(k) eta(1/k) = 1 on the grid")
     common(sp)
@@ -589,7 +599,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("invert-eta", help="the inverse-map control function")
     sp.add_argument("--eta", required=True)
-    sp.add_argument("--at", type=float, action="append")
+    sp.add_argument("--at", type=_domain_point, action="append")
     common(sp)
     sp.set_defaults(handler=_cmd_invert_eta)
 

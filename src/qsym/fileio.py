@@ -40,14 +40,21 @@ def _require(cond: bool, message: str, path: PathLike, line: Optional[int] = Non
 _NUMBER_TYPES = frozenset((int, float))
 
 
+def _open(path: PathLike, mode: str = "r", newline: Optional[str] = None):
+    """``open`` in text mode; an OSError surfaces as :class:`ParseError`."""
+    try:
+        return open(path, mode, encoding="utf-8", newline=newline)
+    except OSError as exc:
+        verb = "read" if mode == "r" else "write"
+        raise ParseError(f"cannot {verb} file: {exc.strerror}", path=str(path))
+
+
 def _load_json(path: PathLike) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno)
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc.strerror}", path=str(path))
     _require(isinstance(doc, dict), "top level must be an object", path)
     return doc
 
@@ -94,12 +101,8 @@ def load_space_document(path: PathLike, tol: float = DEFAULT_TOL):
 
 
 def _load_space_csv(path: PathLike, tol: float):
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh)]
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc.strerror}", path=str(path))
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
+    with _open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     _require(len(rows) >= 1, "empty CSV", path)
     labels = [cell.strip() for cell in rows[0]]
     n = len(labels)
@@ -125,7 +128,7 @@ def load_space(path: PathLike, tol: float = DEFAULT_TOL) -> SemimetricSpace:
 def save_space(space: SemimetricSpace, path: PathLike, name: str = ""):
     """Write a space as JSON, or CSV when the path ends in .csv."""
     if str(path).lower().endswith(".csv"):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(space.labels)
             for row in np.asarray(space.dist):
@@ -136,7 +139,7 @@ def save_space(space: SemimetricSpace, path: PathLike, name: str = ""):
         "points": list(space.labels),
         "matrix": [[float(v) for v in row] for row in np.asarray(space.dist)],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
@@ -180,7 +183,7 @@ def save_map(
             for i in range(f.domain.n)
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
@@ -207,7 +210,7 @@ def envelope_text(env) -> str:
 def save_envelope(env, path: PathLike) -> str:
     """Write :func:`envelope_text` to ``path``; returns the text written."""
     text = envelope_text(env)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w") as fh:
         fh.write(text)
     return text
 
@@ -215,11 +218,8 @@ def save_envelope(env, path: PathLike) -> str:
 def load_envelope_points(path: PathLike):
     """Read "t H" lines -> (ts, hs) arrays; blank lines are skipped."""
     ts, hs = [], []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc.strerror}", path=str(path))
+    with _open(path) as fh:
+        lines = fh.readlines()
     for lineno, line in enumerate(lines, start=1):
         parts = line.split()
         if not parts:

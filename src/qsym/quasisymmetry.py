@@ -22,8 +22,10 @@ distortion bounds.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -199,6 +201,9 @@ class QsReport(Report):
     checked: int
 
 
+_VERDICTS = WeakKeyDictionary()  # check_qs: map -> modulus -> tol -> report
+
+
 def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
     """Does eta verify f?  Holds iff eta(t) + tol >= r at every realized
     pair (t, r) of :func:`_rows`; ``checked`` counts the pairs scanned.
@@ -211,7 +216,22 @@ def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
     envelope's stable sort carries it.  One scan of the rows settles the
     verdict.  A failure costs a second scan, for the ratio after lo; only
     when that ratio merges lo into a larger knot is the envelope built.
+
+    The report is kept per map object, modulus object and tol while both
+    live, and the derived analyses reuse it.  Only identity-hashed moduli
+    are kept.  Maps and moduli are values: do not mutate one after a check.
     """
+    by_tol = {}
+    if type(f).__hash__ is type(eta).__hash__ is object.__hash__:
+        with suppress(TypeError):  # not weakly referenceable
+            by_tol = _VERDICTS.setdefault(f, WeakKeyDictionary()).setdefault(eta, by_tol)
+    key = (type(tol), repr(tol))  # the report shows 0, 0.0 and -0.0 apart
+    if key not in by_tol:
+        by_tol[key] = _scan_qs(f, eta, tol)
+    return by_tol[key]
+
+
+def _scan_qs(f: PointMap, eta: Modulus, tol: float) -> QsReport:
     checked = 0
     lo = np.inf
     worst = None  # (r, eta(lo), x, a, b) of the kept violation at t = lo

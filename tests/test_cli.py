@@ -159,6 +159,20 @@ def test_modulus_bad_spec(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["modulus", "invert-eta"])
+@pytest.mark.parametrize("at", ["-4", "-1e-300", "nan", "-inf", "abc"])
+def test_at_outside_the_modulus_domain_is_a_usage_error(capsys, command, at):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--eta", "power:0.5", f"--at={at}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"argument --at: need a number t >= 0, got {at!r}")
+    code, out, _ = run(capsys, command, "--eta", "power:0.5", "--at", "0", "--json")
+    assert code == 0 and json.loads(out)["values"] == [0.0]
+
+
 # --------------------------------------------------------------- qs-check
 
 
@@ -180,6 +194,16 @@ def test_qs_check_envelope_dump(files, capsys):
     code, out, _ = run(capsys, *base, "--json", "-o", str(json_path))
     assert code == 0 and json_path.read_bytes() == env_path.read_bytes()
     assert json.loads(out)["envelope"] == [[t, h] for t, h in zip(ts.tolist(), hs.tolist())]
+
+
+@pytest.mark.parametrize("eta", [[], ["--eta", "power:0.5"]])
+def test_qs_check_write_failure_is_an_input_error(files, capsys, eta):
+    target = files["tmp"] / "missing" / "env.txt"
+    code, out, err = run(capsys, "qs-check", "--domain", files["line.json"],
+                         "--codomain", files["snow.json"], "--map", files["idmap.json"],
+                         *eta, "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: {target}: cannot write file: No such file or directory\n"
 
 
 def test_qs_check_verdicts(files, capsys):
@@ -458,6 +482,14 @@ def test_gen_collinear_coordinates_equal_to_six_digits(files, capsys):
                        "0.1234561,0.1234562,1", "-o", str(target))
     assert code == 0
     assert load_space(target).labels == ("0.1234561", "0.1234562", "1")
+
+
+@pytest.mark.parametrize("name", ["gen.json", "gen.csv"])
+def test_gen_write_failure_is_an_input_error(files, capsys, name):
+    target = files["tmp"] / "missing" / name
+    code, out, err = run(capsys, "gen", "euclidean", "--n", "4", "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: {target}: cannot write file: No such file or directory\n"
 
 
 def test_gen_name_and_param_errors(files, capsys):

@@ -1,5 +1,7 @@
+import gc
 import tracemalloc
-from dataclasses import replace
+import weakref
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -41,7 +43,10 @@ from qsym import (
     transform_map,
     tv_bounds,
     ultrametric_space,
+    verify_transfer_end_to_end,
 )
+from qsym import quasisymmetry
+from qsym.moduli import Modulus
 from qsym.quasisymmetry import _check_envelope
 
 from conftest import knot_ratio_report, naive_envelope
@@ -428,3 +433,125 @@ def test_check_qs_runs_in_quadratic_memory():
         assert rep.holds is holds
         assert rep.checked == 300 * 299 ** 2
         assert peak < 50 * 2 ** 20
+
+
+# ------------------------------------------------- remembered verdicts
+
+
+@pytest.fixture
+def row_walks(monkeypatch):
+    """How many times the realized ratios are walked, via ``_rows``."""
+    walks = []
+    rows = quasisymmetry._rows
+
+    def counted(f):
+        walks.append(f)
+        return rows(f)
+
+    monkeypatch.setattr(quasisymmetry, "_rows", counted)
+    return walks
+
+
+def test_one_scan_per_verdict(line4, row_walks):
+    f = snowflake_map(line4, 0.5)
+    eta = PowerModulus(0.5)
+    A = SubsetRef(line4, (0, 1))
+    B = SubsetRef(line4, (0, 1, 2, 3))
+    rep = check_qs(f, eta)
+    assert rep.holds and len(row_walks) == 1
+    assert tv_bounds(f, eta, A, B, Additive(), Additive()).holds
+    assert bounded_image_bounds(f, eta, Additive(), Additive()).holds
+    end = verify_transfer_end_to_end(f, Additive(), Additive(), eta)
+    assert len(row_walks) == 1
+    assert end.qs is rep
+
+
+def test_verdicts_are_kept_per_modulus_object(line4, row_walks):
+    f = snowflake_map(line4, 0.5)
+    first, second = PowerModulus(0.5), PowerModulus(0.5)
+    rep = check_qs(f, first)
+    again = check_qs(f, second)
+    assert len(row_walks) == 2
+    assert again == rep and again is not rep
+    assert check_qs(f, first) is rep and check_qs(f, second) is again
+    assert check_qs(snowflake_map(line4, 0.5), first) is not rep
+    assert len(row_walks) == 3
+
+
+def test_verdicts_are_kept_per_tol(row_walks):
+    # rho(a, b) / rho(a, c) = 1 + 5e-10 at the realized ratio 1, where eta(1) = 1
+    X = build_space(["a", "b", "c"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    e = 1.0 + 5e-10
+    Y = build_space(["a", "b", "c"], [[0, e, 1], [e, 0, 1], [1, 1, 0]])
+    f = build_map(X, Y, {lab: lab for lab in "abc"})
+    eta = LinearModulus(1.0)
+    strict = check_qs(f, eta, tol=0)
+    loose = check_qs(f, eta, tol=1e-9)
+    assert not strict.holds and strict.witness_labels == ("b", "a", "c")
+    assert strict.image_ratio == e and strict.tol == 0
+    assert loose.holds and loose.tol == 1e-9
+    assert check_qs(f, eta, tol=0) is strict and check_qs(f, eta, tol=1e-9) is loose
+    # the report echoes tol as given: 0.0 is kept apart from 0
+    assert repr(check_qs(f, eta, tol=0.0).tol) == "0.0"
+    assert repr(check_qs(f, eta, tol=-0.0).tol) == "-0.0"
+
+
+def test_remembered_verdicts_keep_nothing_alive(line4):
+    f = snowflake_map(line4, 0.5)
+    eta, kept = PowerModulus(0.5), PowerModulus(0.5)
+    check_qs(f, eta)
+    rep = check_qs(f, kept)
+    f_ref, eta_ref = weakref.ref(f), weakref.ref(eta)
+    del eta
+    gc.collect()
+    assert eta_ref() is None and check_qs(f, kept) is rep
+    del f
+    gc.collect()
+    assert f_ref() is None and rep.holds
+
+
+def test_failing_verdicts_are_remembered(line4, row_walks):
+    f = snowflake_map(line4, 0.5)
+    small = PowerModulus(0.3)
+    assert not check_qs(f, small).holds
+    walks = len(row_walks)
+    A = SubsetRef(line4, (0, 1))
+    B = SubsetRef(line4, (0, 1, 2, 3))
+    with pytest.raises(NotQuasisymmetric) as err:
+        tv_bounds(f, small, A, B, Additive(), Additive())
+    assert str(err.value) == (
+        "map does not verify against power:0.3: at t = 1.2 the image ratio 1.09545 "
+        "exceeds eta(t) = 1.05622 (witness ('6', '0', '1'))"
+    )
+    assert len(row_walks) == walks
+
+
+class _Root(Modulus):
+    def eval(self, t):
+        return self.scale * np.sqrt(np.asarray(t, dtype=float))
+
+    def describe(self):
+        return f"sqrt:{self.scale:g}"
+
+
+@dataclass
+class _UnhashableRoot(_Root):
+    scale: float = 1.0
+
+
+@dataclass(frozen=True)
+class _ValueHashedRoot(_Root):
+    scale: float = 1.0
+
+
+@pytest.mark.parametrize("root", [_UnhashableRoot, _ValueHashedRoot])
+def test_a_modulus_with_value_equality_is_scanned_every_time(line4, row_walks, root):
+    f = snowflake_map(line4, 0.5)
+    eta = root()
+    rep = check_qs(f, eta)
+    again = check_qs(f, eta)
+    assert check_qs(f, root()) == rep
+    assert len(row_walks) == 3
+    power = check_qs(f, PowerModulus(0.5))
+    assert replace(rep, modulus=power.modulus) == power
+    assert again == rep and not check_qs(f, root(0.5)).holds
