@@ -645,7 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eta-k8", help="two-generator partition modulus")
     sp.add_argument("--n1", type=float, required=True)
     sp.add_argument("--n2", type=float, required=True)
-    sp.add_argument("--at", type=float, action="append")
+    sp.add_argument("--at", type=_domain_point, action="append")
     sp.add_argument("--check-l02", action="store_true")
     common(sp)
     sp.set_defaults(handler=_cmd_eta_k8)

@@ -10,10 +10,10 @@ increasing eta verifies f exactly when eta(t) + tol >= r for every
 realized pair, and the first failing envelope knot is the smallest flagged
 t.  :func:`eta_ratio_report` streams the same rows.  The empirical
 envelope, the running maximum H of r over ratios <= t with its witnesses
-(:func:`empirical_modulus`), is built by one global sort, which holds all
-n (n-1)**2 ratios at once.  It is built only where it is the output (the
-envelope dump, :class:`EmpiricalModulus`) and where a streamed verdict
-lands on a ratio that the envelope merges with a near duplicate.
+(:func:`empirical_modulus`), has one knot per distinct realized ratio.  It
+is built by one global sort, which holds all n (n-1)**2 ratios at once, so
+it is built only where it is the output (the envelope dump,
+:class:`EmpiricalModulus`).
 
 On top of these sit the derived analyses: snowflake fitting,
 sandwich-built moduli, bi-Lipschitz constants, and the two-sided diameter
@@ -23,7 +23,7 @@ distortion bounds.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 from weakref import WeakKeyDictionary
 
@@ -48,9 +48,6 @@ from .moduli import (
 from .report import Report
 from .spaces import DEFAULT_TOL, PointMap, SubsetRef, diameter
 from .triangle import TriangleFunction, invert_diag
-
-#: realized ratios closer than this (relatively) are merged into one step
-RATIO_DEDUP = 1e-12
 
 #: pinned tolerances of the ratio-identity report
 RATIO_PRODUCT_TOL = 1e-9
@@ -142,23 +139,11 @@ def _realized(f: PointMap):
     return np.concatenate(ts), np.concatenate(rs), np.concatenate(triples)
 
 
-def _is_knot(f: PointMap, t0: float) -> bool:
-    """Is the realized ratio t0 an envelope knot?  :func:`empirical_modulus`
-    merges a realized ratio into the next larger one when they are within
-    relative ``RATIO_DEDUP``, so t0 is a knot unless that next one is that
-    close.  Only ratios in (t0, t0 (1 + 1000 RATIO_DEDUP)] can be, so the
-    scan gathers no others."""
-    w = t0 * (1.0 + 1e3 * RATIO_DEDUP)
-    near = (t[(t > t0) & (t <= w)] for t in (_ratios(d) for _, _, d, _ in _rows(f)))
-    t_next = min((u.min() for u in near if u.size), default=None)
-    return t_next is None or t_next - t0 > RATIO_DEDUP * t_next
-
-
 def empirical_modulus(f: PointMap) -> EmpiricalEnvelope:
     """Compute the cumulative-max envelope of a map's realized ratios.
 
-    Knots within relative ``RATIO_DEDUP`` of each other are merged, keeping
-    the larger value.  Sorts all n (n-1)**2 realized ratios at once.
+    The knots are the distinct realized ratios; only exact ties share one.
+    Sorts all n (n-1)**2 realized ratios at once.
     """
     ts, rs, triples = _realized(f)
     if len(ts) == 0:
@@ -174,7 +159,7 @@ def empirical_modulus(f: PointMap) -> EmpiricalEnvelope:
 
     is_last = np.empty(len(ts), dtype=bool)
     is_last[-1] = True
-    is_last[:-1] = (ts[1:] - ts[:-1]) > RATIO_DEDUP * ts[1:]
+    is_last[:-1] = ts[1:] > ts[:-1]
     keep = np.nonzero(is_last)[0]
 
     env_t = ts[keep].copy()
@@ -214,8 +199,7 @@ def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
     eta there.  Its value H is the largest flagged r at lo, and its witness
     the last triple in (x, a, b) order that realizes H at lo, as the
     envelope's stable sort carries it.  One scan of the rows settles the
-    verdict.  A failure costs a second scan, for the ratio after lo; only
-    when that ratio merges lo into a larger knot is the envelope built.
+    verdict.
 
     The report is kept per map object, modulus object and tol while both
     live, and the derived analyses reuse it.  Only identity-hashed moduli
@@ -255,8 +239,6 @@ def _scan_qs(f: PointMap, eta: Modulus, tol: float) -> QsReport:
             worst = (r[k], vals[k], x, int(others[k // m]), int(others[k % m]))
     if worst is None:
         return QsReport(True, None, None, None, None, None, eta.describe(), tol, checked)
-    if not _is_knot(f, lo):
-        return replace(_check_envelope(empirical_modulus(f), eta, tol), checked=checked)
     h, v, x, a, b = worst
     lab = f.domain.labels
     return QsReport(
@@ -269,31 +251,6 @@ def _scan_qs(f: PointMap, eta: Modulus, tol: float) -> QsReport:
         eta.describe(),
         tol,
         checked,
-    )
-
-
-def _check_envelope(env: EmpiricalEnvelope, eta: Modulus, tol: float) -> QsReport:
-    """eta against the knots of an envelope already built: holds iff
-    eta(t_i) + tol >= H(t_i) at every knot, with the witness behind the
-    first violation; ``checked`` counts the knots."""
-    if len(env) == 0:
-        return QsReport(True, None, None, None, None, None, eta.describe(), tol, 0)
-    vals = np.asarray(eta.eval(env.ts), dtype=float)
-    bad = ~(vals + tol >= env.hs)  # a NaN eta(t) violates
-    if not np.any(bad):
-        return QsReport(True, None, None, None, None, None, eta.describe(), tol, len(env))
-    i = int(np.argmax(bad))
-    x, a, b = (int(v) for v in env.witnesses[i])
-    return QsReport(
-        False,
-        (x, a, b),
-        env.witness_labels(i),
-        float(env.ts[i]),
-        float(env.hs[i]),
-        float(vals[i]),
-        eta.describe(),
-        tol,
-        len(env),
     )
 
 
@@ -317,8 +274,7 @@ def eta_ratio_report(f: PointMap, eta: Modulus) -> RatioIdentityReport:
     modulus that verifies f must satisfy eta(t) eta(1/t) >= 1 there, and
     eta(1) >= 1.  The rows of :func:`_rows` are streamed: ``min_product``
     is the smallest product (a NaN first) and ``at_t`` the smallest ratio
-    attaining it, the envelope knot where the minimum over knots lands,
-    unless that ratio merges into a larger knot; then the knots decide.
+    attaining it, the envelope knot where the minimum over knots lands.
     ``checked`` counts the ratios scanned.  Pure report; tolerances are
     ``RATIO_PRODUCT_TOL`` and ``ETA_ONE_TOL``.
     """
@@ -338,11 +294,6 @@ def eta_ratio_report(f: PointMap, eta: Modulus) -> RatioIdentityReport:
     if best is None:
         return RatioIdentityReport(eta_one_ok, np.inf, 1.0, eta_one, True, eta_one_ok, 0)
     _, at_t, low = best
-    if not _is_knot(f, at_t):
-        ts = empirical_modulus(f).ts
-        prod = _ratio_products(eta, ts)
-        i = int(np.argmin(prod))
-        at_t, low = ts[i], prod[i]
     product_ok = bool(low >= 1.0 - RATIO_PRODUCT_TOL)
     return RatioIdentityReport(
         product_ok and eta_one_ok,

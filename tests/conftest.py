@@ -135,6 +135,24 @@ def naive_envelope(f):
     return ts, hs
 
 
+def knot_qs_report(f, eta, tol):
+    """The quasisymmetry verdict read off the envelope knots: holds iff
+    eta(t_i) + tol >= H(t_i) at every knot (a NaN eta(t_i) violates), with
+    the witness behind the first failing knot.  ``checked`` counts the
+    knots."""
+    from qsym import QsReport, empirical_modulus
+
+    env = empirical_modulus(f)
+    vals = np.asarray(eta.eval(env.ts), dtype=float)
+    for i, (t, h, v) in enumerate(zip(env.ts, env.hs, vals)):
+        if not v + tol >= h:
+            w = tuple(int(k) for k in env.witnesses[i])
+            labels = tuple(f.domain.labels[k] for k in w)
+            return QsReport(False, w, labels, float(t), float(h), float(v),
+                            eta.describe(), tol, len(env))
+    return QsReport(True, None, None, None, None, None, eta.describe(), tol, len(env))
+
+
 def knot_ratio_report(f, eta):
     """The reciprocal-ratio report read off the envelope knots: the first
     knot with the smallest eta(t) eta(1/t) (a NaN first), the product taken

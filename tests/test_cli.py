@@ -159,17 +159,24 @@ def test_modulus_bad_spec(capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", ["modulus", "invert-eta"])
+MODULUS_ARGS = {
+    "modulus": ["--eta", "power:0.5"],
+    "invert-eta": ["--eta", "power:0.5"],
+    "eta-k8": ["--n1", "2", "--n2", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MODULUS_ARGS))
 @pytest.mark.parametrize("at", ["-4", "-1e-300", "nan", "-inf", "abc"])
 def test_at_outside_the_modulus_domain_is_a_usage_error(capsys, command, at):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--eta", "power:0.5", f"--at={at}"])
+        main([command, *MODULUS_ARGS[command], f"--at={at}"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1].endswith(
         f"argument --at: need a number t >= 0, got {at!r}")
-    code, out, _ = run(capsys, command, "--eta", "power:0.5", "--at", "0", "--json")
+    code, out, _ = run(capsys, command, *MODULUS_ARGS[command], "--at", "0", "--json")
     assert code == 0 and json.loads(out)["values"] == [0.0]
 
 

@@ -47,9 +47,8 @@ from qsym import (
 )
 from qsym import quasisymmetry
 from qsym.moduli import Modulus
-from qsym.quasisymmetry import _check_envelope
 
-from conftest import knot_ratio_report, naive_envelope
+from conftest import knot_qs_report, knot_ratio_report, naive_envelope
 
 
 def exp_line_map():
@@ -73,16 +72,19 @@ def test_envelope_of_half_snowflake(line3):
 
 
 def test_envelope_matches_naive_oracle():
-    for seed in range(5):
-        X = random_semimetric_space(6, seed=seed)
-        f = transform_map(X, lambda d: d ** 0.7)
+    maps = [transform_map(random_semimetric_space(6, seed=seed), lambda d: d ** 0.7)
+            for seed in range(5)]
+    # the 6x6 integer lattice: many exactly tied and near-tied ratios
+    P = np.array([(i, j) for i in range(6) for j in range(6)], dtype=float)
+    grid = build_space([f"g{i}{j}" for i, j in P.astype(int)],
+                       np.sqrt(((P[:, None] - P[None]) ** 2).sum(-1)))
+    maps.append(snowflake_map(grid, 0.5))
+    for f in maps:
         env = empirical_modulus(f)
         ts, hs = naive_envelope(f)
-        # after dedup the envelope is the step function of the naive scan
-        assert len(env.ts) <= len(ts)
-        eta = env.as_modulus()
-        for t, h in zip(ts, hs):
-            assert eta(t) == pytest.approx(h, rel=1e-12)
+        # one knot per distinct realized ratio, with its running maximum
+        assert env.ts.tolist() == ts
+        assert env.hs.tolist() == hs
 
 
 def test_envelope_exp_line_value():
@@ -134,8 +136,8 @@ def test_a_nan_modulus_value_fails_check_qs():
     assert rep.witness_labels == ("p1", "p2", "p0")
     assert rep.t == rep.image_ratio == X.dist[1, 2] / X.dist[1, 0]
     assert np.isnan(rep.eta_at_t)
-    # the envelope path flags the same knot ...
-    assert repr(_check_envelope(empirical_modulus(f), eta, 1e-9)) == \
+    # the envelope knots flag the same one ...
+    assert repr(knot_qs_report(f, eta, 1e-9)) == \
         repr(replace(rep, checked=len(empirical_modulus(f))))
     # ... and the ratio report agrees that no product is defined there
     assert np.isnan(eta_ratio_report(f, eta).min_product)
@@ -386,10 +388,9 @@ def _without_checked(rep):
 )
 def test_streamed_verdicts_match_the_envelope_path(kind, image, n, seed, tol):
     f = _parity_map(kind, image, n, seed)
-    env = empirical_modulus(f)
     for eta in _parity_moduli(f):
         rep = check_qs(f, eta, tol=tol)
-        assert _without_checked(rep) == _without_checked(_check_envelope(env, eta, tol))
+        assert _without_checked(rep) == _without_checked(knot_qs_report(f, eta, tol))
         assert rep.checked == n * (n - 1) ** 2
         with np.errstate(all="ignore"):
             ratio = eta_ratio_report(f, eta)
@@ -399,26 +400,40 @@ def test_streamed_verdicts_match_the_envelope_path(kind, image, n, seed, tol):
 
 
 def test_first_violation_in_a_near_duplicate_chain():
-    # realized ratios 2 (row p) and 2 (1 + 5e-13) (row q) merge into one
-    # envelope knot at the larger; its image ratio 5.6 is the larger too
+    # realized ratios 2 (row p) and 2 (1 + 5e-13) (row q) are two knots
+    # of the envelope; the smaller one fails first, with image ratio 4
     c = 1.0 / (1.0 + 5e-13)
     X = build_space(["p", "q", "s"], [[0.0, 2.0, 1.0], [2.0, 0.0, c], [1.0, c, 0.0]])
     Y = build_space(["p", "q", "s"], [[0.0, 5.6, 1.4], [5.6, 0.0, 1.0], [1.4, 1.0, 0.0]])
     f = build_map(X, Y, {lab: lab for lab in "pqs"})
     eta = LinearModulus(1.5)  # eta(2) = 3 < 4 = rho(p,q)/rho(p,s)
-    env = empirical_modulus(f)
-    want = _check_envelope(env, eta, 1e-9)
     rep = check_qs(f, eta)
-    assert _without_checked(rep) == _without_checked(want)
-    assert rep.t == 2.0 / c > 2.0
-    assert rep.witness == (1, 0, 2) and rep.image_ratio == 5.6
+    assert _without_checked(rep) == _without_checked(knot_qs_report(f, eta, 1e-9))
+    assert rep.t == 2.0 < 2.0 / c
+    assert rep.witness == (0, 1, 2) and rep.image_ratio == 4.0
     assert rep.checked == 12
-    # a step modulus ties every product at 1: the smallest ratio c/2 merges
-    # into the knot 1/2, where the minimum over knots lands
+    # a step modulus ties every product at 1: the smallest ratio c/2 is a
+    # knot of its own, where the minimum over knots lands
     step = EmpiricalModulus([0.25], [1.0])
     ratio = eta_ratio_report(f, step)
     assert _without_checked(ratio) == _without_checked(knot_ratio_report(f, step))
-    assert ratio.at_t == 0.5 and ratio.min_product == 1.0
+    assert ratio.at_t == c / 2 and ratio.min_product == 1.0
+
+
+def test_a_violation_next_to_a_near_duplicate_ratio_fails():
+    # row p realizes t = 2 with r = 3 (1 + 2.5e-13) > eta(2) = 3; row q's
+    # t = 2 (1 + 5e-13) lies within relative 1e-12 of it but passes, so a
+    # knot at the larger ratio alone would certify the map
+    c = 1.0 / (1.0 + 5e-13)
+    e = 3.0 * (1.0 + 2.5e-13)
+    X = build_space(["p", "q", "s"], [[0.0, 2.0, 1.0], [2.0, 0.0, c], [1.0, c, 0.0]])
+    Y = build_space(["p", "q", "s"], [[0.0, e, 1.0], [e, 0.0, 1.2], [1.0, 1.2, 0.0]])
+    f = build_map(X, Y, {lab: lab for lab in "pqs"})
+    rep = check_qs(f, LinearModulus(1.5), tol=0.0)
+    assert not rep.holds
+    assert rep.witness_labels == ("p", "q", "s")
+    assert rep.t == 2.0 and rep.eta_at_t == 3.0
+    assert rep.image_ratio == e
 
 
 def test_check_qs_runs_in_quadratic_memory():
@@ -464,6 +479,12 @@ def test_one_scan_per_verdict(line4, row_walks):
     end = verify_transfer_end_to_end(f, Additive(), Additive(), eta)
     assert len(row_walks) == 1
     assert end.qs is rep
+    # a failing verdict and each ratio report are one scan too
+    assert not check_qs(f, PowerModulus(0.25)).holds
+    assert len(row_walks) == 2
+    assert eta_ratio_report(f, eta).holds
+    assert not eta_ratio_report(f, LinearModulus(0.5)).holds
+    assert len(row_walks) == 4
 
 
 def test_verdicts_are_kept_per_modulus_object(line4, row_walks):
