@@ -147,8 +147,7 @@ def knot_qs_report(f, eta, tol):
     for i, (t, h, v) in enumerate(zip(env.ts, env.hs, vals)):
         if not v + tol >= h:
             w = tuple(int(k) for k in env.witnesses[i])
-            labels = tuple(f.domain.labels[k] for k in w)
-            return QsReport(False, w, labels, float(t), float(h), float(v),
+            return QsReport(False, w, env.witness_labels(i), float(t), float(h), float(v),
                             eta.describe(), tol, len(env))
     return QsReport(True, None, None, None, None, None, eta.describe(), tol, len(env))
 

@@ -85,6 +85,10 @@ def test_envelope_matches_naive_oracle():
         # one knot per distinct realized ratio, with its running maximum
         assert env.ts.tolist() == ts
         assert env.hs.tolist() == hs
+        # and the step function takes that maximum at every realized ratio
+        eta = env.as_modulus()
+        for t, h in zip(ts, hs):
+            assert eta(t) == pytest.approx(h, rel=1e-12)
 
 
 def test_envelope_exp_line_value():
