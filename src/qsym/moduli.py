@@ -341,7 +341,9 @@ def invert_modulus(eta: Modulus, y: float) -> float:
     """Solve eta(s) = y for s >= 0 by bracket doubling plus bisection.
 
     Residual tolerance ``1e-12 * max(1, y)``; raises :class:`NoBracket`
-    when doubling from 1 never reaches y.
+    when doubling from 1 never reaches y, and :class:`NotInvertible` when
+    the bisection stalls: the bracket cannot be split (its midpoint equals
+    an end) or 400 steps pass.
     """
     return _bisect(eta.eval, y, eta.name)
 
@@ -351,9 +353,10 @@ def _bisect(fn: Callable, y, name: str):
     :func:`invert_modulus`); ``name`` labels the errors.
 
     ``y`` may be an array of targets.  Each runs the scalar steps, bracket
-    doubling from 1 and then bisection, under a mask of the targets still
-    open, so fn sees one array per step and every value equals its own
-    scalar bisection.  The error raised is the first failing target's.
+    doubling from 1 and then bisection on compact arrays of the open
+    targets (lo, hi, y, tol, shrunk by one mask), so fn sees one array per
+    step and every value equals its own scalar bisection.  The error raised
+    is the first failing target's.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
@@ -364,41 +367,42 @@ def _bisect(fn: Callable, y, name: str):
         failed[i] = (
             NotInvertible, f"cannot invert {name} at negative value {float(y[i])}"
         )
-    todo = y > 0
-    hi = np.ones_like(y)
-    k = np.flatnonzero(todo)
+    k = np.flatnonzero(y > 0)
+    hi = np.ones(k.size)
+    up = np.arange(k.size)
     for _ in range(65):
-        if not k.size:
+        if not up.size:
             break
-        k = k[np.asarray(fn(hi[k]), dtype=float) < y[k]]
-        hi[k] *= 2.0
-    for i in k.tolist():
+        up = up[np.asarray(fn(hi[up]), dtype=float) < y[k[up]]]
+        hi[up] *= 2.0
+    for i in k[up].tolist():
         failed[i] = (NoBracket, f"{name} never reaches {y[i]:.6g} (bracket past 2^64)")
-    todo[k] = False
-    lo = np.zeros_like(y)
-    tol = INVERT_RESIDUAL_TOL * np.maximum(1.0, y)
-    k = np.flatnonzero(todo)
+    k, hi = np.delete(k, up), np.delete(hi, up)
+    yk = y[k]
+    lo = np.zeros_like(yk)
+    tol = INVERT_RESIDUAL_TOL * np.maximum(1.0, yk)
     for step in range(400):
         if not k.size:
             break
-        mid = 0.5 * (lo[k] + hi[k])
+        mid = 0.5 * (lo + hi)
         val = np.asarray(fn(mid), dtype=float)
-        res = np.abs(val - y[k])
-        done = res <= tol[k]
+        res = np.abs(val - yk)
+        done = res <= tol
+        stop = ~done & ((mid == lo) | (mid == hi) | (step == 399))
+        below = val < yk
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        keep = ~(done | stop)
+        if keep.all():
+            continue
         out[k[done]] = mid[done]
-        below = val < y[k]
-        lo[k] = np.where(below, mid, lo[k])
-        hi[k] = np.where(below, hi[k], mid)
-        # a target stops when its bracket collapses or its steps run out;
-        # the residual at its last midpoint has then already failed
-        stop = ~done & ((hi[k] - lo[k] <= 1e-17 * np.maximum(1.0, mid)) | (step == 399))
         for j in np.flatnonzero(stop).tolist():
             failed[int(k[j])] = (
                 NotInvertible,
                 f"{name}: bisection stalled at residual {res[j]:.3g} inverting "
-                f"{y[k[j]]:.6g}",
+                f"{yk[j]:.6g}",
             )
-        k = k[~done & ~stop]
+        k, yk, tol, lo, hi = k[keep], yk[keep], tol[keep], lo[keep], hi[keep]
     if failed:
         error, message = failed[min(failed)]
         raise error(message)

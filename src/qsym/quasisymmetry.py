@@ -2,8 +2,9 @@
 
 For a map f, every ordered triple (x, a, b) with a != x != b realizes a
 ratio t = d(x,a) / d(x,b) and an image ratio r = rho(fx,fa) / rho(fx,fb).
-``_rows`` walks them one base point x at a time, and the ratios of one x
-form two (n-1)**2 blocks, so every scan over them runs in O(n**2) memory.
+``_rows`` walks them in blocks of whole base-point rows, about
+``_ROW_BLOCK`` ratios (at least one row) each, so every scan over them runs
+in O(n**2) memory and evaluates a modulus once per block.
 
 :func:`check_qs` decides the defining implication triple by triple: an
 increasing eta verifies f exactly when eta(t) + tol >= r for every
@@ -52,6 +53,8 @@ from .triangle import TriangleFunction, invert_diag
 #: pinned tolerances of the ratio-identity report
 RATIO_PRODUCT_TOL = 1e-9
 ETA_ONE_TOL = 1e-12
+#: realized ratios per block of base-point rows; from n = 34 on a block is one row
+_ROW_BLOCK = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,15 +84,18 @@ class EmpiricalEnvelope:
 
 
 def _rows(f: PointMap):
-    """The base points x of the realized ratios, one at a time.
+    """The base points x of the realized ratios, in blocks of whole rows.
 
-    Yields ``(x, others, d, rho)``: the points other than x, their
-    distances d(x, .) and their image distances rho(fx, f.).  The ratios
-    of row x are ``_ratios(d)`` and ``_ratios(rho)``, whose position k is
-    the triple (x, others[k // m], others[k % m]) with m = n - 1.  A base
-    point whose whole image row collapsed (every ratio 0/0) yields nothing.
+    Yields ``(xs, others, d, rho)`` for as many consecutive base points xs
+    as fit in about ``_ROW_BLOCK`` ratios, at least one.  Row i holds the
+    points other than xs[i], their distances d(xs[i], .) and their image
+    distances rho(f xs[i], f.).  The ratios of a block are ``_ratios(d)``
+    and ``_ratios(rho)``, in (x, a, b) order: position k is the triple
+    (xs[i], others[i, j // m], others[i, j % m]) with i, j = divmod(k, m**2)
+    and m = n - 1.  A constant map (every ratio 0/0) yields nothing; as rho
+    is symmetric, any other map with a collapsed image row is unbounded.
 
-    Raises :class:`UnboundedEnvelope`, before the first row, when some
+    Raises :class:`UnboundedEnvelope`, before the first block, when some
     denominator pair collapses while a numerator does not.
     """
     R = f.image_matrix()
@@ -109,30 +115,33 @@ def _rows(f: PointMap):
             "no finite control function exists",
             witness=(x, a, b),
         )
+    if not pos.any():
+        return
     # row x of each: its n - 1 entries off the diagonal
-    others = np.broadcast_to(np.arange(n), (n, n))[off].reshape(n, n - 1)
+    xs = np.arange(n)
+    others = np.broadcast_to(xs, (n, n))[off].reshape(n, n - 1)
     D = np.asarray(f.domain.dist)[off].reshape(n, n - 1)
     R = R[off].reshape(n, n - 1)
-    for x in np.nonzero(pos.any(axis=1))[0]:
-        yield int(x), others[x], D[x], R[x]
+    step = max(1, _ROW_BLOCK // (n - 1) ** 2)
+    for i in range(0, n, step):
+        yield xs[i:i + step], others[i:i + step], D[i:i + step], R[i:i + step]
 
 
 def _ratios(v: np.ndarray) -> np.ndarray:
-    """The raveled block v[a] / v[b] over all pairs (a, b)."""
-    return np.divide.outer(v, v).ravel()
+    """The raveled blocks v[i, a] / v[i, b] over all rows i and pairs (a, b)."""
+    return (v[:, :, None] / v[:, None, :]).ravel()
 
 
 def _realized(f: PointMap):
     """All realized (t, r) pairs with their (x, a, b) triples, in (x, a, b)
     order (see :func:`_rows`)."""
     ts, rs, triples = [], [], []
-    for x, others, d, rho in _rows(f):
-        m = len(others)
+    for xs, others, d, rho in _rows(f):
+        m = others.shape[1]
         ts.append(_ratios(d))
         rs.append(_ratios(rho))
-        triples.append(
-            np.stack([np.full(m * m, x), np.repeat(others, m), np.tile(others, m)], axis=1)
-        )
+        triples.append(np.stack([np.repeat(xs, m * m), np.repeat(others, m, axis=1).ravel(),
+                                 np.tile(others, m).ravel()], axis=1))
     if not ts:
         empty = np.array([])
         return empty, empty, np.zeros((0, 3), dtype=int)
@@ -219,7 +228,7 @@ def _scan_qs(f: PointMap, eta: Modulus, tol: float) -> QsReport:
     checked = 0
     lo = np.inf
     worst = None  # (r, eta(lo), x, a, b) of the kept violation at t = lo
-    for x, others, d, rho in _rows(f):
+    for xs, others, d, rho in _rows(f):
         t = _ratios(d)
         r = _ratios(rho)
         checked += len(t)
@@ -234,9 +243,9 @@ def _scan_qs(f: PointMap, eta: Modulus, tol: float) -> QsReport:
         at = bad[t_bad == t_min]
         k = at[np.nonzero(r[at] == r[at].max())[0][-1]]
         if worst is None or t_min < lo or r[k] >= worst[0]:
-            m = len(others)
+            i, a, b = np.unravel_index(k, d.shape + d.shape[1:])  # (row, a, b)
             lo = t_min
-            worst = (r[k], vals[k], x, int(others[k // m]), int(others[k % m]))
+            worst = (r[k], vals[k], int(xs[i]), int(others[i, a]), int(others[i, b]))
     if worst is None:
         return QsReport(True, None, None, None, None, None, eta.describe(), tol, checked)
     h, v, x, a, b = worst
@@ -272,7 +281,7 @@ def eta_ratio_report(f: PointMap, eta: Modulus) -> RatioIdentityReport:
 
     Every realized ratio t comes with its reciprocal (swap a and b), so any
     modulus that verifies f must satisfy eta(t) eta(1/t) >= 1 there, and
-    eta(1) >= 1.  The rows of :func:`_rows` are streamed: ``min_product``
+    eta(1) >= 1.  The blocks of :func:`_rows` are streamed: ``min_product``
     is the smallest product (a NaN first) and ``at_t`` the smallest ratio
     attaining it, the envelope knot where the minimum over knots lands.
     ``checked`` counts the ratios scanned.  Pure report; tolerances are

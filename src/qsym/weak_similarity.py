@@ -16,7 +16,7 @@ as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -43,6 +43,8 @@ from .spaces import RANK_TOL, PointMap, SemimetricSpace
 
 #: brute-force oracle guard
 ORACLE_MAX_N = 9
+#: bijections per array in the brute-force oracle
+_ORACLE_BLOCK = 5040
 
 
 def space_ranks(space: SemimetricSpace, tol: float = RANK_TOL):
@@ -280,20 +282,22 @@ def brute_force_weak_similarity(
 ) -> Optional[WeakSimilarity]:
     """Factorial-time oracle: try every bijection in lexicographic order.
 
-    Guarded by :class:`TooLarge` above n = 9.
+    Guarded by :class:`TooLarge` above n = 9; compares ``_ORACLE_BLOCK``
+    bijections per array.
     """
     if X.n > ORACLE_MAX_N or Y.n > ORACLE_MAX_N:
         raise TooLarge(f"brute force is capped at n = {ORACLE_MAX_N}")
     phi = forced_scaling(X, Y, tol)
     if phi is None:
         return None
-    n = X.n
     _, rkX = space_ranks(X, tol)
     _, rkY = space_ranks(Y, tol)
-    for perm in permutations(range(n)):
-        p = np.array(perm)
-        if np.array_equal(rkY[np.ix_(p, p)], rkX):
-            f = PointMap(X, Y, tuple(perm), bijective=True)
+    perms = permutations(range(X.n))
+    while block := list(islice(perms, _ORACLE_BLOCK)):
+        P = np.array(block, dtype=np.intp)
+        hit = np.flatnonzero((rkY[P[:, :, None], P[:, None, :]] == rkX).all(axis=(1, 2)))
+        if hit.size:
+            f = PointMap(X, Y, block[hit[0]], bijective=True)
             return WeakSimilarity(f, phi)
     return None
 

@@ -183,7 +183,8 @@ def knot_ratio_report(f, eta):
 def scalar_bisect(fn, y):
     """Solve fn(s) = y for one target by bracket doubling from 1 and then
     bisection, one Python float at a time; None where no root is bracketed
-    or the bisection stalls."""
+    or the bisection stalls: the midpoint equals an end of the bracket, or
+    400 steps pass."""
     if y == 0.0:
         return 0.0
     hi = 1.0
@@ -200,12 +201,12 @@ def scalar_bisect(fn, y):
         val = float(np.asarray(fn(mid)))
         if abs(val - y) <= tol:
             return mid
+        if mid in (lo, hi):
+            return None
         if val < y:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-17 * max(1.0, mid):
-            return None
     return None
 
 

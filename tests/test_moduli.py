@@ -169,6 +169,18 @@ def test_numeric_inverse_matches_scalar_bisections(base):
         assert invert_modulus(base, 1.0 / u) == scalar_bisect(base.eval, 1.0 / u)
 
 
+def test_numeric_inverse_converges_on_small_preimages():
+    # eta = 2 sqrt(t) has eta'(t) = 4 t**2; at t = 1e6 the preimage is
+    # 2.5e-13, so the bracket must narrow well below 1e-17 before the
+    # residual 1e-12 is met
+    base = CallableModulus(lambda t: 2.0 * np.sqrt(t), label="2t^0.5")
+    inv = inverse_modulus(base)
+    assert inv.eval(1e6) == pytest.approx(4e12, rel=1e-5)
+    # further out the absolute residual 1e-12 is all the accuracy asked for
+    for t in (1e6, 1e7, 1e9):
+        assert inv.eval(t) == 1.0 / scalar_bisect(base.eval, 1.0 / t)
+
+
 def test_array_bisection_names_the_first_failing_target():
     # the distinct arguments run in ascending order, as one bisection each
     # would: t = 0.05 asks for the unreachable 20 before t = 0.1 asks for 10

@@ -440,6 +440,64 @@ def test_a_violation_next_to_a_near_duplicate_ratio_fails():
     assert rep.image_ratio == e
 
 
+def test_an_inverse_map_with_tiny_preimages_gets_a_report():
+    # two points 1e-14 apart: the inverse map realizes ratios past 1e7,
+    # where eta'(t) = 4 t**2 asks 2 sqrt(s) for preimages below 1e-14
+    eta = CallableModulus(lambda t: 2.0 * np.sqrt(t), label="2t^0.5")
+    f = snowflake_map(collinear_space([0.0, 1e-14, 1.0, 2.0]), 0.5)
+    rep = check_qs(f.inverse(), inverse_modulus(eta))
+    assert rep.holds and rep.checked == 36
+
+
+def _row_block_cases():
+    """(map, moduli) pairs built afresh, since check_qs keeps its reports
+    per map and modulus object.  Each map fits one default block below
+    n = 34, so 1 and 10**9 split and merge rows."""
+    root = CallableModulus(lambda t: 2.0 * np.sqrt(t), label="2t^0.5")
+    small = snowflake_map(euclidean_space(12, 2, seed=2), 0.5)
+    wide = snowflake_map(euclidean_space(23, 2, seed=3), 0.5)
+    line = collinear_space([0.0, 1.0, 2.0, 3.0])
+    point = collinear_space([0.0])
+    constant = build_map(line, point, {lab: "0" for lab in line.labels})
+    X, Y = random_semimetric_space(17, seed=6), random_semimetric_space(17, seed=7)
+    perm = np.random.default_rng(8).permutation(17)
+    random_bijection = build_map(X, Y, zip(X.labels, np.array(Y.labels)[perm]))
+    return [
+        # the smallest flagged ratio 1/3 is realized at x = 0 and x = 3
+        (identity_map(line), [LinearModulus(0.5), LinearModulus(1.0)]),
+        (small, [root, PowerModulus(0.25), PowerModulus(0.5)]),
+        (small.inverse(), [inverse_modulus(root),
+                           inverse_modulus(CallableModulus(np.sqrt, label="sqrt")),
+                           inverse_modulus(CallableModulus(lambda t: 0.5 * np.sqrt(t)))]),
+        (wide, [PowerModulus(0.5), LinearModulus(2.0), ExpRatioModulus()]),
+        (random_bijection, [PowerModulus(1.0), BiLipschitzModulus(40.0)]),
+        (constant, [PowerModulus(1.0)]),
+    ]
+
+
+def _row_block_results():
+    out = []
+    for f, moduli in _row_block_cases():
+        env = empirical_modulus(f)
+        out.append((env.ts.tobytes(), env.hs.tobytes(), env.witnesses.tobytes(),
+                    env.witnesses.dtype))
+        for eta in moduli:
+            out.append((check_qs(f, eta), check_qs(f, eta, tol=0), eta_ratio_report(f, eta)))
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 10**9])
+def test_qs_scans_are_independent_of_the_row_block(monkeypatch, block):
+    whole = _row_block_results()
+    tie = whole[1][0]
+    assert not tie.holds and tie.t == 1 / 3 and tie.witness == (3, 2, 0)
+    assert sum(not rep[0].holds for rep in whole[1:] if len(rep) == 3) >= 5
+    assert whole[-2] == (b"", b"", b"", np.dtype(int))
+    assert whole[-1][0].holds and whole[-1][0].checked == 0
+    monkeypatch.setattr(quasisymmetry, "_ROW_BLOCK", block)
+    assert _row_block_results() == whole
+
+
 def test_check_qs_runs_in_quadratic_memory():
     f = snowflake_map(euclidean_space(300, 2), 0.6)
     for eta, holds in ((PowerModulus(0.6), True), (PowerModulus(0.3), False)):

@@ -1,6 +1,7 @@
 """Weak similarity search, its certificates, and the bridges back to
 quasisymmetry moduli."""
 
+import itertools
 import sys
 import time
 
@@ -302,6 +303,52 @@ def distinct_by_invariants(A, B):
         return True
     tri = lambda M: np.sort(np.diag(M @ M @ M))  # noqa: E731
     return not np.array_equal(tri(A), tri(B))
+
+
+def first_rank_preserving_bijection(X, Y):
+    """The first bijection in lexicographic order that carries every rank
+    of X onto the same rank of Y, by a loop over ``itertools``."""
+    rkX = naive_space_ranks(X)[1].tolist()
+    rkY = naive_space_ranks(Y)[1].tolist()
+    n = X.n
+    for perm in itertools.permutations(range(n)):
+        if all(rkY[perm[i]][perm[j]] == rkX[i][j] for i in range(n) for j in range(n)):
+            return perm
+    return None
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(11)
+    ring, two_squares, cubic = cycles(8, 1), cycles(8, 2), cubic_graph(8, rng)
+    # the octahedron: K6 minus a perfect matching
+    octahedron = 1 - np.eye(6, dtype=int) - np.fliplr(np.eye(6, dtype=int))
+
+    def relabelled(A, near, far):
+        p = rng.permutation(len(A))
+        return graph_space(A[p][:, p], near, far)
+
+    return {
+        "ring": (graph_space(ring), relabelled(ring, 3.0, 7.0)),
+        "cubic": (graph_space(cubic), relabelled(cubic, 0.5, 4.0)),
+        "octahedron": (graph_space(octahedron), relabelled(octahedron, 2.0, 9.0)),
+        "ring-vs-squares": (graph_space(ring), graph_space(two_squares)),
+    }
+
+
+@pytest.mark.parametrize("block", [7, 5040])
+@pytest.mark.parametrize("case", ["ring", "cubic", "octahedron", "ring-vs-squares"])
+def test_oracle_returns_the_lexicographically_first_bijection(monkeypatch, case, block):
+    from qsym import weak_similarity
+
+    X, Y = _oracle_cases()[case]
+    monkeypatch.setattr(weak_similarity, "_ORACLE_BLOCK", block)
+    expect = first_rank_preserving_bijection(X, Y)
+    got = brute_force_weak_similarity(X, Y)
+    assert (expect is None) == (case == "ring-vs-squares")
+    if expect is None:
+        assert got is None
+    else:
+        assert tuple(got.f.assignment.tolist()) == expect and verify_weak_similarity(got)
 
 
 @pytest.mark.parametrize("n", [24, 48])
