@@ -340,10 +340,11 @@ class NumericInverseModulus(Modulus):
 def invert_modulus(eta: Modulus, y: float) -> float:
     """Solve eta(s) = y for s >= 0 by bracket doubling plus bisection.
 
-    Residual tolerance ``1e-12 * max(1, y)``; raises :class:`NoBracket`
-    when doubling from 1 never reaches y, and :class:`NotInvertible` when
-    the bisection stalls: the bracket cannot be split (its midpoint equals
-    an end) or 400 steps pass.
+    Residual tolerance ``1e-12 * max(1, y)``, and ``1e-12 * y`` once the
+    bracket is no wider than ``1e-17 * max(1, mid)``.  Raises
+    :class:`NoBracket` when doubling from 1 never reaches y, and
+    :class:`NotInvertible` when the bisection stalls: the bracket cannot be
+    split (its midpoint equals an end) or 400 steps pass.
     """
     return _bisect(eta.eval, y, eta.name)
 
@@ -392,6 +393,8 @@ def _bisect(fn: Callable, y, name: str):
         below = val < yk
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
+        # in a bracket this narrow only a residual relative to y pins a small preimage
+        tol = np.where(hi - lo <= 1e-17 * np.maximum(1.0, mid), INVERT_RESIDUAL_TOL * yk, tol)
         keep = ~(done | stop)
         if keep.all():
             continue

@@ -53,8 +53,8 @@ from .triangle import TriangleFunction, invert_diag
 #: pinned tolerances of the ratio-identity report
 RATIO_PRODUCT_TOL = 1e-9
 ETA_ONE_TOL = 1e-12
-#: realized ratios per block of base-point rows; from n = 34 on a block is one row
-_ROW_BLOCK = 2048
+#: realized ratios per block of base-point rows; from n = 66 on a block is one row
+_ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +208,7 @@ def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
     eta there.  Its value H is the largest flagged r at lo, and its witness
     the last triple in (x, a, b) order that realizes H at lo, as the
     envelope's stable sort carries it.  One scan of the rows settles the
-    verdict.
+    verdict; past the first violation it evaluates eta only where t <= lo.
 
     The report is kept per map object, modulus object and tol while both
     live, and the derived analyses reuse it.  Only identity-hashed moduli
@@ -232,18 +232,23 @@ def _scan_qs(f: PointMap, eta: Modulus, tol: float) -> QsReport:
         t = _ratios(d)
         r = _ratios(rho)
         checked += len(t)
+        pos = None
+        if worst is not None:  # only a ratio t <= lo can displace the kept violation
+            pos = np.nonzero(t <= lo)[0]
+            if not pos.size:
+                continue
+            t, r = t[pos], r[pos]
         vals = np.asarray(eta.eval(t), dtype=float)
         bad = np.nonzero(~(vals + tol >= r))[0]  # a NaN eta(t) violates
         if len(bad) == 0:
             continue
         t_bad = t[bad]
         t_min = t_bad.min()
-        if t_min > lo:
-            continue
         at = bad[t_bad == t_min]
         k = at[np.nonzero(r[at] == r[at].max())[0][-1]]
         if worst is None or t_min < lo or r[k] >= worst[0]:
-            i, a, b = np.unravel_index(k, d.shape + d.shape[1:])  # (row, a, b)
+            j = k if pos is None else pos[k]
+            i, a, b = np.unravel_index(j, d.shape + d.shape[1:])  # (row, a, b)
             lo = t_min
             worst = (r[k], vals[k], int(xs[i]), int(others[i, a]), int(others[i, b]))
     if worst is None:

@@ -184,7 +184,8 @@ def scalar_bisect(fn, y):
     """Solve fn(s) = y for one target by bracket doubling from 1 and then
     bisection, one Python float at a time; None where no root is bracketed
     or the bisection stalls: the midpoint equals an end of the bracket, or
-    400 steps pass."""
+    400 steps pass.  Once the bracket is no wider than 1e-17 * max(1, mid)
+    the residual must be relative to y."""
     if y == 0.0:
         return 0.0
     hi = 1.0
@@ -207,6 +208,8 @@ def scalar_bisect(fn, y):
             lo = mid
         else:
             hi = mid
+        if hi - lo <= 1e-17 * max(1.0, mid):
+            tol = 1e-12 * y
     return None
 
 

@@ -170,15 +170,19 @@ def test_numeric_inverse_matches_scalar_bisections(base):
 
 
 def test_numeric_inverse_converges_on_small_preimages():
-    # eta = 2 sqrt(t) has eta'(t) = 4 t**2; at t = 1e6 the preimage is
-    # 2.5e-13, so the bracket must narrow well below 1e-17 before the
-    # residual 1e-12 is met
+    # eta = 2 sqrt(t) has eta'(t) = 4 t**2; from t = 1e6 on the preimage is
+    # below 2.5e-13, so the bracket narrows past 1e-17 before an absolute
+    # residual of 1e-12 is met, and the residual turns relative to 1/t
     base = CallableModulus(lambda t: 2.0 * np.sqrt(t), label="2t^0.5")
     inv = inverse_modulus(base)
     assert inv.eval(1e6) == pytest.approx(4e12, rel=1e-5)
-    # further out the absolute residual 1e-12 is all the accuracy asked for
-    for t in (1e6, 1e7, 1e9):
+    for t in (1e6, 1e7, 1e8, 1e9, 1e13, 1e40):
+        assert inv.eval(t) == pytest.approx(4.0 * t * t, rel=1e-10)
         assert inv.eval(t) == 1.0 / scalar_bisect(base.eval, 1.0 / t)
+    # 2**-400 is still far above the preimage 2.5e-201: the steps run out
+    with pytest.raises(NotInvertible, match="stalled"):
+        inv.eval(1e100)
+    assert scalar_bisect(base.eval, 1e-100) is None
 
 
 def test_array_bisection_names_the_first_failing_target():

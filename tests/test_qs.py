@@ -440,6 +440,19 @@ def test_a_violation_next_to_a_near_duplicate_ratio_fails():
     assert rep.image_ratio == e
 
 
+@pytest.mark.parametrize("block", [1, quasisymmetry._ROW_BLOCK])
+def test_a_failing_scan_calls_eta_only_on_ratios_it_needs(monkeypatch, block):
+    # past the first violation a block is evaluated only at its ratios
+    # t <= lo; a block with none must not call eta at all, as np.vectorize
+    # without otypes rejects an empty array
+    monkeypatch.setattr(quasisymmetry, "_ROW_BLOCK", block)
+    eta = CallableModulus(np.vectorize(lambda s: 0.5 * s ** 0.5), label="vec")
+    f = snowflake_map(euclidean_space(40, 2, seed=1), 0.5)
+    rep = check_qs(f, eta)
+    assert not rep.holds and rep.checked == 40 * 39 ** 2
+    assert _without_checked(rep) == _without_checked(knot_qs_report(f, eta, 1e-9))
+
+
 def test_an_inverse_map_with_tiny_preimages_gets_a_report():
     # two points 1e-14 apart: the inverse map realizes ratios past 1e7,
     # where eta'(t) = 4 t**2 asks 2 sqrt(s) for preimages below 1e-14
@@ -451,8 +464,9 @@ def test_an_inverse_map_with_tiny_preimages_gets_a_report():
 
 def _row_block_cases():
     """(map, moduli) pairs built afresh, since check_qs keeps its reports
-    per map and modulus object.  Each map fits one default block below
-    n = 34, so 1 and 10**9 split and merge rows."""
+    per map and modulus object.  The default blocks hold several rows of
+    these maps (the 23-point one takes 16 and then 7), so 1 and 10**9
+    split and merge rows."""
     root = CallableModulus(lambda t: 2.0 * np.sqrt(t), label="2t^0.5")
     small = snowflake_map(euclidean_space(12, 2, seed=2), 0.5)
     wide = snowflake_map(euclidean_space(23, 2, seed=3), 0.5)
