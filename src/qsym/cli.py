@@ -248,9 +248,7 @@ def _cmd_transfer(args) -> int:
         ]
         _emit(args, payload, lines)
         return 0 if rep.holds else 1
-    rep = tr.check_transfer_condition(
-        phi1, phi2, eta, tol=args.tol, grid_points=args.grid
-    )
+    rep = tr.check_transfer_condition(phi1, phi2, eta, tol=args.tol)
     payload = {
         "command": "transfer", "tol": args.tol, "eta": eta.describe(),
         "phi1": phi1.describe(), "phi2": phi2.describe(),
@@ -548,14 +546,22 @@ def _cmd_fit_snowflake(args) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def _domain_point(text: str) -> float:
-    try:
-        t = float(text)
-    except ValueError:
-        t = np.nan
-    if not t >= 0.0:  # a modulus is defined on t >= 0; NaN fails too
-        raise argparse.ArgumentTypeError(f"need a number t >= 0, got {text!r}")
-    return t
+def _number(need: str, ok):
+    """An argparse type: a float that passes ``ok``, which NaN must fail."""
+    def parse(text: str) -> float:
+        try:
+            t = float(text)
+        except ValueError:
+            t = np.nan
+        if not ok(t):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+        return t
+    return parse
+
+
+#: a modulus is defined on t >= 0; a tolerance is a finite slack >= 0
+_domain_point = _number("a number t >= 0", lambda t: t >= 0.0)
+_tolerance = _number("a finite number >= 0", lambda t: 0.0 <= t < np.inf)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -566,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         sp.add_argument("--json", action="store_true")
 
     def map_flags(sp):
@@ -610,7 +616,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--domain")
     sp.add_argument("--codomain")
     sp.add_argument("--map")
-    sp.add_argument("--grid", type=int, default=256)
     sp.add_argument("--minimal-k2", type=float, metavar="K1",
                     help="derive the smallest image coefficient for this K1")
     common(sp)
@@ -654,7 +659,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("X")
     sp.add_argument("Y")
     sp.add_argument("--oracle", action="store_true", help="factorial brute force")
-    sp.add_argument("--rank-tol", type=float, default=RANK_TOL)
+    sp.add_argument("--rank-tol", type=_tolerance, default=RANK_TOL)
     common(sp)
     sp.set_defaults(handler=_cmd_weaksim)
 

@@ -65,9 +65,6 @@ class Modulus:
         with np.errstate(divide="ignore"):
             return np.log(self.eval(t))
 
-    def inverse(self) -> "Modulus":
-        return inverse_modulus(self)
-
     def describe(self) -> str:
         return self.name
 

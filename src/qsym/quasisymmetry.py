@@ -209,6 +209,8 @@ def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
     the last triple in (x, a, b) order that realizes H at lo, as the
     envelope's stable sort carries it.  One scan of the rows settles the
     verdict; past the first violation it evaluates eta only where t <= lo.
+    The witness is ranked by t and r, not by scan position, so this scan
+    keeps its own rule instead of the first-in-order ``triangle._Scan``.
 
     The report is kept per map object, modulus object and tol while both
     live, and the derived analyses reuse it.  Only identity-hashed moduli
@@ -289,8 +291,10 @@ def eta_ratio_report(f: PointMap, eta: Modulus) -> RatioIdentityReport:
     eta(1) >= 1.  The blocks of :func:`_rows` are streamed: ``min_product``
     is the smallest product (a NaN first) and ``at_t`` the smallest ratio
     attaining it, the envelope knot where the minimum over knots lands.
-    ``checked`` counts the ratios scanned.  Pure report; tolerances are
-    ``RATIO_PRODUCT_TOL`` and ``ETA_ONE_TOL``.
+    Ties go to the smallest t, not the first position, so the first
+    minimum of ``triangle._Scan`` does not fit.  ``checked`` counts the
+    ratios scanned.  Pure report; tolerances are ``RATIO_PRODUCT_TOL`` and
+    ``ETA_ONE_TOL``.
     """
     checked = 0
     best = None  # (product with NaN as -inf, t, product) of the minimum

@@ -71,11 +71,6 @@ class SemimetricSpace:
         sub = self.dist[np.ix_(idx, idx)]
         return SemimetricSpace(labels, _frozen_array(sub))
 
-    def off_diagonal(self) -> np.ndarray:
-        """All entries d(x, y) with x != y, as a flat array."""
-        mask = ~np.eye(self.n, dtype=bool)
-        return self.dist[mask]
-
     def __eq__(self, other):
         if not isinstance(other, SemimetricSpace):
             return NotImplemented

@@ -26,9 +26,9 @@ from .triangle import (
     PtolemyReport,
     TriangleFunction,
     TriangleReport,
-    _first_min,
     _pair_rows,
     _quadruple_blocks,
+    _Scan,
     check_triangle,
     is_ptolemaic,
 )
@@ -59,30 +59,17 @@ class TransferReport(Report):
     tol: float
 
 
-def _scan_pairs(phi1, phi2, eta, t1, t2, tol, state):
-    """Scan one batch of (t1, t2) pairs: count the premise pairs and keep
-    the first violation in ``state``, where a NaN conclusion violates too.
-    Return the premise mask and the batch's tightest premise pair (its
-    first minimum), or None."""
+def _scan_pairs(phi1, phi2, eta, t1, t2, tol, scan):
+    """Scan one batch of (t1, t2) pairs: add the conclusion sides of its
+    premise pairs to ``scan`` and return the premise mask."""
     lhs1 = np.asarray(phi1(1.0 / t1, 1.0 / t2), dtype=float)
     premise = lhs1 >= 1.0 - tol
-    count = int(np.count_nonzero(premise))
-    if not count:
-        return premise, None
-    t1p, t2p, lhs1p = t1, t2, lhs1
-    if count < premise.size:
-        t1p, t2p, lhs1p = t1[premise], t2[premise], lhs1[premise]
-    lhs2 = np.asarray(phi2(_inv_eta(eta, t1p), _inv_eta(eta, t2p)), dtype=float)
-    state["checked"] += count
-    i = int(np.argmin(lhs2))
-    # np.argmin finds the first NaN if there is one, so the batch violates
-    # iff its pick does
-    if not lhs2[i] >= 1.0 - tol and state["violation"] is None:
-        k = int(np.argmax(~(lhs2 >= 1.0 - tol)))
-        state["violation"] = (
-            float(t1p[k]), float(t2p[k]), float(lhs1p[k]), float(lhs2[k])
-        )
-    return premise, (float(t1p[i]), float(t2p[i]), float(lhs1p[i]), float(lhs2[i]))
+    if not premise.all():
+        t1, t2, lhs1 = t1[premise], t2[premise], lhs1[premise]
+    if lhs1.size:
+        lhs2 = np.asarray(phi2(_inv_eta(eta, t1), _inv_eta(eta, t2)), dtype=float)
+        scan.add(lhs2, lambda k: (float(t1[k]), float(t2[k]), float(lhs1[k]), float(lhs2[k])))
+    return premise
 
 
 def check_transfer_condition(
@@ -100,7 +87,8 @@ def check_transfer_condition(
     realized ratios t1 = d(x,y)/d(x,z), t2 = d(x,y)/d(z,y) over its
     triples; None scans a ``grid_points`` squared log grid over
     ``grid_span``.  A conclusion side that is NaN or below 1 - tol is a
-    violation, and the first one (lowest scan index) wins.
+    violation, and the first one in scan order wins (the rule of
+    :class:`_Scan`).
 
     The realized scan reads the pairs x < y of ``_pair_rows``: swapping x
     and y swaps t1 and t2 bit for bit and the gauges are symmetric, so the
@@ -108,7 +96,7 @@ def check_transfer_condition(
     of the scan over all ordered (x, y, z) have x < y.  That scan stops
     after the first violating x; ``checked_pairs`` counts its premise pairs.
     """
-    state = {"checked": 0, "violation": None}
+    scan = _Scan(1.0 - tol)
     if pairs is None:
         axis = np.geomspace(grid_span[0], grid_span[1], grid_points)
         # anchor the small dyadic ratios where the classical equality
@@ -117,10 +105,8 @@ def check_transfer_condition(
         anchors = anchors[(anchors >= grid_span[0]) & (anchors <= grid_span[1])]
         axis = np.unique(np.concatenate([axis, anchors]))
         m = len(axis)
-        t1 = np.repeat(axis, m)
-        t2 = np.tile(axis, m)
-        tightest = _scan_pairs(phi1, phi2, eta, t1, t2, tol, state)[1]
-        mode = "grid"
+        _scan_pairs(phi1, phi2, eta, np.repeat(axis, m), np.tile(axis, m), tol, scan)
+        checked, mode = scan.count, "grid"
     else:
         space = pairs.domain if isinstance(pairs, PointMap) else pairs
         D = np.asarray(space.dist)
@@ -129,7 +115,6 @@ def check_transfer_condition(
         # all ordered pairs meets again in row y
         colsum = np.zeros(n, dtype=np.int64)
         off = ~np.eye(n, dtype=bool)
-        tightest = None
         stop = n - 1
         for x, lo, hi in _pair_rows(n):
             if x > stop:
@@ -139,17 +124,13 @@ def check_transfer_condition(
             with np.errstate(divide="ignore", invalid="ignore"):
                 t1 = (dxy / D[x])[keep]
                 t2 = (dxy / D[lo:hi])[keep]
-            premise, b = _scan_pairs(phi1, phi2, eta, t1, t2, tol, state)
+            premise = _scan_pairs(phi1, phi2, eta, t1, t2, tol, scan)
             colsum[lo:hi] += premise.reshape(hi - lo, n - 2).sum(axis=1)
-            if b is not None and (tightest is None or b[3] < tightest[3]):
-                tightest = b
-            if state["violation"] is not None:
+            if scan.violation is not None:
                 stop = x  # finish this x, where the full scan stops
-        state["checked"] += int(colsum[:stop + 1].sum())
-        mode = "realized"
-    if state["violation"] is not None:
-        return TransferReport(False, state["checked"], state["violation"], mode, tol)
-    return TransferReport(True, state["checked"], tightest, mode, tol)
+        checked, mode = scan.count + int(colsum[:stop + 1].sum()), "realized"
+    holds = scan.violation is None
+    return TransferReport(holds, checked, scan.least if holds else scan.violation, mode, tol)
 
 
 def minimal_transfer_K2(K1: float, eta: Modulus, grid_points: int = 2001) -> float:
@@ -163,7 +144,7 @@ def minimal_transfer_K2(K1: float, eta: Modulus, grid_points: int = 2001) -> flo
     candidate; the result is clamped to >= 1 (no gauge has a smaller
     coefficient).
     """
-    if K1 < 1:
+    if not K1 >= 1:  # NaN too
         raise ValueError("K1 must be >= 1")
     b = 1.0 / K1
 
@@ -296,7 +277,8 @@ def ptolemy_transfer_check(
 
     is checked at realized quadruple ratios (t1 = d(x,z)/d(x,y),
     t2 = d(t,y)/d(t,z), t3 = d(x,z)/d(x,t), t4 = d(t,y)/d(y,z)) in all
-    three orderings of every 4-subset; a NaN conclusion is a violation.
+    three orderings of every 4-subset; a NaN conclusion is a violation (the
+    rule of :class:`_Scan`, one scan per ordering).
     Every verdict is exhaustive: each Ptolemy check costs 3 C(n, 4)
     inequalities, streamed in O(n^2) memory.
     """
@@ -321,14 +303,12 @@ def ptolemy_transfer_check(
             image.holds, "analytic", True, 0, None, None, None, image, tol
         )
 
-    checked = 0
-    # one running state per ordering (x, y, z, t), each putting one pairing
-    # in the product d(x,z) d(t,y): the witnesses of a scan of all
-    # quadruples one ordering at a time
-    violations = [None] * len(_QUAD_ORDERINGS)
-    worsts = [None] * len(_QUAD_ORDERINGS)
+    # one scan per ordering (x, y, z, t), each putting one pairing in the
+    # product d(x,z) d(t,y): the witnesses of a scan of all quadruples one
+    # ordering at a time
+    scans = [_Scan(1.0 - tol) for _ in _QUAD_ORDERINGS]
     for i, j, k, l, q in _quadruple_blocks(f.domain.dist):
-        for o, (X, Y, Z, T) in enumerate(_QUAD_ORDERINGS):
+        for scan, (X, Y, Z, T) in zip(scans, _QUAD_ORDERINGS):
             t1 = q[X][Z] / q[X][Y]
             t2 = q[T][Y] / q[T][Z]
             t3 = q[X][Z] / q[X][T]
@@ -343,7 +323,6 @@ def ptolemy_transfer_check(
                               for t in (t1, t2, t3, t4))
             with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
                 c = np.exp(-(l1 + l2)) + np.exp(-(l3 + l4))
-            checked += len(idx)
 
             def witness(m):
                 s = idx[m]
@@ -351,15 +330,11 @@ def ptolemy_transfer_check(
                 return (float(c[m]), tuple(quad[p] for p in (X, Y, Z, T)),
                         tuple(float(t[s]) for t in (t1, t2, t3, t4)))
 
-            bad = ~(c >= 1.0 - tol)  # a NaN conclusion violates
-            if violations[o] is None and np.any(bad):
-                violations[o] = witness(int(np.argmax(bad)))
-            m = int(np.argmin(c))
-            if _first_min(c[m], None if worsts[o] is None else worsts[o][0]):
-                worsts[o] = witness(m)
-    violation = next((v for v in violations if v is not None), None)
-    worst = min((w for w in worsts if w is not None), key=lambda w: w[0], default=None)
+            scan.add(c, witness)
+    violation = next((s.violation for s in scans if s.violation is not None), None)
+    worst = min((s.least for s in scans if s.least is not None), key=lambda w: w[0],
+                default=None)
     implied = violation is None
     value, quad, ratios = (worst if implied else violation) or (None, None, None)
-    return PtolemyTransferReport(implied and image.holds, "realized", implied, checked,
-                                 value, quad, ratios, image, tol)
+    return PtolemyTransferReport(implied and image.holds, "realized", implied,
+                                 sum(s.count for s in scans), value, quad, ratios, image, tol)

@@ -14,7 +14,6 @@ grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Callable, Optional
 
 import numpy as np
@@ -217,6 +216,32 @@ def _pair_rows(n: int):
             yield x, lo, min(lo + step, n)
 
 
+class _Scan:
+    """The cross-block reduction of every exhaustive scan, in scan order.
+
+    ``add`` takes a nonempty block's values, raveled in scan order, and a
+    map from a position in them to its witness.  ``low`` and ``least`` are
+    the first minimum and its witness, where a NaN is the minimum (the
+    first NaN wins); ``violation`` is the witness of the first value that
+    is NaN or below ``floor``; ``count`` is the number of values read.
+    np.argmin picks the first NaN, so a block violates iff its pick does.
+    """
+
+    def __init__(self, floor: float):
+        self.floor = floor
+        self.count = 0
+        self.low = self.least = self.violation = None
+
+    def add(self, values: np.ndarray, witness: Callable):
+        self.count += values.size
+        k = int(np.argmin(values))
+        v = float(values[k])
+        if self.low is None or v < self.low or (v != v and self.low == self.low):
+            self.low, self.least = v, witness(k)
+        if self.violation is None and not v >= self.floor:
+            self.violation = witness(int(np.argmax(~(values >= self.floor))))
+
+
 def check_triangle(
     space: SemimetricSpace, phi: TriangleFunction, tol: float = DEFAULT_TOL
 ) -> TriangleReport:
@@ -224,30 +249,27 @@ def check_triangle(
 
     x and y range over distinct pairs; z ranges over *all* points,
     including x and y themselves.  The report carries the first
-    minimum-margin triple in (x, y, z) order, where a NaN margin counts
-    as the minimum and fails.  Phi and d are symmetric, so that triple
-    has x < y and the scan reads each pair once.
+    minimum-margin triple in (x, y, z) order, and the check fails at a
+    margin below -tol or NaN (the rule of :class:`_Scan`).  Phi and d are
+    symmetric, so that triple has x < y and the scan reads each pair once.
     """
     n = space.n
     d = space.dist
     if n < 2:
         return TriangleReport(True, None, 0.0, 0.0, np.inf, phi.describe(), tol)
 
-    best = best_triple = None
+    scan = _Scan(-tol)
     for x, lo, hi in _pair_rows(n):
         # margin[y - lo, z] = Phi(d(x, z), d(y, z)) - d(x, y)
         margin = np.asarray(phi(d[x][None, :], d[lo:hi]), dtype=float)
         margin -= d[x, lo:hi, None]
-        k = int(np.argmin(margin))
-        if _first_min(margin.flat[k], best):
-            best = float(margin.flat[k])
-            y, z = divmod(k, n)
-            best_triple = (x, z, lo + y)
+        scan.add(margin.ravel(), lambda k: (x, k % n, lo + k // n))
 
-    x, z, y = best_triple
+    x, z, y = scan.least
     lhs = float(d[x, y])
     rhs = float(np.asarray(phi(d[x, z], d[y, z])))
-    return TriangleReport(best >= -tol, best_triple, lhs, rhs, best, phi.describe(), tol)
+    return TriangleReport(scan.violation is None, scan.least, lhs, rhs, scan.low,
+                          phi.describe(), tol)
 
 
 def minimal_bmetric_K(space: SemimetricSpace) -> float:
@@ -338,12 +360,6 @@ def _quadruple_blocks(d: np.ndarray):
             js, size = [], 0
 
 
-def _first_min(value, best) -> bool:
-    """Does ``value`` replace the running minimum ``best`` (None at first)?
-    np.argmin's order across blocks: the first NaN, else the first smallest."""
-    return best is None or value < best or (value != value and best == best)
-
-
 def is_ptolemaic(space: SemimetricSpace, tol: float = DEFAULT_TOL) -> PtolemyReport:
     """Check every 4-subset against all three product pairings.
 
@@ -351,32 +367,33 @@ def is_ptolemaic(space: SemimetricSpace, tol: float = DEFAULT_TOL) -> PtolemyRep
     the other two products, within ``tol * max(1, lhs)``.  Exhaustive at a
     cost of 3 C(n, 4) inequalities, streamed in O(n^2) memory; the witness
     is the first minimum of the relative slack in (i, j, k, l, pairing)
-    order.  Vacuously true for n < 4.
+    order, and a NaN slack fails (the rule of :class:`_Scan`).  Vacuously
+    true for n < 4.
     """
     n = space.n
     d = space.dist
     if n < 4:
         return PtolemyReport(True, None, 0.0, 0.0, np.inf, "exhaustive", 0, tol)
 
-    best = worst = None
+    scan = _Scan(-tol)
     for i, j, k, l, q in _quadruple_blocks(d):
         ab = q[0][1] * q[2][3]
         ce = q[0][2] * q[1][3]
         fg = q[0][3] * q[1][2]
         products = np.stack([ab, ce, fg], axis=1)
         margins = np.stack([ce + fg - ab, ab + fg - ce, ab + ce - fg], axis=1)
-        rel = margins / np.maximum(1.0, products)
-        flat = int(np.argmin(rel))
-        if _first_min(rel.flat[flat], best):
-            best = rel.flat[flat]
+
+        def witness(flat):
             m, pairing = divmod(flat, 3)
-            worst = (i, int(j[m]), int(k[m]), int(l[m]), pairing,
-                     float(products[m, pairing]), float(margins[m, pairing]))
-    ii, jj, kk, ll, pairing, lhs, margin = worst
+            return (i, int(j[m]), int(k[m]), int(l[m]), pairing,
+                    float(products[m, pairing]), float(margins[m, pairing]))
+
+        scan.add((margins / np.maximum(1.0, products)).ravel(), witness)
+    ii, jj, kk, ll, pairing, lhs, margin = scan.least
     # arrange the worst quadruple as (x, y, z, t) with lhs = d(x,z) d(t,y)
     quad = ((ii, ll, jj, kk), (ii, ll, kk, jj), (ii, kk, ll, jj))[pairing]
-    return PtolemyReport(bool(best >= -tol), quad, lhs, lhs + margin, margin,
-                         "exhaustive", 3 * comb(n, 4), tol)
+    return PtolemyReport(scan.violation is None, quad, lhs, lhs + margin, margin,
+                         "exhaustive", scan.count, tol)
 
 
 def parse_triangle_function(text: str) -> TriangleFunction:

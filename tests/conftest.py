@@ -23,6 +23,20 @@ def subspace(space, indices):
     return build_space(labels, sub)
 
 
+def naive_scan(values, floor):
+    """(first minimum, first violation, count) of a scan of ``values``, by
+    loops: positions, or None where nothing qualifies.  A NaN is the
+    minimum (the first NaN wins); a value violates when it is NaN or below
+    ``floor``."""
+    low = violation = None
+    for i, v in enumerate(values):
+        if low is None or (v != v and values[low] == values[low]) or v < values[low]:
+            low = i
+        if violation is None and (v != v or v < floor):
+            violation = i
+    return low, violation, len(values)
+
+
 def naive_triangle_worst(space, phi):
     """The first minimum of Phi(d(x,z), d(y,z)) - d(x,y) in loop order
     (x, y, z) over x != y and all z, by loops: (margin, (x, z, y), lhs, rhs).

@@ -180,6 +180,51 @@ def test_at_outside_the_modulus_domain_is_a_usage_error(capsys, command, at):
     assert code == 0 and json.loads(out)["values"] == [0.0]
 
 
+#: a command line for each tolerance option, on inputs where it holds
+TOLERANCE_ARGS = {
+    "--tol": lambda files: ["check", files["line.json"]],
+    "--rank-tol": lambda files: ["weaksim", files["line.json"], files["scaled3.json"]],
+}
+
+
+@pytest.mark.parametrize("option", sorted(TOLERANCE_ARGS))
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_a_tolerance_outside_finite_nonnegative_is_a_usage_error(files, capsys, option,
+                                                                 value):
+    argv = TOLERANCE_ARGS[option](files)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"{option}={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"argument {option}: need a finite number >= 0, got {value!r}")
+    assert run(capsys, *argv, f"{option}=0")[0] == 0
+
+
+def test_an_infinite_tol_does_not_switch_off_space_validation(tmp_path, capsys):
+    path = tmp_path / "bad3.json"
+    path.write_text(json.dumps({"name": "bad", "points": ["a", "b", "c"],
+                                "matrix": [[5, -1, 2], [7, 0, 1], [2, 1, 0]]}))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "") and "d(a,b) != d(b,a)" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(path), "--tol", "inf"])
+    assert exc.value.code == 2
+    assert "HOLDS" not in capsys.readouterr().out
+
+
+def test_a_nan_rank_tol_cannot_match_distinct_spaces(tmp_path, capsys):
+    X, Y = str(tmp_path / "e0.json"), str(tmp_path / "e9.json")
+    for seed, path in (("0", X), ("9", Y)):
+        assert run(capsys, "gen", "euclidean", "--n", "5", "--seed", seed, "-o", path)[0] == 0
+    assert run(capsys, "weaksim", X, Y) == (1, "no weak similarity\n", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["weaksim", X, Y, "--rank-tol", "nan"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 # --------------------------------------------------------------- qs-check
 
 
@@ -316,6 +361,18 @@ def test_transfer_grid_modes(capsys):
                        "--phi2", "additive", "--eta", "power:2")
     assert code == 1
     assert "FAILS" in out
+
+
+def test_transfer_has_no_grid_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transfer", "--eta", "power:0.5", "--grid", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 0" in capsys.readouterr().err
+
+
+def test_transfer_minimal_k2_rejects_nan(capsys):
+    code, out, err = run(capsys, "transfer", "--eta", "power:2", "--minimal-k2", "nan")
+    assert (code, out, err) == (2, "", "error: K1 must be >= 1\n")
 
 
 def test_transfer_end_to_end_on_map(files, capsys):

@@ -6,6 +6,7 @@ distance matrix and the gauge are symmetric bit for bit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsym import (
     Additive,
@@ -27,7 +28,7 @@ from qsym import (
 )
 from qsym import triangle
 
-from conftest import naive_betweenness, naive_minimal_K, naive_triangle_worst
+from conftest import naive_betweenness, naive_minimal_K, naive_scan, naive_triangle_worst
 from test_weak_similarity import cubic_graph, graph_space
 
 GAUGES = (Additive(), MaxGauge(), ScaledAdditive(1.5),
@@ -144,3 +145,29 @@ def test_a_nan_margin_fails_the_triangle_check():
         assert not rep.holds and np.isnan(rep.margin)
         # the first NaN in (x, y, z) order
         assert rep.worst_triple == naive_triangle_worst(space, gauge)[1]
+
+
+#: floors of the scan property, and values that sit exactly on them, tie
+#: with one another, or are NaN or infinite
+SCAN_FLOORS = (-1e-9, 0.0, 1.0 - 1e-9, 1.0)
+SCAN_VALUES = st.sampled_from(
+    SCAN_FLOORS + (np.nan, np.inf, -np.inf, -0.0, -1.0, 0.5, 2.0)) | st.floats()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SCAN_VALUES, min_size=1, max_size=30), st.sampled_from(SCAN_FLOORS),
+       st.data())
+def test_scan_matches_the_loop_oracle_over_block_splits(values, floor, data):
+    # the blocks of any split, read in order, reduce like one loop over
+    # their concatenation: the same first minimum, first violation and count
+    cut = data.draw(st.lists(st.booleans(), min_size=len(values) - 1,
+                             max_size=len(values) - 1))
+    ends = [i + 1 for i, c in enumerate(cut) if c] + [len(values)]
+    scan = triangle._Scan(floor)
+    start = 0
+    for end in ends:
+        scan.add(np.array(values[start:end]), lambda k, start=start: start + k)
+        start = end
+    low, violation, count = naive_scan(values, floor)
+    assert (scan.least, scan.violation, scan.count) == (low, violation, count)
+    assert repr(scan.low) == repr(float(values[low]))

@@ -178,6 +178,12 @@ def test_minimal_transfer_K2_known_values():
     assert minimal_transfer_K2(1.0, PowerModulus(0.5)) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("K1", [0.5, float("nan")])
+def test_minimal_transfer_K2_rejects_a_K1_below_1_or_nan(K1):
+    with pytest.raises(ValueError, match="K1 must be >= 1"):
+        minimal_transfer_K2(K1, PowerModulus(2.0))
+
+
 def test_minimal_transfer_K2_bilip_closed_form():
     # eta(t) = L**2 t makes the boundary sum constant: K2 = K1 L**2
     assert minimal_transfer_K2(1.5, BiLipschitzModulus(2.0)) == pytest.approx(6.0, rel=1e-9)
