@@ -1,7 +1,7 @@
 """Metric betweenness, its preservation, and line structure.
 
-y lies between x and z when d(x,z) = d(x,y) + d(y,z); the equality is
-compared relatively against d(x,z).  On top of the raw triple scan sit
+y lies between x and z when d(x,z) = d(x,y) + d(y,z), an equality within
+tol (:func:`spaces._valid_tol`).  On top of the raw triple scan sit
 the partition conditions that a control function must satisfy for its
 maps to preserve betweenness, the two-generator modulus they produce,
 pseudolinear quadruple detection, and Menger-style line embedding.
@@ -23,7 +23,7 @@ from .errors import (
 from .moduli import CompositeModulus, Modulus, _vectorized
 from .quasisymmetry import image_subset
 from .report import Report
-from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace, SubsetRef
+from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace, SubsetRef, _valid_tol
 from .triangle import _QUAD_ORDERINGS, _pair_rows
 
 #: sample count for the generator monotonicity probe on [0, 1]
@@ -42,31 +42,38 @@ class BetweennessTriple(NamedTuple):
     slack: float
 
 
+def _equal(direct: np.ndarray, through: np.ndarray, tol: float) -> np.ndarray:
+    """direct = through within tol, as the two compares
+    direct (1 - tol) <= through <= direct / (1 - tol)."""
+    high = direct / (1.0 - tol) if tol < 1.0 else np.inf
+    return (through >= direct * (1.0 - tol)) & (through <= high)
+
+
 def _between_columns(D: np.ndarray, tol: float):
     """The betweenness triples of D as four lists x, y, z, slack, with
     x < z, in (x, z, y) order: each pair row (x, z) against every y."""
+    _valid_tol(tol)
     xs, ys, zs, slacks = [], [], [], []
     for x, lo, hi in _pair_rows(len(D)):
         direct = D[x, lo:hi, None]
-        slack = np.abs(direct - (D[x] + D[lo:hi]))  # |d(x,z) - (d(x,y) + d(y,z))|
-        ok = slack <= tol * direct
+        through = D[x] + D[lo:hi]  # d(x, y) + d(y, z)
+        ok = _equal(direct, through, tol)
         ok[:, x] = False
         np.fill_diagonal(ok[:, lo:hi], False)
         z, y = np.nonzero(ok)
         xs += [x] * len(z)
         ys += y.tolist()
         zs += (z + lo).tolist()
-        slacks += slack[z, y].tolist()
+        slacks += np.abs(direct[z, 0] - through[z, y]).tolist()
     return xs, ys, zs, slacks
 
 
 def betweenness_triples(
     space: SemimetricSpace, tol: float = DEFAULT_TOL
 ) -> list:
-    """All triples with d(x,z) = d(x,y) + d(y,z) within relative tol,
-    canonicalized to x < z and sorted by (x, z, y).  The cyclic garbage
-    collector is paused while the list is built and switched back on
-    afterwards only if it was on before."""
+    """All triples with y between x and z, canonicalized to x < z and
+    sorted by (x, z, y).  The cyclic garbage collector is paused while the
+    list is built and switched back on afterwards only if it was on before."""
     columns = _between_columns(np.asarray(space.dist), tol)
     # the tuples hold no references back, so the cyclic collector that
     # their allocation would trigger over and over can find nothing
@@ -103,13 +110,13 @@ def preserves_betweenness(
     f: PointMap, tol: float = DEFAULT_TOL
 ) -> BetweennessPreservationReport:
     """Check that every domain betweenness triple maps to an image triple
-    satisfying the same additive equality within relative tol."""
+    satisfying the same additive equality within tol."""
     xs, ys, zs, slacks = _between_columns(np.asarray(f.domain.dist), tol)
     R = f.image_matrix()
     direct = R[xs, zs]
     through = R[xs, ys] + R[ys, zs]
     image = np.abs(direct - through)
-    bad = np.flatnonzero(image > tol * np.maximum(direct, through)).tolist()
+    bad = np.flatnonzero(~_equal(direct, through, tol)).tolist()
     violations = tuple(
         BetweennessViolation(xs[i], ys[i], zs[i], slacks[i], float(image[i])) for i in bad
     )
@@ -158,6 +165,7 @@ def check_l02_conditions(
     Defaults to ``count`` interior samples i/(count+1).  Pass explicit
     samples to probe particular ratios.
     """
+    _valid_tol(tol)
     if samples is None:
         t1 = np.arange(1, count + 1, dtype=float) / (count + 1)
     else:
@@ -177,23 +185,13 @@ def check_l02_conditions(
     recip_defect = np.abs(recip - 1.0)
     sufficiency = bool(np.max(sum_defect) <= tol and np.max(recip_defect) <= tol)
 
-    flagged = (recip > 1.0 + tol) | (direct < 1.0 - tol)
+    flagged = (recip * (1.0 - tol) > 1.0) | (direct < 1.0 - tol)
     violations = tuple(
-        PartitionViolation(
-            float(t1[i]), float(t2[i]), float(direct[i]), float(recip[i])
-        )
-        for i in np.nonzero(flagged)[0]
-    )
+        PartitionViolation(float(t1[i]), float(t2[i]), float(direct[i]), float(recip[i]))
+        for i in np.nonzero(flagged)[0])
     return PartitionConditionsReport(
-        sufficiency and not violations,
-        sufficiency,
-        float(np.max(sum_defect)),
-        float(np.max(recip_defect)),
-        violations,
-        len(t1),
-        "grid-extrapolated",
-        tol,
-    )
+        sufficiency and not violations, sufficiency, float(np.max(sum_defect)),
+        float(np.max(recip_defect)), violations, len(t1), "grid-extrapolated", tol)
 
 
 def power_generator(n: float) -> Callable:
@@ -266,24 +264,20 @@ def detect_pseudolinear(
 
     Tries the three diagonal pairings in a fixed order and returns the
     first ordering whose opposite sides agree pairwise and whose equal
-    diagonals are the sum of adjacent sides, all within relative tol.
+    diagonals are the sum of adjacent sides, all within tol.
     """
     if space.n != 4:
         raise ValueError("pseudolinear detection needs exactly 4 points")
+    _valid_tol(tol)
     D = np.asarray(space.dist)
-    scale = float(np.max(D))
     for a, b, c, d in _QUAD_ORDERINGS:
         t_pair = (D[a, b], D[c, d])
         s_pair = (D[b, c], D[d, a])
         diag = (D[a, c], D[b, d])
         t = (t_pair[0] + t_pair[1]) / 2.0
         s = (s_pair[0] + s_pair[1]) / 2.0
-        if (
-            abs(t_pair[0] - t_pair[1]) <= tol * scale
-            and abs(s_pair[0] - s_pair[1]) <= tol * scale
-            and abs(diag[0] - diag[1]) <= tol * scale
-            and abs(diag[0] - (s + t)) <= tol * scale
-        ):
+        if all(abs(u - v) <= tol * max(u, v)
+               for u, v in (t_pair, s_pair, diag, (diag[0], s + t))):
             return QuadrupleShape((a, b, c, d), float(s), float(t))
     return QuadrupleShape(None, None, None)
 
@@ -297,6 +291,7 @@ def line_embed(
     and d(a, b); every other point lands at +/- d(a, p) with the sign
     fixed by d(b, p); all pairs are then verified within tol * diameter.
     """
+    _valid_tol(tol)
     n = space.n
     D = np.asarray(space.dist)
     coords = np.zeros(n)
@@ -366,13 +361,5 @@ def betweenness_image_structure(
         or not domain_quad.found
         or (image_quad is not None and image_quad.found)
     )
-    return ImageStructureReport(
-        line_ok and quad_ok,
-        line_ok,
-        quad_ok,
-        domain_line,
-        image_line,
-        domain_quad,
-        image_quad,
-        tol,
-    )
+    return ImageStructureReport(line_ok and quad_ok, line_ok, quad_ok, domain_line, image_line,
+                                domain_quad, image_quad, tol)

@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ParseError
-from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace, build_map, build_space
+from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace, _valid_tol, build_map, build_space
 
 PathLike = Union[str, Path]
 
@@ -65,6 +65,7 @@ def load_space_document(path: PathLike, tol: float = DEFAULT_TOL):
     Validation failures surface as :class:`ParseError` with location;
     semimetric axiom violations pass through from ``build_space``.
     """
+    _valid_tol(tol)
     if str(path).lower().endswith(".csv"):
         return _load_space_csv(path, tol)
     doc = _load_json(path)

@@ -29,7 +29,7 @@ INVOLUTION_GRID = np.geomspace(1e-4, 1e4, 513)
 #: conditions; deliberately includes arguments well above 1
 SUBMULT_AXIS = np.geomspace(1e-3, 1e3, 48)
 
-#: residual tolerance for numeric modulus inversion
+#: residual tolerance for numeric modulus inversion, relative to the target
 INVERT_RESIDUAL_TOL = 1e-12
 
 #: relative snap width when evaluating step moduli at realized ratios
@@ -337,8 +337,7 @@ class NumericInverseModulus(Modulus):
 def invert_modulus(eta: Modulus, y: float) -> float:
     """Solve eta(s) = y for s >= 0 by bracket doubling plus bisection.
 
-    Residual tolerance ``1e-12 * max(1, y)``, and ``1e-12 * y`` once the
-    bracket is no wider than ``1e-17 * max(1, mid)``.  Raises
+    Residual tolerance ``1e-12 * y``, relative at every step.  Raises
     :class:`NoBracket` when doubling from 1 never reaches y, and
     :class:`NotInvertible` when the bisection stalls: the bracket cannot be
     split (its midpoint equals an end) or 400 steps pass.
@@ -352,7 +351,7 @@ def _bisect(fn: Callable, y, name: str):
 
     ``y`` may be an array of targets.  Each runs the scalar steps, bracket
     doubling from 1 and then bisection on compact arrays of the open
-    targets (lo, hi, y, tol, shrunk by one mask), so fn sees one array per
+    targets (lo, hi, y, shrunk by one mask), so fn sees one array per
     step and every value equals its own scalar bisection.  The error raised
     is the first failing target's.
     """
@@ -378,20 +377,17 @@ def _bisect(fn: Callable, y, name: str):
     k, hi = np.delete(k, up), np.delete(hi, up)
     yk = y[k]
     lo = np.zeros_like(yk)
-    tol = INVERT_RESIDUAL_TOL * np.maximum(1.0, yk)
     for step in range(400):
         if not k.size:
             break
         mid = 0.5 * (lo + hi)
         val = np.asarray(fn(mid), dtype=float)
         res = np.abs(val - yk)
-        done = res <= tol
+        done = res <= INVERT_RESIDUAL_TOL * yk
         stop = ~done & ((mid == lo) | (mid == hi) | (step == 399))
         below = val < yk
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        # in a bracket this narrow only a residual relative to y pins a small preimage
-        tol = np.where(hi - lo <= 1e-17 * np.maximum(1.0, mid), INVERT_RESIDUAL_TOL * yk, tol)
         keep = ~(done | stop)
         if keep.all():
             continue
@@ -402,7 +398,7 @@ def _bisect(fn: Callable, y, name: str):
                 f"{name}: bisection stalled at residual {res[j]:.3g} inverting "
                 f"{yk[j]:.6g}",
             )
-        k, yk, tol, lo, hi = k[keep], yk[keep], tol[keep], lo[keep], hi[keep]
+        k, yk, lo, hi = k[keep], yk[keep], lo[keep], hi[keep]
     if failed:
         error, message = failed[min(failed)]
         raise error(message)

@@ -7,7 +7,7 @@ ratio t = d(x,a) / d(x,b) and an image ratio r = rho(fx,fa) / rho(fx,fb).
 in O(n**2) memory and evaluates a modulus once per block.
 
 :func:`check_qs` decides the defining implication triple by triple: an
-increasing eta verifies f exactly when eta(t) + tol >= r for every
+increasing eta verifies f exactly when r <= eta(t) within tol for every
 realized pair, and the first failing envelope knot is the smallest flagged
 t.  :func:`eta_ratio_report` streams the same rows.  The empirical
 envelope, the running maximum H of r over ratios <= t with its witnesses
@@ -47,7 +47,7 @@ from .moduli import (
     _vectorized,
 )
 from .report import Report
-from .spaces import DEFAULT_TOL, PointMap, SubsetRef, diameter
+from .spaces import DEFAULT_TOL, PointMap, SubsetRef, _valid_tol, diameter
 from .triangle import TriangleFunction, invert_diag
 
 #: pinned tolerances of the ratio-identity report
@@ -199,10 +199,11 @@ _VERDICTS = WeakKeyDictionary()  # check_qs: map -> modulus -> tol -> report
 
 
 def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
-    """Does eta verify f?  Holds iff eta(t) + tol >= r at every realized
-    pair (t, r) of :func:`_rows`; ``checked`` counts the pairs scanned.
+    """Does eta verify f?  Holds iff eta(t) >= (1 - tol) r at every realized
+    pair (t, r) of :func:`_rows`, the rule of :func:`spaces._valid_tol`;
+    ``checked`` counts the pairs scanned.
 
-    For an increasing eta that is the envelope test eta(t_i) + tol >=
+    For an increasing eta that is the envelope test eta(t_i) >= (1 - tol)
     H(t_i) at every knot, and the first failing knot is the smallest
     flagged ratio lo: no smaller ratio is flagged, so none lifts H above
     eta there.  Its value H is the largest flagged r at lo, and its witness
@@ -216,6 +217,7 @@ def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
     live, and the derived analyses reuse it.  Only identity-hashed moduli
     are kept.  Maps and moduli are values: do not mutate one after a check.
     """
+    _valid_tol(tol)
     by_tol = {}
     if type(f).__hash__ is type(eta).__hash__ is object.__hash__:
         with suppress(TypeError):  # not weakly referenceable
@@ -241,7 +243,7 @@ def _scan_qs(f: PointMap, eta: Modulus, tol: float) -> QsReport:
                 continue
             t, r = t[pos], r[pos]
         vals = np.asarray(eta.eval(t), dtype=float)
-        bad = np.nonzero(~(vals + tol >= r))[0]  # a NaN eta(t) violates
+        bad = np.nonzero(~(vals >= (1.0 - tol) * r))[0]  # a NaN eta(t) violates
         if len(bad) == 0:
             continue
         t_bad = t[bad]
@@ -257,17 +259,8 @@ def _scan_qs(f: PointMap, eta: Modulus, tol: float) -> QsReport:
         return QsReport(True, None, None, None, None, None, eta.describe(), tol, checked)
     h, v, x, a, b = worst
     lab = f.domain.labels
-    return QsReport(
-        False,
-        (x, a, b),
-        (lab[x], lab[a], lab[b]),
-        float(lo),
-        float(h),
-        float(v),
-        eta.describe(),
-        tol,
-        checked,
-    )
+    return QsReport(False, (x, a, b), (lab[x], lab[a], lab[b]), float(lo), float(h), float(v),
+                    eta.describe(), tol, checked)
 
 
 @dataclass(frozen=True)
@@ -356,6 +349,7 @@ def fit_snowflake(f: PointMap, tol: float = DEFAULT_TOL) -> Optional[SnowflakeFi
     closed form; every pair is then verified within relative ``tol``.
     An exponent of (numerically) 1 is flagged as a similarity.
     """
+    _valid_tol(tol)
     n = f.domain.n
     if n < 2:
         return None
@@ -406,10 +400,10 @@ def eta_from_sandwich(
     with np.errstate(over="ignore", invalid="ignore"):
         v1 = np.asarray(p1(g), dtype=float)
         v2 = np.asarray(p2(g), dtype=float)
-        slack = 1e-9 * np.maximum(1.0, np.abs(v2))
-        # overflowed probe points compare as NaN, which asserts nothing
-        low_bad = v2 < v1 - slack
-        high_bad = v2 > K * v1 + 1e-9 * np.maximum(1.0, K * np.abs(v1))
+        # points where both sides overflow compare as inf < inf, which
+        # asserts nothing
+        low_bad = v2 < (1.0 - 1e-9) * v1
+        high_bad = (1.0 - 1e-9) * v2 > K * v1
     if np.any(low_bad) or np.any(high_bad):
         k = int(np.argmax(low_bad | high_bad))
         raise SandwichOrderViolated(
@@ -422,7 +416,7 @@ def eta_from_sandwich(
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = np.asarray(p2(u * v), dtype=float)
         rhs = C * np.asarray(p2(u), dtype=float) * np.asarray(p2(v), dtype=float)
-        bad = lhs > rhs + 1e-9 * np.maximum(1.0, np.abs(rhs))
+        bad = (1.0 - 1e-9) * lhs > rhs
     if np.any(bad):
         i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise SubmultiplicativityViolated(
@@ -539,8 +533,8 @@ def tv_bounds(
     lower_rhs = dfA / invert_diag(phi2, dfB)
     upper_slack = upper_rhs - upper_lhs
     lower_slack = lower_rhs - lower_lhs
-    upper_holds = bool(upper_slack >= -tol)
-    lower_holds = bool(lower_slack >= -tol)
+    upper_holds = bool(upper_slack >= -tol * upper_lhs)
+    lower_holds = bool(lower_slack >= -tol * lower_lhs)
 
     classical = None
     K1c = phi1.classical_coefficient
@@ -550,13 +544,8 @@ def tv_bounds(
         up = float(np.asarray(eta.eval(2.0 * K1c * dA / dB)))
         ratio = dfA / dfB
         classical = ClassicalBoundsReport(
-            K1c,
-            K2c,
-            low,
-            ratio,
-            up,
-            bool(ratio - low >= -tol and up - ratio >= -tol),
-        )
+            K1c, K2c, low, ratio, up,
+            bool(ratio - low >= -tol * low and up - ratio >= -tol * ratio))
 
     holds = upper_holds and lower_holds and (classical is None or classical.holds)
     return DiameterBoundsReport(
@@ -569,7 +558,9 @@ def tv_bounds(
 
 @dataclass(frozen=True)
 class PairBoundsReport(Report):
-    """Per-pair distance bounds from the diameters of the whole space."""
+    """Per-pair distance bounds from the diameters of the whole space.  A
+    worst slack is the first minimum of bound - rho (upper) or rho - bound
+    (lower) over the pairs i < j, and its pair."""
 
     diam_x: float
     diam_fx: float
@@ -618,15 +609,14 @@ def bounded_image_bounds(
     upper = dfX * np.asarray(eta.eval(d / p1inv), dtype=float)
     lower = p2inv / np.asarray(eta.eval(dX / d), dtype=float)
 
-    up_slack = (upper - rho) / np.maximum(1.0, upper)
-    low_slack = (rho - lower) / np.maximum(1.0, np.maximum(np.abs(lower), rho))
+    up_slack = upper - rho
+    low_slack = rho - lower
     iu_up = int(np.argmin(up_slack))
     iu_low = int(np.argmin(low_slack))
     pair_up = (int(iu[0][iu_up]), int(iu[1][iu_up]))
     pair_low = (int(iu[0][iu_low]), int(iu[1][iu_low]))
 
-    derived_L = None
-    C = None
+    derived_L = C = None
     if isinstance(eta, LinearModulus):
         C = eta.C
     elif isinstance(eta, BiLipschitzModulus):
@@ -634,16 +624,6 @@ def bounded_image_bounds(
     if C is not None:
         derived_L = 2.0 * C * max(dfX / dX, dX / dfX)
 
-    holds = bool(up_slack[iu_up] >= -tol and low_slack[iu_low] >= -tol)
-    return PairBoundsReport(
-        dX,
-        dfX,
-        float(up_slack[iu_up]),
-        pair_up,
-        float(low_slack[iu_low]),
-        pair_low,
-        derived_L,
-        minimal_bilipschitz_L(f),
-        holds,
-        tol,
-    )
+    holds = bool(np.all(up_slack >= -tol * rho) and np.all(low_slack >= -tol * lower))
+    return PairBoundsReport(dX, dfX, float(up_slack[iu_up]), pair_up, float(low_slack[iu_low]),
+                            pair_low, derived_L, minimal_bilipschitz_L(f), holds, tol)

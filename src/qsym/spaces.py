@@ -39,6 +39,27 @@ DEFAULT_TOL = 1e-9
 RANK_TOL = 1e-9
 
 
+def _valid_tol(tol: float) -> float:
+    """Return ``tol`` if it is finite and >= 0, else raise ValueError.
+
+    Every check that takes a ``tol`` passes it through here, and applies
+    this one rule, which no scaling d -> c d of the distances can flip:
+
+    - ``lhs <= rhs`` holds within tol iff ``rhs - lhs >= -tol * lhs``;
+    - an equality ``a = b`` holds iff both directions do, that is
+      ``|a - b| <= tol * max(a, b)``;
+    - a defect that should be zero is measured against the space's largest
+      distance: the asymmetry, diagonal and sign tests of
+      :func:`build_space`, and the residuals of ``line_embed``.
+
+    A NaN side fails.  Reports keep the absolute margin ``rhs - lhs``, and
+    their witness is its first minimum.
+    """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    return tol
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype, copy=True)
     out.setflags(write=False)
@@ -173,6 +194,7 @@ def build_space(labels: Sequence[str], matrix, tol: float = DEFAULT_TOL) -> Semi
     raises :class:`ZeroOffDiagonal`, a clearly negative one
     :class:`NegativeDistance`.
     """
+    _valid_tol(tol)
     labels = tuple(str(l) for l in labels)
     if len(set(labels)) != len(labels):
         seen = set()

@@ -20,7 +20,7 @@ from .errors import PreconditionFailed, Unbounded
 from .moduli import Modulus, PowerModulus
 from .quasisymmetry import check_qs
 from .report import Report
-from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace
+from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace, _valid_tol
 from .triangle import (
     _QUAD_ORDERINGS,
     PtolemyReport,
@@ -96,7 +96,7 @@ def check_transfer_condition(
     of the scan over all ordered (x, y, z) have x < y.  That scan stops
     after the first violating x; ``checked_pairs`` counts its premise pairs.
     """
-    scan = _Scan(1.0 - tol)
+    scan = _Scan(1.0 - _valid_tol(tol))
     if pairs is None:
         axis = np.geomspace(grid_span[0], grid_span[1], grid_points)
         # anchor the small dyadic ratios where the classical equality
@@ -277,8 +277,9 @@ def ptolemy_transfer_check(
 
     is checked at realized quadruple ratios (t1 = d(x,z)/d(x,y),
     t2 = d(t,y)/d(t,z), t3 = d(x,z)/d(x,t), t4 = d(t,y)/d(y,z)) in all
-    three orderings of every 4-subset; a NaN conclusion is a violation (the
-    rule of :class:`_Scan`, one scan per ordering).
+    three orderings of every 4-subset, each a premise that the domain's
+    Ptolemy check has certified; a NaN conclusion is a violation (the rule
+    of :class:`_Scan`, one scan per ordering).
     Every verdict is exhaustive: each Ptolemy check costs 3 C(n, 4)
     inequalities, streamed in O(n^2) memory.
     """
@@ -313,22 +314,15 @@ def ptolemy_transfer_check(
             t2 = q[T][Y] / q[T][Z]
             t3 = q[X][Z] / q[X][T]
             t4 = q[T][Y] / q[Y][Z]
-            lhs = t1 * t2 * t3 * t4
-            rhs = t1 * t2 + t3 * t4
-            premise = lhs <= rhs + tol * np.maximum(1.0, rhs)
-            if not np.any(premise):
-                continue
-            idx = np.nonzero(premise)[0]
-            l1, l2, l3, l4 = (np.asarray(eta.log_eval(t[idx]), dtype=float)
+            l1, l2, l3, l4 = (np.asarray(eta.log_eval(t), dtype=float)
                               for t in (t1, t2, t3, t4))
             with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
                 c = np.exp(-(l1 + l2)) + np.exp(-(l3 + l4))
 
             def witness(m):
-                s = idx[m]
-                quad = (i, int(j[s]), int(k[s]), int(l[s]))
+                quad = (i, int(j[m]), int(k[m]), int(l[m]))
                 return (float(c[m]), tuple(quad[p] for p in (X, Y, Z, T)),
-                        tuple(float(t[s]) for t in (t1, t2, t3, t4)))
+                        tuple(float(t[m]) for t in (t1, t2, t3, t4)))
 
             scan.add(c, witness)
     violation = next((s.violation for s in scans if s.violation is not None), None)

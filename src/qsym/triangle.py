@@ -13,6 +13,7 @@ grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import GaugeInvalid, NotInvertible
 from .moduli import _bisect
 from .report import Report
-from .spaces import DEFAULT_TOL, SemimetricSpace
+from .spaces import DEFAULT_TOL, SemimetricSpace, _valid_tol
 
 #: probe grid used to validate custom gauges (both axes)
 GAUGE_PROBE_AXIS = np.geomspace(1e-6, 1e6, 64)
@@ -141,16 +142,14 @@ class CustomGauge(TriangleFunction):
         vals = np.asarray(self._fn(g[:, None], g[None, :]), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise GaugeInvalid(f"{self.name}: non-finite value on the probe grid")
-        scale = np.maximum(1.0, np.abs(vals))
         asym = np.abs(vals - vals.T)
-        if np.any(asym > 1e-9 * np.maximum(scale, scale.T)):
+        if np.any(asym > 1e-9 * np.maximum(np.abs(vals), np.abs(vals.T))):
             i, j = np.unravel_index(np.argmax(asym), asym.shape)
             raise GaugeInvalid(
                 f"{self.name}: not symmetric at ({g[i]:.3g}, {g[j]:.3g})"
             )
-        slack = 1e-12 * scale
-        if np.any(np.diff(vals, axis=0) < -slack[1:, :]) or np.any(
-            np.diff(vals, axis=1) < -slack[:, 1:]
+        if np.any(np.diff(vals, axis=0) < -1e-12 * vals[:-1, :]) or np.any(
+            np.diff(vals, axis=1) < -1e-12 * vals[:, :-1]
         ):
             raise GaugeInvalid(f"{self.name}: not monotone on the probe grid")
 
@@ -174,7 +173,7 @@ def invert_diag(phi: TriangleFunction, y: float) -> float:
     """Inverse of the diagonal gauge t -> Phi(t, t) at y >= 0.
 
     Closed forms for the built-in variants; bisection with bracket doubling
-    otherwise, to residual ``1e-12 * max(1, y)``.
+    otherwise, to residual ``1e-12 * y``.
     """
     return float(phi.diag_inverse(y))
 
@@ -184,8 +183,8 @@ class TriangleReport(Report):
     """Outcome of a generalized triangle check.
 
     ``worst_triple`` is (x, z, y): the inequality read d(x,y) <= Phi(d(x,z),
-    d(y,z)), so the middle entry is the via-point.  ``margin`` = rhs - lhs
-    at that triple; the check holds iff margin >= -tol there.
+    d(y,z)), so the middle entry is the via-point, and ``margin`` = rhs - lhs
+    there.
     """
 
     holds: bool
@@ -219,12 +218,15 @@ def _pair_rows(n: int):
 class _Scan:
     """The cross-block reduction of every exhaustive scan, in scan order.
 
-    ``add`` takes a nonempty block's values, raveled in scan order, and a
-    map from a position in them to its witness.  ``low`` and ``least`` are
-    the first minimum and its witness, where a NaN is the minimum (the
+    ``add`` takes a nonempty block's values, in scan order once raveled, a
+    map from a raveled position to its witness and, optionally, per-value
+    floors that broadcast against the values and lie at or below ``floor``
+    (by default every value's floor is ``floor``).  ``low`` and ``least``
+    are the first minimum and its witness, where a NaN is the minimum (the
     first NaN wins); ``violation`` is the witness of the first value that
-    is NaN or below ``floor``; ``count`` is the number of values read.
-    np.argmin picks the first NaN, so a block violates iff its pick does.
+    is NaN or below its floor; ``count`` is the number of values read.
+    np.argmin picks the first NaN, so a block can violate only if its pick
+    is NaN or below ``floor``.
     """
 
     def __init__(self, floor: float):
@@ -232,14 +234,17 @@ class _Scan:
         self.count = 0
         self.low = self.least = self.violation = None
 
-    def add(self, values: np.ndarray, witness: Callable):
+    def add(self, values: np.ndarray, witness: Callable, floor=None):
         self.count += values.size
         k = int(np.argmin(values))
-        v = float(values[k])
+        v = float(values.flat[k])
         if self.low is None or v < self.low or (v != v and self.low == self.low):
             self.low, self.least = v, witness(k)
         if self.violation is None and not v >= self.floor:
-            self.violation = witness(int(np.argmax(~(values >= self.floor))))
+            bad = ~(values >= (self.floor if floor is None else floor))
+            k = int(np.argmax(bad))
+            if bad.flat[k]:
+                self.violation = witness(k)
 
 
 def check_triangle(
@@ -249,21 +254,23 @@ def check_triangle(
 
     x and y range over distinct pairs; z ranges over *all* points,
     including x and y themselves.  The report carries the first
-    minimum-margin triple in (x, y, z) order, and the check fails at a
-    margin below -tol or NaN (the rule of :class:`_Scan`).  Phi and d are
+    minimum-margin triple in (x, y, z) order; the check applies the rule
+    of :func:`spaces._valid_tol` through :class:`_Scan`.  Phi and d are
     symmetric, so that triple has x < y and the scan reads each pair once.
     """
     n = space.n
     d = space.dist
+    _valid_tol(tol)
     if n < 2:
         return TriangleReport(True, None, 0.0, 0.0, np.inf, phi.describe(), tol)
 
-    scan = _Scan(-tol)
+    scan = _Scan(0.0)  # every floor -tol d(x, y) is at most 0
     for x, lo, hi in _pair_rows(n):
         # margin[y - lo, z] = Phi(d(x, z), d(y, z)) - d(x, y)
         margin = np.asarray(phi(d[x][None, :], d[lo:hi]), dtype=float)
-        margin -= d[x, lo:hi, None]
-        scan.add(margin.ravel(), lambda k: (x, k % n, lo + k // n))
+        lhs = d[x, lo:hi, None]
+        margin -= lhs
+        scan.add(margin, lambda k: (x, k % n, lo + k // n), -tol * lhs)
 
     x, z, y = scan.least
     lhs = float(d[x, y])
@@ -364,19 +371,21 @@ def is_ptolemaic(space: SemimetricSpace, tol: float = DEFAULT_TOL) -> PtolemyRep
     """Check every 4-subset against all three product pairings.
 
     Holds iff each product of "diagonal" distances is at most the sum of
-    the other two products, within ``tol * max(1, lhs)``.  Exhaustive at a
-    cost of 3 C(n, 4) inequalities, streamed in O(n^2) memory; the witness
-    is the first minimum of the relative slack in (i, j, k, l, pairing)
-    order, and a NaN slack fails (the rule of :class:`_Scan`).  Vacuously
-    true for n < 4.
+    the other two products.  Exhaustive at a cost of 3 C(n, 4) inequalities,
+    streamed in O(n^2) memory; the witness is the first minimum margin in
+    (i, j, k, l, pairing) order.  The products are formed on the distances
+    times 2**-e, e the binary exponent of the largest one, which is exact
+    and cannot overflow; scaled back, a report field may read inf, never
+    NaN.  Vacuously true for n < 4.
     """
     n = space.n
-    d = space.dist
+    _valid_tol(tol)
     if n < 4:
         return PtolemyReport(True, None, 0.0, 0.0, np.inf, "exhaustive", 0, tol)
 
-    scan = _Scan(-tol)
-    for i, j, k, l, q in _quadruple_blocks(d):
+    e = math.frexp(float(np.max(space.dist)))[1]
+    scan = _Scan(0.0)  # every floor -tol lhs is at most 0
+    for i, j, k, l, q in _quadruple_blocks(np.ldexp(space.dist, -e)):
         ab = q[0][1] * q[2][3]
         ce = q[0][2] * q[1][3]
         fg = q[0][3] * q[1][2]
@@ -388,11 +397,13 @@ def is_ptolemaic(space: SemimetricSpace, tol: float = DEFAULT_TOL) -> PtolemyRep
             return (i, int(j[m]), int(k[m]), int(l[m]), pairing,
                     float(products[m, pairing]), float(margins[m, pairing]))
 
-        scan.add((margins / np.maximum(1.0, products)).ravel(), witness)
+        scan.add(margins, witness, -tol * products)
     ii, jj, kk, ll, pairing, lhs, margin = scan.least
     # arrange the worst quadruple as (x, y, z, t) with lhs = d(x,z) d(t,y)
     quad = ((ii, ll, jj, kk), (ii, ll, kk, jj), (ii, kk, ll, jj))[pairing]
-    return PtolemyReport(scan.violation is None, quad, lhs, lhs + margin, margin,
+    with np.errstate(over="ignore"):
+        lhs, rhs, margin = (float(np.ldexp(v, 2 * e)) for v in (lhs, lhs + margin, margin))
+    return PtolemyReport(scan.violation is None, quad, lhs, rhs, margin,
                          "exhaustive", scan.count, tol)
 
 

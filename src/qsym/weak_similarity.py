@@ -39,7 +39,7 @@ from .moduli import (
 )
 from .quasisymmetry import check_qs
 from .report import Report
-from .spaces import RANK_TOL, PointMap, SemimetricSpace
+from .spaces import RANK_TOL, PointMap, SemimetricSpace, _valid_tol
 
 #: brute-force oracle guard
 ORACLE_MAX_N = 9
@@ -58,6 +58,7 @@ def space_ranks(space: SemimetricSpace, tol: float = RANK_TOL):
     which relies on the bit-symmetric dist and exact zero diagonal that
     every space constructor stores.
     """
+    _valid_tol(tol)
     D = np.asarray(space.dist)
     upper = ~np.tri(len(D), dtype=bool)
     off, inverse = np.unique(D[upper], return_inverse=True)
@@ -97,6 +98,7 @@ class ScalingFunction:
         object.__setattr__(self, "codomain_values", cv)
 
     def __call__(self, value: float, tol: float = RANK_TOL) -> float:
+        _valid_tol(tol)
         dv = self.domain_values
         i = int(np.searchsorted(dv, value))
         for k in (i - 1, i):
@@ -394,6 +396,7 @@ def check_involution_identity(
     Products run through the log path so that over/underflowing factors
     cancel instead of producing inf * 0.
     """
+    _valid_tol(tol)
     ks = INVOLUTION_GRID if grid is None else np.asarray(grid, dtype=float)
     with np.errstate(over="ignore"):
         prod = np.exp(
@@ -424,7 +427,7 @@ def eta_from_antisymmetric(psi: Callable, label: str = "involutive") -> Modulus:
     z = np.tile(ANTISYM_AXIS, len(ANTISYM_AXIS))
     fwd = np.asarray(p(x, z), dtype=float)
     bwd = np.asarray(p(z, x), dtype=float)
-    bad = np.abs(fwd + bwd) > 1e-9 * np.maximum(1.0, np.abs(fwd))
+    bad = np.abs(fwd + bwd) > 1e-9 * np.maximum(np.abs(fwd), np.abs(bwd))
     if np.any(bad):
         i = int(np.argmax(bad))
         raise NotAntisymmetric(
@@ -450,7 +453,7 @@ def qs_from_weaksim(
     cv = ws.phi.codomain_values
     got = np.asarray(p(dv), dtype=float)
     gap = np.abs(got - cv)
-    bad = gap > 1e-12 * np.maximum(1.0, np.abs(cv))
+    bad = gap > 1e-12 * np.maximum(np.abs(got), np.abs(cv))
     if np.any(bad):
         i = int(np.argmax(bad))
         raise NotAContinuation(
@@ -464,7 +467,7 @@ def qs_from_weaksim(
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = np.asarray(p(u * v), dtype=float)
         rhs = np.asarray(p(u), dtype=float) * np.asarray(p(v), dtype=float)
-        bad = lhs > rhs + 1e-9 * np.maximum(1.0, np.abs(rhs))
+        bad = (1.0 - 1e-9) * lhs > rhs
     if np.any(bad):
         i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise NotSubmultiplicative(

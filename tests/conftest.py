@@ -27,12 +27,12 @@ def naive_scan(values, floor):
     """(first minimum, first violation, count) of a scan of ``values``, by
     loops: positions, or None where nothing qualifies.  A NaN is the
     minimum (the first NaN wins); a value violates when it is NaN or below
-    ``floor``."""
+    its floor: ``floor``, or ``floor[i]`` when one is given per value."""
     low = violation = None
     for i, v in enumerate(values):
         if low is None or (v != v and values[low] == values[low]) or v < values[low]:
             low = i
-        if violation is None and (v != v or v < floor):
+        if violation is None and (v != v or v < (floor[i] if np.ndim(floor) else floor)):
             violation = i
     return low, violation, len(values)
 
@@ -151,7 +151,7 @@ def naive_envelope(f):
 
 def knot_qs_report(f, eta, tol):
     """The quasisymmetry verdict read off the envelope knots: holds iff
-    eta(t_i) + tol >= H(t_i) at every knot (a NaN eta(t_i) violates), with
+    eta(t_i) >= (1 - tol) H(t_i) at every knot (a NaN eta(t_i) violates), with
     the witness behind the first failing knot.  ``checked`` counts the
     knots."""
     from qsym import QsReport, empirical_modulus
@@ -159,7 +159,7 @@ def knot_qs_report(f, eta, tol):
     env = empirical_modulus(f)
     vals = np.asarray(eta.eval(env.ts), dtype=float)
     for i, (t, h, v) in enumerate(zip(env.ts, env.hs, vals)):
-        if not v + tol >= h:
+        if not v >= (1 - tol) * h:
             w = tuple(int(k) for k in env.witnesses[i])
             return QsReport(False, w, env.witness_labels(i), float(t), float(h), float(v),
                             eta.describe(), tol, len(env))
@@ -198,8 +198,7 @@ def scalar_bisect(fn, y):
     """Solve fn(s) = y for one target by bracket doubling from 1 and then
     bisection, one Python float at a time; None where no root is bracketed
     or the bisection stalls: the midpoint equals an end of the bracket, or
-    400 steps pass.  Once the bracket is no wider than 1e-17 * max(1, mid)
-    the residual must be relative to y."""
+    400 steps pass.  The residual is relative to y at every step."""
     if y == 0.0:
         return 0.0
     hi = 1.0
@@ -210,11 +209,10 @@ def scalar_bisect(fn, y):
     else:
         return None
     lo = 0.0
-    tol = 1e-12 * max(1.0, y)
     for _ in range(400):
         mid = 0.5 * (lo + hi)
         val = float(np.asarray(fn(mid)))
-        if abs(val - y) <= tol:
+        if abs(val - y) <= 1e-12 * y:
             return mid
         if mid in (lo, hi):
             return None
@@ -222,8 +220,6 @@ def scalar_bisect(fn, y):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-17 * max(1.0, mid):
-            tol = 1e-12 * y
     return None
 
 
@@ -303,7 +299,9 @@ def naive_monotone_implications(f, tol=1e-9):
 
 
 def naive_betweenness(space, tol=1e-9):
-    """Sorted (x, y, z) with x < z, y between them, by direct loops."""
+    """Sorted (x, y, z) with x < z, y between them within tol, that is
+    |d(x,z) - (d(x,y) + d(y,z))| <= tol max(d(x,z), d(x,y) + d(y,z)), by
+    direct loops."""
     d = np.asarray(space.dist)
     n = space.n
     out = []
@@ -312,7 +310,8 @@ def naive_betweenness(space, tol=1e-9):
             for y in range(n):
                 if y == x or y == z:
                     continue
-                if abs(d[x, z] - (d[x, y] + d[y, z])) <= tol * d[x, z]:
+                through = d[x, y] + d[y, z]
+                if abs(d[x, z] - through) <= tol * max(d[x, z], through):
                     out.append((x, y, z))
     out.sort()
     return out

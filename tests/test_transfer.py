@@ -321,14 +321,16 @@ def test_a_nan_conclusion_violates_the_ptolemy_transfer():
     eta = CallableModulus(lambda t: np.where(t <= 1e6, t, np.nan), label="nan-past-1e6")
     with pytest.raises(PreconditionFailed, match="quasisymmetry"):
         ptolemy_transfer_check(identity_map(X), eta)
-    # eta is 0 below the probe grid and inf above it, which verifies the
-    # map at tol 1e-6; three points 1e-7 apart put t1 = 1e-7 and t2 = 1e7
+    # eta is 0 below the probe grid and inf above it; r <= eta(t) within a
+    # relative tol admits eta(t) = 0 < r only at tol = 1, so at tol 1 eta
+    # verifies the map; three points 1e-7 apart put t1 = 1e-7 and t2 = 1e7
     # in one product, whose 0 * inf conclusion is NaN
     X = planar([0, 0], [1e-7, 0], [0, 1e-7], [1, 0], [1, 1], [2, 0.5])
     eta = CallableModulus(lambda t: np.where(t < 1e-6, 0.0, np.where(t <= 1e6, t, np.inf)),
                           label="0-t-inf")
-    assert check_qs(identity_map(X), eta, tol=1e-6).holds
-    rep = ptolemy_transfer_check(identity_map(X), eta, tol=1e-6)
+    assert not check_qs(identity_map(X), eta, tol=1e-6).holds
+    assert check_qs(identity_map(X), eta, tol=1.0).holds
+    rep = ptolemy_transfer_check(identity_map(X), eta, tol=1.0)
     assert rep.mode == "realized" and rep.image.holds
     assert not rep.holds and not rep.implication_holds
     assert np.isnan(rep.worst_value)
