@@ -23,7 +23,8 @@ from .errors import (
 from .moduli import CompositeModulus, Modulus, _vectorized
 from .quasisymmetry import image_subset
 from .report import Report
-from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace, SubsetRef, _valid_tol
+from .spaces import (DEFAULT_TOL, PointMap, SemimetricSpace, SubsetRef, _equal, _valid_tol,
+                     _worst)
 from .triangle import _QUAD_ORDERINGS, _pair_rows
 
 #: sample count for the generator monotonicity probe on [0, 1]
@@ -40,13 +41,6 @@ class BetweennessTriple(NamedTuple):
     y: int
     z: int
     slack: float
-
-
-def _equal(direct: np.ndarray, through: np.ndarray, tol: float) -> np.ndarray:
-    """direct = through within tol, as the two compares
-    direct (1 - tol) <= through <= direct / (1 - tol)."""
-    high = direct / (1.0 - tol) if tol < 1.0 else np.inf
-    return (through >= direct * (1.0 - tol)) & (through <= high)
 
 
 def _between_columns(D: np.ndarray, tol: float):
@@ -162,8 +156,11 @@ def check_l02_conditions(
 ) -> PartitionConditionsReport:
     """Evaluate the partition conditions at t1 = samples (t2 = 1 - t1).
 
-    Defaults to ``count`` interior samples i/(count+1).  Pass explicit
-    samples to probe particular ratios.
+    Each sum equals 1 within tol by the equality rule of
+    :func:`spaces._valid_tol`; a reported maximum defect is taken over the
+    failing samples, or over all samples when none fails.  Defaults to
+    ``count`` interior samples i/(count+1).  Pass explicit samples to probe
+    particular ratios.
     """
     _valid_tol(tol)
     if samples is None:
@@ -181,17 +178,18 @@ def check_l02_conditions(
         recip = np.exp(-np.asarray(eta.log_eval(1.0 / t1), dtype=float)) + np.exp(
             -np.asarray(eta.log_eval(1.0 / t2), dtype=float)
         )
-    sum_defect = np.abs(direct - 1.0)
-    recip_defect = np.abs(recip - 1.0)
-    sufficiency = bool(np.max(sum_defect) <= tol and np.max(recip_defect) <= tol)
+    sum_defect, sum_ok = np.abs(direct - 1.0), _equal(1.0, direct, tol)
+    recip_defect, recip_ok = np.abs(recip - 1.0), _equal(1.0, recip, tol)
+    sufficiency = bool(sum_ok.all() and recip_ok.all())
 
     flagged = (recip * (1.0 - tol) > 1.0) | (direct < 1.0 - tol)
     violations = tuple(
         PartitionViolation(float(t1[i]), float(t2[i]), float(direct[i]), float(recip[i]))
         for i in np.nonzero(flagged)[0])
     return PartitionConditionsReport(
-        sufficiency and not violations, sufficiency, float(np.max(sum_defect)),
-        float(np.max(recip_defect)), violations, len(t1), "grid-extrapolated", tol)
+        sufficiency and not violations, sufficiency, float(sum_defect[_worst(sum_defect, sum_ok)]),
+        float(recip_defect[_worst(recip_defect, recip_ok)]), violations, len(t1),
+        "grid-extrapolated", tol)
 
 
 def power_generator(n: float) -> Callable:

@@ -133,17 +133,22 @@ def _cmd_check(args) -> int:
     return 0 if rep.holds else 1
 
 
+def _evaluate_at(args, eta, payload: dict, name: str = "eta") -> list:
+    """Evaluate eta at each ``--at`` point (default 0.25, 0.5, 1, 2, 4): add
+    "at" and "values" to payload, and return eta's name and one
+    "name(t) = value" line per point."""
+    ts = args.at if args.at else [0.25, 0.5, 1.0, 2.0, 4.0]
+    vals = [float(np.asarray(eta.eval(t))) for t in ts]
+    payload.update(at=list(ts), values=vals)
+    return [eta.describe()] + [f"{name}({t:g}) = {v:.12g}" for t, v in zip(ts, vals)]
+
+
 def _cmd_modulus(args) -> int:
     from .moduli import parse_modulus
 
     eta = parse_modulus(args.eta)
-    ts = args.at if args.at else [0.25, 0.5, 1.0, 2.0, 4.0]
-    vals = [float(np.asarray(eta.eval(t))) for t in ts]
-    payload = {
-        "command": "modulus", "eta": eta.describe(),
-        "at": list(ts), "values": vals,
-    }
-    lines = [eta.describe()] + [f"eta({t:g}) = {v:.12g}" for t, v in zip(ts, vals)]
+    payload = {"command": "modulus", "eta": eta.describe()}
+    lines = _evaluate_at(args, eta, payload)
     code = 0
     if args.involution:
         from .weak_similarity import check_involution_identity
@@ -203,15 +208,8 @@ def _cmd_invert_eta(args) -> int:
 
     eta = parse_modulus(args.eta)
     inv = inverse_modulus(eta)
-    ts = args.at if args.at else [0.25, 0.5, 1.0, 2.0, 4.0]
-    vals = [float(np.asarray(inv.eval(t))) for t in ts]
-    payload = {
-        "command": "invert-eta", "eta": eta.describe(),
-        "inverse": inv.describe(), "at": list(ts), "values": vals,
-    }
-    lines = [inv.describe()] + [
-        f"eta'({t:g}) = {v:.12g}" for t, v in zip(ts, vals)
-    ]
+    payload = {"command": "invert-eta", "eta": eta.describe(), "inverse": inv.describe()}
+    lines = _evaluate_at(args, inv, payload, name="eta'")
     _emit(args, payload, lines)
     return 0
 
@@ -432,13 +430,8 @@ def _cmd_eta_k8(args) -> int:
         btw.power_generator(args.n2),
         label=f"k8:{args.n1:g},{args.n2:g}",
     )
-    ts = args.at if args.at else [0.25, 0.5, 1.0, 2.0, 4.0]
-    vals = [float(np.asarray(eta.eval(t))) for t in ts]
-    payload = {
-        "command": "eta-k8", "eta": eta.describe(),
-        "at": list(ts), "values": vals,
-    }
-    lines = [eta.describe()] + [f"eta({t:g}) = {v:.12g}" for t, v in zip(ts, vals)]
+    payload = {"command": "eta-k8", "eta": eta.describe()}
+    lines = _evaluate_at(args, eta, payload)
     code = 0
     if args.check_l02:
         rep = btw.check_l02_conditions(eta)
@@ -599,7 +592,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("qs-check", help="empirical envelope / verify a modulus")
     map_flags(sp)
     sp.add_argument("--eta")
-    sp.add_argument("-o", "--out", help="write the envelope as 't H' lines")
+    sp.add_argument("-o", "--out", help="write the envelope's records as 't H' lines")
     common(sp)
     sp.set_defaults(handler=_cmd_qs_check)
 

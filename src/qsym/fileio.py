@@ -3,7 +3,7 @@
 Two space formats: a structured JSON document
 {"name": ..., "points": [...], "matrix": [[...]]} and a CSV alternative
 (header row of labels, then matrix rows).  Maps are JSON documents with
-an assignment object; envelopes are plain "t H" lines in ascending t.
+an assignment object; envelopes are "t H" lines, one per record, ascending.
 Floats are written with repr, so a load of a save is bitwise identical.
 """
 

@@ -10,11 +10,10 @@ in O(n**2) memory and evaluates a modulus once per block.
 increasing eta verifies f exactly when r <= eta(t) within tol for every
 realized pair, and the first failing envelope knot is the smallest flagged
 t.  :func:`eta_ratio_report` streams the same rows.  The empirical
-envelope, the running maximum H of r over ratios <= t with its witnesses
-(:func:`empirical_modulus`), has one knot per distinct realized ratio.  It
-is built by one global sort, which holds all n (n-1)**2 ratios at once, so
-it is built only where it is the output (the envelope dump,
-:class:`EmpiricalModulus`).
+envelope (:func:`empirical_modulus`), the running maximum H of r over
+ratios <= t, is kept at its strict records, the ratios where H rises, each
+with its witness; the step function they span equals H everywhere.  It is
+built from the same rows, one block's records at a time.
 
 On top of these sit the derived analyses: snowflake fitting,
 sandwich-built moduli, bi-Lipschitz constants, and the two-sided diameter
@@ -59,9 +58,10 @@ _ROW_BLOCK = 8192
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalEnvelope:
-    """The step envelope of a map: knots ``ts`` (strictly increasing
-    realized ratios), values ``hs`` (nondecreasing running maxima), and for
-    every knot the (x, a, b) triple whose image ratio set the value."""
+    """The step envelope of a map at its strict records: knots ``ts``
+    (strictly increasing realized ratios), values ``hs`` (strictly
+    increasing running maxima), and for every knot the (x, a, b) triple
+    whose image ratio set the value."""
 
     ts: np.ndarray
     hs: np.ndarray
@@ -86,14 +86,15 @@ class EmpiricalEnvelope:
 def _rows(f: PointMap):
     """The base points x of the realized ratios, in blocks of whole rows.
 
-    Yields ``(xs, others, d, rho)`` for as many consecutive base points xs
-    as fit in about ``_ROW_BLOCK`` ratios, at least one.  Row i holds the
-    points other than xs[i], their distances d(xs[i], .) and their image
-    distances rho(f xs[i], f.).  The ratios of a block are ``_ratios(d)``
-    and ``_ratios(rho)``, in (x, a, b) order: position k is the triple
-    (xs[i], others[i, j // m], others[i, j % m]) with i, j = divmod(k, m**2)
-    and m = n - 1.  A constant map (every ratio 0/0) yields nothing; as rho
-    is symmetric, any other map with a collapsed image row is unbounded.
+    Yields ``(start, d, rho)`` for as many consecutive base points as fit
+    in about ``_ROW_BLOCK`` ratios, at least one.  Row i holds the
+    distances from the block's i-th base point to the other points, in
+    increasing order, and rho their image distances.  The ratios of a
+    block are ``_ratios(d)`` and ``_ratios(rho)``, and position k among
+    them is position start + k in the (x, a, b) order of all ratios, the
+    triple :func:`_triples` names.  A constant map (every ratio 0/0) yields
+    nothing; as rho is symmetric, any other map with a collapsed image row
+    is unbounded.
 
     Raises :class:`UnboundedEnvelope`, before the first block, when some
     denominator pair collapses while a numerator does not.
@@ -118,13 +119,18 @@ def _rows(f: PointMap):
     if not pos.any():
         return
     # row x of each: its n - 1 entries off the diagonal
-    xs = np.arange(n)
-    others = np.broadcast_to(xs, (n, n))[off].reshape(n, n - 1)
     D = np.asarray(f.domain.dist)[off].reshape(n, n - 1)
     R = R[off].reshape(n, n - 1)
     step = max(1, _ROW_BLOCK // (n - 1) ** 2)
     for i in range(0, n, step):
-        yield xs[i:i + step], others[i:i + step], D[i:i + step], R[i:i + step]
+        yield i * (n - 1) ** 2, D[i:i + step], R[i:i + step]
+
+
+def _triples(n: int, pos) -> np.ndarray:
+    """The (x, a, b) triples at positions pos of the (x, a, b) order of the
+    n (n-1)**2 realized ratios: by x, then a != x, then b != x."""
+    x, a, b = np.unravel_index(pos, (n, n - 1, n - 1))
+    return np.stack([x, a + (a >= x), b + (b >= x)], axis=-1)
 
 
 def _ratios(v: np.ndarray) -> np.ndarray:
@@ -132,52 +138,40 @@ def _ratios(v: np.ndarray) -> np.ndarray:
     return (v[:, :, None] / v[:, None, :]).ravel()
 
 
-def _realized(f: PointMap):
-    """All realized (t, r) pairs with their (x, a, b) triples, in (x, a, b)
-    order (see :func:`_rows`)."""
-    ts, rs, triples = [], [], []
-    for xs, others, d, rho in _rows(f):
-        m = others.shape[1]
-        ts.append(_ratios(d))
-        rs.append(_ratios(rho))
-        triples.append(np.stack([np.repeat(xs, m * m), np.repeat(others, m, axis=1).ravel(),
-                                 np.tile(others, m).ravel()], axis=1))
-    if not ts:
-        empty = np.array([])
-        return empty, empty, np.zeros((0, 3), dtype=int)
-    return np.concatenate(ts), np.concatenate(rs), np.concatenate(triples)
+def _records(t: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Positions of the strict records of the running maximum H of h over
+    t: one for each distinct t at which H rises, in increasing t.  Each is
+    the last position, in the given order, that attains the new H at its
+    t."""
+    order = np.argsort(t, kind="stable")
+    t, h = t[order], h[order]
+    runmax = np.maximum.accumulate(h)
+    ends = np.flatnonzero(np.diff(t, append=np.inf) > 0)  # last position of each t
+    rises = ends[np.diff(runmax[ends], prepend=-np.inf) > 0]
+    carry = np.maximum.accumulate(np.where(h >= runmax, np.arange(len(h)), -1))
+    return order[carry[rises]]
 
 
 def empirical_modulus(f: PointMap) -> EmpiricalEnvelope:
-    """Compute the cumulative-max envelope of a map's realized ratios.
+    """The envelope of a map at its strict records, the ratios where H rises.
 
-    The knots are the distinct realized ratios; only exact ties share one.
-    Sorts all n (n-1)**2 realized ratios at once.
+    Each block of :func:`_rows` is cut to its own records.  A record of
+    all ratios is a record of its block, so the records of the blocks'
+    records, taken in block order, are the envelope, witnesses included.
+    Only those are mapped to their (x, a, b) triples.
     """
-    ts, rs, triples = _realized(f)
-    if len(ts) == 0:
-        return EmpiricalEnvelope(ts, rs, triples, f)
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    rs = rs[order]
-    triples = triples[order]
-
-    runmax = np.maximum.accumulate(rs)
-    pos = np.arange(len(rs))
-    carry = np.maximum.accumulate(np.where(rs >= runmax, pos, -1))
-
-    is_last = np.empty(len(ts), dtype=bool)
-    is_last[-1] = True
-    is_last[:-1] = ts[1:] > ts[:-1]
-    keep = np.nonzero(is_last)[0]
-
-    env_t = ts[keep].copy()
-    env_h = runmax[keep].copy()
-    env_w = triples[carry[keep]].copy()
-    env_t.setflags(write=False)
-    env_h.setflags(write=False)
-    env_w.setflags(write=False)
-    return EmpiricalEnvelope(env_t, env_h, env_w, f)
+    parts = [(np.array([]), np.array([]), np.array([], dtype=int))]
+    for start, d, rho in _rows(f):
+        t, r = _ratios(d), _ratios(rho)
+        k = _records(t, r)
+        parts.append((t[k], r[k], start + k))
+    ts, hs, pos = map(np.concatenate, zip(*parts))
+    del parts  # free the per-block copies before the final sort
+    k = _records(ts, hs)
+    env = [ts[k], hs[k], _triples(f.domain.n, pos[k])]
+    for v in env:
+        v.setflags(write=False)
+    return EmpiricalEnvelope(*env, f)
 
 
 @dataclass(frozen=True)
@@ -207,8 +201,8 @@ def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
     H(t_i) at every knot, and the first failing knot is the smallest
     flagged ratio lo: no smaller ratio is flagged, so none lifts H above
     eta there.  Its value H is the largest flagged r at lo, and its witness
-    the last triple in (x, a, b) order that realizes H at lo, as the
-    envelope's stable sort carries it.  One scan of the rows settles the
+    the last triple in (x, a, b) order that realizes H at lo, the
+    envelope's witness rule.  One scan of the rows settles the
     verdict; past the first violation it evaluates eta only where t <= lo.
     The witness is ranked by t and r, not by scan position, so this scan
     keeps its own rule instead of the first-in-order ``triangle._Scan``.
@@ -232,7 +226,7 @@ def _scan_qs(f: PointMap, eta: Modulus, tol: float) -> QsReport:
     checked = 0
     lo = np.inf
     worst = None  # (r, eta(lo), x, a, b) of the kept violation at t = lo
-    for xs, others, d, rho in _rows(f):
+    for start, d, rho in _rows(f):
         t = _ratios(d)
         r = _ratios(rho)
         checked += len(t)
@@ -251,10 +245,9 @@ def _scan_qs(f: PointMap, eta: Modulus, tol: float) -> QsReport:
         at = bad[t_bad == t_min]
         k = at[np.nonzero(r[at] == r[at].max())[0][-1]]
         if worst is None or t_min < lo or r[k] >= worst[0]:
-            j = k if pos is None else pos[k]
-            i, a, b = np.unravel_index(j, d.shape + d.shape[1:])  # (row, a, b)
+            j = start + (k if pos is None else pos[k])
             lo = t_min
-            worst = (r[k], vals[k], int(xs[i]), int(others[i, a]), int(others[i, b]))
+            worst = (r[k], vals[k], *_triples(f.domain.n, j).tolist())
     if worst is None:
         return QsReport(True, None, None, None, None, None, eta.describe(), tol, checked)
     h, v, x, a, b = worst
@@ -291,7 +284,7 @@ def eta_ratio_report(f: PointMap, eta: Modulus) -> RatioIdentityReport:
     """
     checked = 0
     best = None  # (product with NaN as -inf, t, product) of the minimum
-    for _, _, d, _ in _rows(f):
+    for _, d, _ in _rows(f):
         t = _ratios(d)
         checked += len(t)
         prod = _ratio_products(eta, t)

@@ -60,6 +60,19 @@ def _valid_tol(tol: float) -> float:
     return tol
 
 
+def _equal(direct, through, tol: float) -> np.ndarray:
+    """direct = through within tol, as the two compares
+    direct (1 - tol) <= through <= direct / (1 - tol)."""
+    high = direct / (1.0 - tol) if tol < 1.0 else np.inf
+    return (through >= direct * (1.0 - tol)) & (through <= high)
+
+
+def _worst(defect: np.ndarray, ok: np.ndarray) -> int:
+    """The first largest defect among the samples that fail, or among all
+    samples when none fails; a NaN defect is the largest."""
+    return int(np.argmax(defect if ok.all() else np.where(ok, -np.inf, defect)))
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype, copy=True)
     out.setflags(write=False)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GaugeInvalid, NotInvertible
-from .moduli import _bisect
+from .moduli import _bisect, _vectorized
 from .report import Report
 from .spaces import DEFAULT_TOL, SemimetricSpace, _valid_tol
 
@@ -120,14 +120,15 @@ class CustomGauge(TriangleFunction):
 
     The function must vanish at (0, 0), be symmetric, and be monotone
     (non-strictly) in each variable on the grid; violations raise
-    :class:`GaugeInvalid`.  Pass ``vectorized=True`` if the callable
-    already accepts numpy arrays.  Calls evaluate fn(min(u, v), max(u, v)),
-    so the gauge is symmetric bit for bit off the grid too, as the pair
-    scans need; the grid probe sees the unsorted fn.
+    :class:`GaugeInvalid`.  A callable that does not map arrays
+    elementwise is wrapped by ``moduli._vectorized``.  Calls evaluate
+    fn(min(u, v), max(u, v)), so the gauge is symmetric bit for bit off
+    the grid too, as the pair scans need; the grid probe sees the unsorted
+    fn.
     """
 
-    def __init__(self, fn: Callable, name: str = "custom", vectorized: bool = False):
-        self._fn = fn if vectorized else np.vectorize(fn, otypes=[float])
+    def __init__(self, fn: Callable, name: str = "custom"):
+        self._fn = _vectorized(fn, arity=2)
         self.name = name
         self._validate()
 

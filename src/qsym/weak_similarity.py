@@ -39,7 +39,7 @@ from .moduli import (
 )
 from .quasisymmetry import check_qs
 from .report import Report
-from .spaces import RANK_TOL, PointMap, SemimetricSpace, _valid_tol
+from .spaces import RANK_TOL, PointMap, SemimetricSpace, _equal, _valid_tol, _worst
 
 #: brute-force oracle guard
 ORACLE_MAX_N = 9
@@ -391,7 +391,10 @@ class InvolutionReport(Report):
 def check_involution_identity(
     eta: Modulus, grid: Optional[np.ndarray] = None, tol: float = 1e-9
 ) -> InvolutionReport:
-    """Probe |eta(k) eta(1/k) - 1| <= tol on a reciprocal-symmetric grid.
+    """Probe eta(k) eta(1/k) = 1 within tol, the equality rule of
+    :func:`spaces._valid_tol`, on a reciprocal-symmetric grid.
+    ``max_defect`` is the largest |eta(k) eta(1/k) - 1| among the failing
+    points, or among all points when none fails, and ``worst_k`` its k.
 
     Products run through the log path so that over/underflowing factors
     cancel instead of producing inf * 0.
@@ -403,11 +406,9 @@ def check_involution_identity(
             np.asarray(eta.log_eval(ks), dtype=float)
             + np.asarray(eta.log_eval(1.0 / ks), dtype=float)
         )
-    defect = np.abs(prod - 1.0)
-    i = int(np.argmax(defect))
-    return InvolutionReport(
-        bool(defect[i] <= tol), float(defect[i]), float(ks[i]), len(ks), "grid", tol
-    )
+    defect, ok = np.abs(prod - 1.0), _equal(1.0, prod, tol)
+    i = _worst(defect, ok)
+    return InvolutionReport(bool(ok.all()), float(defect[i]), float(ks[i]), len(ks), "grid", tol)
 
 
 #: probe axis for antisymmetry of two-argument kernels

@@ -122,8 +122,13 @@ def naive_transfer_scan(phi1, phi2, eta, space, tol=1e-9):
     return TransferReport(True, checked, tightest, "realized", tol)
 
 
-def naive_envelope(f):
-    """Realized (t, max ratio at or below t) pairs as two sorted lists."""
+def naive_envelope(f, records=False):
+    """The envelope of f by loops over all triples (x, a, b), a != x != b:
+    three lists, the distinct realized ratios t in increasing order, the
+    running maximum H of the image ratios over ratios <= t, and each knot's
+    witness, the last triple that attains H in the order of t and then
+    (x, a, b).  ``records`` keeps the knots where H rises.  A triple with
+    two zero image distances (a constant map) realizes nothing."""
     d = np.asarray(f.domain.dist)
     r = f.image_matrix()
     n = f.domain.n
@@ -133,48 +138,53 @@ def naive_envelope(f):
             if a == x:
                 continue
             for b in range(n):
-                if b == x:
+                if b == x or r[x, a] == r[x, b] == 0.0:
                     continue
-                pts.append((d[x, a] / d[x, b], r[x, a] / r[x, b]))
+                pts.append((d[x, a] / d[x, b], r[x, a] / r[x, b], (x, a, b)))
     pts.sort(key=lambda p: p[0])
-    ts, hs = [], []
-    running = 0.0
-    for t, q in pts:
-        running = max(running, q)
+    ts, hs, witnesses = [], [], []
+    running, witness = -np.inf, None
+    for t, q, triple in pts:
+        if q >= running:
+            running, witness = q, triple
         if ts and t == ts[-1]:
-            hs[-1] = running
+            hs[-1], witnesses[-1] = running, witness
         else:
             ts.append(t)
             hs.append(running)
-    return ts, hs
+            witnesses.append(witness)
+    if records:
+        keep = [i for i in range(len(ts)) if i == 0 or hs[i] > hs[i - 1]]
+        return [ts[i] for i in keep], [hs[i] for i in keep], [witnesses[i] for i in keep]
+    return ts, hs, witnesses
 
 
 def knot_qs_report(f, eta, tol):
-    """The quasisymmetry verdict read off the envelope knots: holds iff
-    eta(t_i) >= (1 - tol) H(t_i) at every knot (a NaN eta(t_i) violates), with
-    the witness behind the first failing knot.  ``checked`` counts the
-    knots."""
-    from qsym import QsReport, empirical_modulus
+    """The quasisymmetry verdict read off the knots of :func:`naive_envelope`:
+    holds iff eta(t_i) >= (1 - tol) H(t_i) at every knot (a NaN eta(t_i)
+    violates), with the witness behind the first failing knot.  ``checked``
+    counts the knots."""
+    from qsym import QsReport
 
-    env = empirical_modulus(f)
-    vals = np.asarray(eta.eval(env.ts), dtype=float)
-    for i, (t, h, v) in enumerate(zip(env.ts, env.hs, vals)):
+    ts, hs, witnesses = naive_envelope(f)
+    vals = np.asarray(eta.eval(np.array(ts)), dtype=float)
+    lab = f.domain.labels
+    for t, h, v, w in zip(ts, hs, vals, witnesses):
         if not v >= (1 - tol) * h:
-            w = tuple(int(k) for k in env.witnesses[i])
-            return QsReport(False, w, env.witness_labels(i), float(t), float(h), float(v),
-                            eta.describe(), tol, len(env))
-    return QsReport(True, None, None, None, None, None, eta.describe(), tol, len(env))
+            return QsReport(False, w, tuple(lab[i] for i in w), float(t), float(h), float(v),
+                            eta.describe(), tol, len(ts))
+    return QsReport(True, None, None, None, None, None, eta.describe(), tol, len(ts))
 
 
 def knot_ratio_report(f, eta):
-    """The reciprocal-ratio report read off the envelope knots: the first
-    knot with the smallest eta(t) eta(1/t) (a NaN first), the product taken
-    from ``log_eval`` where the direct one is not finite.  ``checked``
-    counts the knots."""
-    from qsym import RatioIdentityReport, empirical_modulus
+    """The reciprocal-ratio report read off the distinct realized ratios of
+    :func:`naive_envelope`: the first with the smallest eta(t) eta(1/t) (a
+    NaN first), the product taken from ``log_eval`` where the direct one is
+    not finite.  ``checked`` counts the distinct ratios."""
+    from qsym import RatioIdentityReport
     from qsym.quasisymmetry import ETA_ONE_TOL, RATIO_PRODUCT_TOL
 
-    ts = empirical_modulus(f).ts
+    ts = np.array(naive_envelope(f)[0])
     eta_one = float(np.asarray(eta.eval(1.0)))
     eta_one_ok = eta_one >= 1.0 - ETA_ONE_TOL
     if len(ts) == 0:

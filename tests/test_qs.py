@@ -81,14 +81,74 @@ def test_envelope_matches_naive_oracle():
     maps.append(snowflake_map(grid, 0.5))
     for f in maps:
         env = empirical_modulus(f)
-        ts, hs = naive_envelope(f)
-        # one knot per distinct realized ratio, with its running maximum
+        ts, hs, witnesses = naive_envelope(f, records=True)
+        # one knot per ratio where the running maximum rises
         assert env.ts.tolist() == ts
         assert env.hs.tolist() == hs
+        assert env.witnesses.tolist() == [list(w) for w in witnesses]
         # and the step function takes that maximum at every realized ratio
         eta = env.as_modulus()
-        for t, h in zip(ts, hs):
+        for t, h in zip(*naive_envelope(f)[:2]):
             assert eta(t) == pytest.approx(h, rel=1e-12)
+
+
+def _noisy_map(n, seed):
+    """A euclidean plane map whose image distances carry symmetric 5%
+    multiplicative noise: far fewer records than distinct ratios."""
+    X = euclidean_space(n, 2, seed=seed)
+    noise = np.triu(np.random.default_rng(seed + 1).uniform(-0.05, 0.05, (n, n)), 1)
+    Y = build_space(X.labels, np.asarray(X.dist) * (1.0 + noise + noise.T))
+    return build_map(X, Y, {lab: lab for lab in X.labels})
+
+
+def _lattice_6x6_map(seed):
+    """A random bijection of the 6x6 integer lattice: many exact ties among
+    the ratios and among the image ratios."""
+    P = np.array([(i, j) for i in range(6) for j in range(6)], dtype=float)
+    G = build_space([f"g{i}{j}" for i, j in P.astype(int)],
+                    np.sqrt(((P[:, None] - P[None]) ** 2).sum(-1)))
+    perm = np.random.default_rng(seed).permutation(36)
+    return build_map(G, G, {G.labels[i]: G.labels[j] for i, j in enumerate(perm)})
+
+
+ENVELOPE_MAPS = {
+    "noisy": _noisy_map,
+    "snowflake": lambda n, seed: snowflake_map(euclidean_space(n, 2, seed=seed), 0.5),
+    "lattice": lambda n, seed: _lattice_6x6_map(seed),
+    "constant": lambda n, seed: build_map(euclidean_space(n, 2, seed=seed), collinear_space([0.0]),
+                                          {f"p{i}": "0" for i in range(n)}),
+    "point": lambda n, seed: identity_map(euclidean_space(1, 2, seed=seed)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ENVELOPE_MAPS)), st.integers(2, 9), st.integers(0, 10_000))
+def test_the_envelope_is_the_records_of_the_full_envelope(kind, n, seed):
+    f = ENVELOPE_MAPS[kind](n, seed)
+    env = empirical_modulus(f)
+    ts, hs, witnesses = naive_envelope(f, records=True)
+    assert env.ts.tobytes() == np.array(ts, dtype=float).tobytes()
+    assert env.hs.tobytes() == np.array(hs, dtype=float).tobytes()
+    assert env.witnesses.tobytes() == np.array(witnesses, dtype=int).reshape(-1, 3).tobytes()
+    assert env.witnesses.dtype == np.dtype(int)
+    full_ts, full_hs, _ = naive_envelope(f)
+    if kind in ("constant", "point"):
+        assert len(env) == 0 and not full_ts
+        return
+    full = EmpiricalModulus(full_ts, full_hs)
+    assert env.as_modulus().eval(full.ts).tobytes() == full.eval(full.ts).tobytes()
+
+
+def test_the_envelope_is_built_in_quadratic_memory():
+    f = _noisy_map(120, seed=0)
+    tracemalloc.start()
+    try:
+        env = empirical_modulus(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(env) < 120 * 119 ** 2 // 100
+    assert peak < 16 * 2 ** 20
 
 
 def test_envelope_exp_line_value():
@@ -142,7 +202,7 @@ def test_a_nan_modulus_value_fails_check_qs():
     assert np.isnan(rep.eta_at_t)
     # the envelope knots flag the same one ...
     assert repr(knot_qs_report(f, eta, 1e-9)) == \
-        repr(replace(rep, checked=len(empirical_modulus(f))))
+        repr(replace(rep, checked=len(naive_envelope(f)[0])))
     # ... and the ratio report agrees that no product is defined there
     assert np.isnan(eta_ratio_report(f, eta).min_product)
 

@@ -13,6 +13,8 @@ import qsym
 from qsym import (
     Additive,
     CallableModulus,
+    EmpiricalModulus,
+    LinearModulus,
     MaxGauge,
     PointMap,
     PowerModulus,
@@ -160,6 +162,30 @@ def test_the_inverse_of_a_snowflake_holds_at_large_ratios():
     # slack on eta, used to fail it (r = 9999999999.0, eta' = 9999999172.6)
     f = snowflake_map(collinear_space([0.0, 1e-10, 1.0, 3.0]), 0.5).inverse()
     assert check_qs(f, inverse_modulus(CallableModulus(np.sqrt))).holds
+
+
+def test_an_equality_with_one_is_relative_to_its_larger_side():
+    # a product of 1.8 is 1 within tol 0.5: |1.8 - 1| <= 0.5 max(1.8, 1),
+    # though an absolute defect of 0.8 exceeds 0.5
+    root = LinearModulus(np.sqrt(1.8))
+    rep = check_involution_identity(root, grid=np.array([0.5, 2.0]), tol=0.5)
+    assert rep.holds and rep.max_defect == pytest.approx(0.8)
+    assert not check_involution_identity(root, grid=np.array([0.5, 2.0]), tol=0.4).holds
+    l02 = check_l02_conditions(LinearModulus(1.8), tol=0.5)  # eta(t1) + eta(t2) = 1.8
+    assert l02.holds and l02.sufficiency_holds
+    assert l02.max_sum_defect == pytest.approx(0.8)
+    assert not check_l02_conditions(LinearModulus(1.8), tol=0.4).sufficiency_holds
+
+
+def test_a_failing_involution_reports_a_failing_point():
+    # products 2.5 at k = 0.5, 2 (passes at tol 0.65) and 0.3 at k = 0.25, 4
+    # (fails): the larger defect 1.5 is not the one to report
+    eta = EmpiricalModulus([0.25, 0.5, 2.0, 4.0], [0.1, 1.0, 2.5, 3.0])
+    rep = check_involution_identity(eta, grid=np.array([0.5, 2.0, 0.25, 4.0]), tol=0.65)
+    assert not rep.holds
+    assert rep.worst_k == 0.25 and rep.max_defect == pytest.approx(0.7)
+    held = check_involution_identity(eta, grid=np.array([0.5, 2.0, 0.25, 4.0]), tol=0.7)
+    assert held.holds and held.worst_k == 0.5 and held.max_defect == pytest.approx(1.5)
 
 
 @settings(max_examples=300, deadline=None)

@@ -116,7 +116,7 @@ def test_custom_gauge_rejections():
     with pytest.raises(GaugeInvalid):
         CustomGauge(lambda u, v: u + v + 1.0)  # nonzero at the origin
     with pytest.raises(GaugeInvalid):
-        CustomGauge(lambda u, v: np.sin(u) + np.sin(v), vectorized=True)
+        CustomGauge(lambda u, v: np.sin(u) + np.sin(v))  # not monotone
 
 
 def test_invert_diag():
