@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -74,7 +75,8 @@ def betweenness_triples(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return list(map(BetweennessTriple, *columns))
+        # tuple.__new__ runs in C, the named tuple's generated __new__ in Python
+        return list(map(tuple.__new__, repeat(BetweennessTriple), zip(*columns)))
     finally:
         if enabled:
             gc.enable()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 from weakref import WeakKeyDictionary
 
@@ -61,7 +62,8 @@ class EmpiricalEnvelope:
     """The step envelope of a map at its strict records: knots ``ts``
     (strictly increasing realized ratios), values ``hs`` (strictly
     increasing running maxima), and for every knot the (x, a, b) triple
-    whose image ratio set the value."""
+    whose image ratio set the value.  ``as_modulus`` builds its step
+    function once and returns that one object on every call."""
 
     ts: np.ndarray
     hs: np.ndarray
@@ -75,6 +77,10 @@ class EmpiricalEnvelope:
         return self.as_modulus().eval(t)
 
     def as_modulus(self) -> EmpiricalModulus:
+        return self._modulus
+
+    @cached_property
+    def _modulus(self) -> EmpiricalModulus:
         return EmpiricalModulus(self.ts, self.hs)
 
     def witness_labels(self, i: int):

@@ -7,17 +7,22 @@ on its image.  The checks here evaluate that implication on realized
 ratios or on a log grid, derive the minimal scaled-additive coefficient
 the image can be given, and run the whole chain end to end, including the
 four-ratio Ptolemy variant.
+
+For eta(t) = C t**alpha (power, linear, bi-Lipschitz) the realized scans
+read eta(d(x,y)/d(x,z)) = C P[x,y] / P[x,z] off the table P = d**alpha, n**2
+powers; other moduli take the log path 1/eta(t) = exp(-log eta(t)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import PreconditionFailed, Unbounded
-from .moduli import Modulus, PowerModulus
+from .moduli import BiLipschitzModulus, LinearModulus, Modulus, PowerModulus
 from .quasisymmetry import check_qs
 from .report import Report
 from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace, _valid_tol
@@ -33,6 +38,10 @@ from .triangle import (
     is_ptolemaic,
 )
 
+#: per ordering (x, y, z, t), the pairing (q01 q23, q02 q13, q03 q12) of its
+#: diagonal product d(x,z) d(t,y): the one that matches point 0 with its partner
+_DIAGONALS = tuple({X: Z, Z: X, Y: T, T: Y}[0] - 1 for X, Y, Z, T in _QUAD_ORDERINGS)
+
 #: default grid for the a-priori (non-realized) implication scan
 TRANSFER_GRID_POINTS = 256
 TRANSFER_GRID_SPAN = (1e-4, 1e4)
@@ -42,6 +51,28 @@ def _inv_eta(eta: Modulus, t: np.ndarray) -> np.ndarray:
     """1/eta(t) through the log path, stable under overflow of eta."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return np.exp(-np.asarray(eta.log_eval(t), dtype=float))
+
+
+def _power_table(eta: Modulus, D: np.ndarray, squared: bool = False):
+    """``(P, C)`` for eta(t) = C t**alpha: P = (D 2**-e)**alpha, e the binary
+    exponent of the largest distance, so P is the same at every scale 2**k D.
+    None (the log path) for other moduli, or when a scaled distance or C
+    times the least off-diagonal P (squared for the four-ratio products) is
+    not a normal float, as for distances over 1e-200..1 at alpha = 2."""
+    form = {PowerModulus: lambda: (1.0, eta.alpha), LinearModulus: lambda: (eta.C, 1.0),
+            BiLipschitzModulus: lambda: (eta.L ** 2, 1.0)}.get(type(eta))  # exact classes
+    if form is None:
+        return None
+    C, alpha = form()
+    off = ~np.eye(len(D), dtype=bool)
+    S = np.ldexp(D, -math.frexp(float(np.max(D, initial=0.0)))[1])
+    P = S ** alpha
+    least = float(np.min(P, where=off, initial=np.inf))
+    low = C * C * (least * least) if squared else C * least
+    tiny = np.finfo(float).tiny
+    if np.min(S, where=off, initial=np.inf) >= tiny and tiny <= low < np.inf:
+        return P, C
+    return None
 
 
 @dataclass(frozen=True)
@@ -57,19 +88,6 @@ class TransferReport(Report):
     worst: Optional[tuple]
     mode: str
     tol: float
-
-
-def _scan_pairs(phi1, phi2, eta, t1, t2, tol, scan):
-    """Scan one batch of (t1, t2) pairs: add the conclusion sides of its
-    premise pairs to ``scan`` and return the premise mask."""
-    lhs1 = np.asarray(phi1(1.0 / t1, 1.0 / t2), dtype=float)
-    premise = lhs1 >= 1.0 - tol
-    if not premise.all():
-        t1, t2, lhs1 = t1[premise], t2[premise], lhs1[premise]
-    if lhs1.size:
-        lhs2 = np.asarray(phi2(_inv_eta(eta, t1), _inv_eta(eta, t2)), dtype=float)
-        scan.add(lhs2, lambda k: (float(t1[k]), float(t2[k]), float(lhs1[k]), float(lhs2[k])))
-    return premise
 
 
 def check_transfer_condition(
@@ -95,6 +113,9 @@ def check_transfer_condition(
     first violation and the tightest pair (the first smallest conclusion)
     of the scan over all ordered (x, y, z) have x < y.  That scan stops
     after the first violating x; ``checked_pairs`` counts its premise pairs.
+    The premise side is Phi1(d(x,z)/d(x,y), d(y,z)/d(x,y)), the conclusion
+    side Phi2(P[x,z]/(C P[x,y]), P[y,z]/(C P[x,y])) on a :func:`_power_table`,
+    else Phi2(1/eta(t1), 1/eta(t2)) by the log path.
     """
     scan = _Scan(1.0 - _valid_tol(tol))
     if pairs is None:
@@ -104,31 +125,62 @@ def check_transfer_condition(
         anchors = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
         anchors = anchors[(anchors >= grid_span[0]) & (anchors <= grid_span[1])]
         axis = np.unique(np.concatenate([axis, anchors]))
-        m = len(axis)
-        _scan_pairs(phi1, phi2, eta, np.repeat(axis, m), np.tile(axis, m), tol, scan)
+        t1, t2 = np.repeat(axis, len(axis)), np.tile(axis, len(axis))
+        lhs1 = np.asarray(phi1(1.0 / t1, 1.0 / t2), dtype=float)
+        premise = lhs1 >= 1.0 - tol
+        t1, t2, lhs1 = t1[premise], t2[premise], lhs1[premise]
+        if lhs1.size:
+            lhs2 = np.asarray(phi2(_inv_eta(eta, t1), _inv_eta(eta, t2)), dtype=float)
+            scan.add(lhs2, lambda k: (float(t1[k]), float(t2[k]), float(lhs1[k]),
+                                      float(lhs2[k])))
         checked, mode = scan.count, "grid"
     else:
         space = pairs.domain if isinstance(pairs, PointMap) else pairs
         D = np.asarray(space.dist)
         n = space.n
-        # colsum[y]: premise pairs (x, y, z) over x < y, which the scan over
-        # all ordered pairs meets again in row y
-        colsum = np.zeros(n, dtype=np.int64)
-        off = ~np.eye(n, dtype=bool)
+        table = _power_table(eta, D)
+
+        def premise_rows(x, lo, hi):  # the premise pairs (x, y, z), lo <= y < hi
+            dxy = D[x, lo:hi, None]
+            lhs1 = np.asarray(phi1(D[x] / dxy, D[lo:hi] / dxy), dtype=float)
+            premise = lhs1 >= 1.0 - tol
+            premise[:, x] = False  # z != x
+            np.fill_diagonal(premise[:, lo:], False)  # z != y
+            return lhs1, premise
+
         stop = n - 1
         for x, lo, hi in _pair_rows(n):
             if x > stop:
                 break
-            keep = off[lo:hi] & off[x]  # z != y and z != x
-            dxy = D[x, lo:hi, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = (dxy / D[x])[keep]
-                t2 = (dxy / D[lo:hi])[keep]
-            premise = _scan_pairs(phi1, phi2, eta, t1, t2, tol, scan)
-            colsum[lo:hi] += premise.reshape(hi - lo, n - 2).sum(axis=1)
+            lhs1, premise = premise_rows(x, lo, hi)
+            if table is None:
+                dxy = D[x, lo:hi, None]
+                with np.errstate(divide="ignore"):
+                    t1, t2 = (dxy / D[x])[premise], (dxy / D[lo:hi])[premise]
+                lhs2 = np.asarray(phi2(_inv_eta(eta, t1), _inv_eta(eta, t2)), dtype=float)
+            else:
+                P, C = table
+                cxy = C * P[x, lo:hi, None]
+                lhs2 = np.asarray(phi2(P[x] / cxy, P[lo:hi] / cxy), dtype=float)[premise]
+            if not lhs2.size:
+                continue
+
+            def witness(k):
+                y, z = divmod(int(np.flatnonzero(premise)[k]), n)
+                y += lo
+                return (float(D[x, y] / D[x, z]), float(D[x, y] / D[y, z]),
+                        float(lhs1[y - lo, z]), float(lhs2[k]))
+
+            scan.add(lhs2, witness)
             if scan.violation is not None:
                 stop = x  # finish this x, where the full scan stops
-        checked, mode = scan.count + int(colsum[:stop + 1].sum()), "realized"
+        # the full scan meets each premise pair (x, y, z) again as (y, x, z)
+        # in row y; after a violation, only the rows y <= stop
+        checked = 2 * scan.count
+        if scan.violation is not None:
+            checked = scan.count + sum(int(np.count_nonzero(premise_rows(*rows)[1]))
+                                       for rows in _pair_rows(stop + 1))
+        mode = "realized"
     holds = scan.violation is None
     return TransferReport(holds, checked, scan.least if holds else scan.violation, mode, tol)
 
@@ -279,8 +331,10 @@ def ptolemy_transfer_check(
     t2 = d(t,y)/d(t,z), t3 = d(x,z)/d(x,t), t4 = d(t,y)/d(y,z)) in all
     three orderings of every 4-subset, each a premise that the domain's
     Ptolemy check has certified; a NaN conclusion is a violation (the rule
-    of :class:`_Scan`, one scan per ordering).
-    Every verdict is exhaustive: each Ptolemy check costs 3 C(n, 4)
+    of :class:`_Scan`, one scan per ordering).  The conclusion side
+    1/(eta(t1)eta(t2)) + 1/(eta(t3)eta(t4)) is read on a :func:`_power_table`
+    as (P[x,y]P[t,z] + P[x,t]P[y,z]) / (C**2 P[x,z]P[t,y]), else by the log
+    path.  Every verdict is exhaustive: each Ptolemy check costs 3 C(n, 4)
     inequalities, streamed in O(n^2) memory.
     """
     dom = is_ptolemaic(f.domain, tol=tol)
@@ -308,21 +362,32 @@ def ptolemy_transfer_check(
     # product d(x,z) d(t,y): the witnesses of a scan of all quadruples one
     # ordering at a time
     scans = [_Scan(1.0 - tol) for _ in _QUAD_ORDERINGS]
-    for i, j, k, l, q in _quadruple_blocks(f.domain.dist):
-        for scan, (X, Y, Z, T) in zip(scans, _QUAD_ORDERINGS):
-            t1 = q[X][Z] / q[X][Y]
-            t2 = q[T][Y] / q[T][Z]
-            t3 = q[X][Z] / q[X][T]
-            t4 = q[T][Y] / q[Y][Z]
-            l1, l2, l3, l4 = (np.asarray(eta.log_eval(t), dtype=float)
-                              for t in (t1, t2, t3, t4))
-            with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
-                c = np.exp(-(l1 + l2)) + np.exp(-(l3 + l4))
+    D = np.asarray(f.domain.dist)
+    table = _power_table(eta, D, squared=True)
+    C2 = None if table is None else table[1] * table[1]
+    for i, j, k, l, q in _quadruple_blocks(D if table is None else table[0]):
+        if table is not None:  # is_ptolemaic's pairing products, on P
+            products = (q[0][1] * q[2][3], q[0][2] * q[1][3], q[0][3] * q[1][2])
+        for scan, (X, Y, Z, T), diagonal in zip(scans, _QUAD_ORDERINGS, _DIAGONALS):
+            if table is None:
+                t1 = q[X][Z] / q[X][Y]
+                t2 = q[T][Y] / q[T][Z]
+                t3 = q[X][Z] / q[X][T]
+                t4 = q[T][Y] / q[Y][Z]
+                l1, l2, l3, l4 = (np.asarray(eta.log_eval(t), dtype=float)
+                                  for t in (t1, t2, t3, t4))
+                with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
+                    c = np.exp(-(l1 + l2)) + np.exp(-(l3 + l4))
+            else:
+                a, b = (p for m, p in enumerate(products) if m != diagonal)
+                c = (a + b) / (C2 * products[diagonal])
 
             def witness(m):
                 quad = (i, int(j[m]), int(k[m]), int(l[m]))
-                return (float(c[m]), tuple(quad[p] for p in (X, Y, Z, T)),
-                        tuple(float(t[m]) for t in (t1, t2, t3, t4)))
+                x, y, z, t = (quad[p] for p in (X, Y, Z, T))
+                ratios = (D[x, z] / D[x, y], D[t, y] / D[t, z],
+                          D[x, z] / D[x, t], D[t, y] / D[y, z])
+                return (float(c[m]), (x, y, z, t), tuple(float(r) for r in ratios))
 
             scan.add(c, witness)
     violation = next((s.violation for s in scans if s.violation is not None), None)

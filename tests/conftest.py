@@ -8,6 +8,7 @@ the two is meaningful.
 
 import bisect
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -79,23 +80,65 @@ def naive_minimal_K(space):
     return best
 
 
+def power_table(eta, D, squared=False):
+    """(P, C) when eta = C t**alpha is a power, linear or bi-Lipschitz
+    modulus, not a subclass: P = (D 2**-e)**alpha with e the binary
+    exponent of the largest distance.  None, the log path, for any other
+    modulus, or when some off-diagonal scaled distance, or C P (C**2 P**2
+    when ``squared``), is below the smallest normal float or infinite."""
+    from qsym import BiLipschitzModulus, LinearModulus, PowerModulus
+
+    if type(eta) is PowerModulus:
+        C, alpha = 1.0, eta.alpha
+    elif type(eta) is LinearModulus:
+        C, alpha = eta.C, 1.0
+    elif type(eta) is BiLipschitzModulus:
+        C, alpha = eta.L ** 2, 1.0
+    else:
+        return None
+    D = np.asarray(D)
+    n = len(D)
+    e = math.frexp(max([0.0] + [float(v) for v in D.ravel()]))[1]
+    S = np.ldexp(D, -e)
+    P = S ** alpha
+    tiny = np.finfo(float).tiny
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            low = C * C * (P[x, y] * P[x, y]) if squared else C * P[x, y]
+            if not (S[x, y] >= tiny and tiny <= low < np.inf):
+                return None
+    return (P, C) if n > 1 else None
+
+
 def naive_transfer_scan(phi1, phi2, eta, space, tol=1e-9):
     """The realized transfer report by loops over the ordered triples
     (x, y, z), z != x, y, with t1 = d(x,y)/d(x,z) and t2 = d(x,y)/d(y,z).
 
-    A premise pair has Phi1(1/t1, 1/t2) >= 1 - tol; its conclusion side
-    Phi2(1/eta(t1), 1/eta(t2)) violates when it is NaN or below 1 - tol.
-    The scan stops after the row x of the first violation, which is the
-    witness; else the witness is the first minimum of the first row whose
-    minimum is smallest.  ``checked_pairs`` counts the premise pairs read.
+    A premise pair has Phi1(d(x,z)/d(x,y), d(y,z)/d(x,y)) >= 1 - tol; its
+    conclusion side Phi2(1/eta(t1), 1/eta(t2)) violates when it is NaN or
+    below 1 - tol.  1/eta(t1) is P[x,z] / (C P[x,y]) on the
+    :func:`power_table` of eta = C t**alpha, where one applies, and
+    exp(-log eta(t1)) otherwise.  The scan stops after the row x of the
+    first violation, which is the witness; else the witness is the first
+    minimum of the first row whose minimum is smallest.  ``checked_pairs``
+    counts the premise pairs read.
     """
     from qsym import TransferReport
 
-    def conclusion(t):  # 1/eta(t) by the log path, like the library
-        return float(np.exp(-float(np.asarray(eta.log_eval(t)))))
-
     d = np.asarray(space.dist)
     n = space.n
+    table = power_table(eta, d)
+
+    def conclusion(x, y, z):
+        if table is None:
+            with np.errstate(over="ignore"):
+                return tuple(float(np.exp(-float(np.asarray(eta.log_eval(t)))))
+                             for t in (d[x, y] / d[x, z], d[x, y] / d[y, z]))
+        P, C = table
+        return P[x, z] / (C * P[x, y]), P[y, z] / (C * P[x, y])
+
     checked, violation, tightest = 0, None, None
     for x in range(n):
         row_best = None
@@ -103,14 +146,12 @@ def naive_transfer_scan(phi1, phi2, eta, space, tol=1e-9):
             for z in range(n):
                 if len({x, y, z}) < 3:
                     continue
-                t1 = d[x, y] / d[x, z]
-                t2 = d[x, y] / d[y, z]
-                lhs1 = float(np.asarray(phi1(1.0 / t1, 1.0 / t2)))
+                lhs1 = float(np.asarray(phi1(d[x, z] / d[x, y], d[y, z] / d[x, y])))
                 if not lhs1 >= 1.0 - tol:
                     continue
                 checked += 1
-                lhs2 = float(np.asarray(phi2(conclusion(t1), conclusion(t2))))
-                pair = (float(t1), float(t2), lhs1, lhs2)
+                lhs2 = float(np.asarray(phi2(*conclusion(x, y, z))))
+                pair = (float(d[x, y] / d[x, z]), float(d[x, y] / d[y, z]), lhs1, lhs2)
                 if violation is None and not lhs2 >= 1.0 - tol:
                     violation = pair
                 if row_best is None or lhs2 < row_best[3]:
@@ -120,6 +161,59 @@ def naive_transfer_scan(phi1, phi2, eta, space, tol=1e-9):
         if row_best is not None and (tightest is None or row_best[3] < tightest[3]):
             tightest = row_best
     return TransferReport(True, checked, tightest, "realized", tol)
+
+
+def naive_ptolemy_transfer(f, eta, tol=1e-9):
+    """The realized Ptolemy implication by loops over the 4-subsets
+    i < j < k < l in lexicographic order, each in the three orderings
+    (x, y, z, t) of ``_QUAD_ORDERINGS``, one scan per ordering.
+
+    The conclusion side is 1/(eta(t1)eta(t2)) + 1/(eta(t3)eta(t4)) with
+    t1 = d(x,z)/d(x,y), t2 = d(t,y)/d(t,z), t3 = d(x,z)/d(x,t) and
+    t4 = d(t,y)/d(y,z): on the :func:`power_table` of eta = C t**alpha,
+    where one applies, (P[x,y]P[t,z] + P[x,t]P[y,z]) / (C**2 P[x,z]P[t,y]);
+    else exp(-(log eta(t1) + log eta(t2))) + exp(-(log eta(t3) + log eta(t4))).
+    A value violates when it is NaN or below 1 - tol.  Returns (implied,
+    value, quadruple, ratios, checked): the first violation of the first
+    ordering that has one, else the smallest of the orderings' first minima
+    (the first ordering on ties).
+    """
+    from qsym.triangle import _QUAD_ORDERINGS
+
+    d = np.asarray(f.domain.dist)
+    table = power_table(eta, d, squared=True)
+    scans = [[None, None] for _ in _QUAD_ORDERINGS]  # first minimum, first violation
+    checked = 0
+    for quad in itertools.combinations(range(f.domain.n), 4):
+        for scan, order in zip(scans, _QUAD_ORDERINGS):
+            x, y, z, t = (quad[p] for p in order)
+            ratios = (d[x, z] / d[x, y], d[t, y] / d[t, z], d[x, z] / d[x, t],
+                      d[t, y] / d[y, z])
+            if table is None:
+                l1, l2, l3, l4 = (float(np.asarray(eta.log_eval(r))) for r in ratios)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    c = float(np.exp(-(l1 + l2)) + np.exp(-(l3 + l4)))
+            else:
+                P, C = table
+                c = float((P[x, y] * P[t, z] + P[x, t] * P[y, z])
+                          / ((C * C) * (P[x, z] * P[t, y])))
+            entry = (c, (x, y, z, t), tuple(float(r) for r in ratios))
+            checked += 1
+            low = scan[0]
+            if low is None or (c != c and low[0] == low[0]) or c < low[0]:
+                scan[0] = entry
+            if scan[1] is None and not c >= 1.0 - tol:
+                scan[1] = entry
+    for _, violation in scans:
+        if violation is not None:
+            return (False,) + violation + (checked,)
+    if not checked:
+        return (True, None, None, None, 0)
+    best = scans[0][0]
+    for low, _ in scans[1:]:
+        if low[0] < best[0]:
+            best = low
+    return (True,) + best + (checked,)
 
 
 def naive_envelope(f, records=False):

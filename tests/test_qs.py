@@ -159,6 +159,16 @@ def test_envelope_exp_line_value():
     assert want > 21.0
 
 
+def test_the_envelope_builds_its_step_function_once():
+    env = empirical_modulus(snowflake_map(euclidean_space(12, 2, seed=2), 0.5))
+    eta = env.as_modulus()
+    assert env.as_modulus() is eta
+    t = np.concatenate([env.ts, env.ts * 1.5, [0.0, 1e-9, 1e9]])
+    fresh = EmpiricalModulus(env.ts, env.hs).eval(t)
+    assert env.eval(t).tobytes() == eta.eval(t).tobytes() == fresh.tobytes()
+    assert env.eval(2.0) == EmpiricalModulus(env.ts, env.hs).eval(2.0)
+
+
 def test_envelope_empty_for_singleton():
     X = build_space(["p"], [[0.0]])
     env = empirical_modulus(identity_map(X))

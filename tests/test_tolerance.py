@@ -4,6 +4,7 @@ units, and the validation of ``tol`` at every library entry point."""
 
 import inspect
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,6 +118,26 @@ def test_every_verdict_and_witness_is_scale_free(X, c):
         for eta in (PowerModulus(0.5), PowerModulus(0.4), PowerModulus(1.0)):
             # ratios are scale-free, so every field is equal
             assert fields(check_qs(f, eta)) == fields(check_qs(f_c, eta))
+        for eta in (PowerModulus(0.5), PowerModulus(2.0), LinearModulus(1.5),
+                    CallableModulus(np.sqrt)):
+            rep, rep_c = (check_transfer_condition(Additive(), ScaledAdditive(2.0), eta,
+                                                   pairs=g) for g in (f, f_c))
+            assert fields(rep) == fields(rep_c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(TIE_HEAVY, st.sampled_from([2.0 ** -30, 2.0 ** 30]))
+def test_the_realized_ptolemy_transfer_is_scale_free(X, c):
+    if not is_ptolemaic(X).holds:
+        return
+    for alpha, eta in ((0.5, PowerModulus(0.5)), (2.0, PowerModulus(2.0)),
+                       (1.0, LinearModulus(1.5)), (0.5, CallableModulus(np.sqrt))):
+        f = snowflake_map(X, alpha)
+        rep, rep_c = (ptolemy_transfer_check(g, eta, force_realized=True)
+                      for g in (f, scaled_map(f, c)))
+        # the four-ratio fields are scale-free, the image's products scale by c**2
+        assert fields(replace(rep, image=None)) == fields(replace(rep_c, image=None))
+        assert same_up_to_scale(fields(rep.image), fields(rep_c.image), 2, c)
 
 
 @settings(max_examples=40, deadline=None)

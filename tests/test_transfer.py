@@ -7,6 +7,7 @@ from qsym import (
     CallableModulus,
     BiLipschitzModulus,
     CustomGauge,
+    LinearModulus,
     MaxGauge,
     PowerModulus,
     PreconditionFailed,
@@ -29,7 +30,8 @@ from qsym import (
     verify_transfer_end_to_end,
 )
 
-from conftest import naive_transfer_scan
+from qsym import transfer
+from conftest import naive_ptolemy_transfer, naive_transfer_scan, power_table
 
 
 def minimal_K2_oracle(K1, eta, m=20_001):
@@ -154,6 +156,84 @@ def test_realized_transfer_matches_the_loop_oracle(X, gauges, eta):
     phi1, phi2 = gauges
     assert repr(check_transfer_condition(phi1, phi2, eta, pairs=X)) == \
         repr(naive_transfer_scan(phi1, phi2, eta, X))
+
+
+#: the moduli C t**alpha, which the realized scans read off the table P = d**alpha
+TABLE_MODULI = [PowerModulus(0.5), PowerModulus(2.0), LinearModulus(0.7),
+                BiLipschitzModulus(1.5)]
+RANDOM_SPACES = st.one_of(
+    st.builds(random_semimetric_space, st.integers(3, 9), seed=st.integers(0, 999)),
+    st.builds(euclidean_space, st.integers(3, 9), st.just(2), seed=st.integers(0, 999)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_spaces() | RANDOM_SPACES, st.sampled_from(TRANSFER_GAUGES),
+       st.sampled_from(TABLE_MODULI))
+def test_the_table_path_reports_the_log_paths_conclusion(X, gauges, eta):
+    # the same C t**alpha behind a CallableModulus takes the log path
+    phi1, phi2 = gauges
+    table = check_transfer_condition(phi1, phi2, eta, pairs=X)
+    log = check_transfer_condition(phi1, phi2, CallableModulus(eta.eval), pairs=X)
+    assert transfer._power_table(eta, np.asarray(X.dist)) is not None
+    assert (table.worst is None) == (log.worst is None)
+    if table.worst is None:
+        return
+    a, b = table.worst[3], log.worst[3]
+    assert (np.isnan(a) and np.isnan(b)) or \
+        abs(a - b) <= 8 * np.finfo(float).eps * max(abs(a), abs(b))
+    if not abs(a - (1.0 - table.tol)) <= 1e-12:
+        assert table.holds == log.holds
+
+
+#: Ptolemaic domains with exact ties (integer lines) and without
+PTOLEMAIC_SPACES = st.one_of(
+    st.lists(st.integers(0, 30), min_size=4, max_size=7, unique=True).map(collinear_space),
+    st.builds(euclidean_space, st.integers(4, 7), st.just(2), seed=st.integers(0, 999)),
+)
+#: (image exponent, modulus verifying the map onto the image snowflake)
+PTOLEMY_CASES = [(0.5, PowerModulus(0.5)), (2.0, PowerModulus(2.0)),
+                 (1.0, LinearModulus(1.5)), (1.0, BiLipschitzModulus(1.2)),
+                 (0.5, CallableModulus(np.sqrt, label="root")),
+                 (2.0, CallableModulus(np.square, label="square"))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(PTOLEMAIC_SPACES, st.sampled_from(PTOLEMY_CASES))
+def test_realized_ptolemy_transfer_matches_the_loop_oracle(X, case):
+    # verdict, conclusion value, quadruple, ratios and count of the scans
+    # over the 4-subsets, one per ordering; power 2 images fail the
+    # implication, so first violations are compared too
+    alpha, eta = case
+    f = snowflake_map(X, alpha)
+    rep = ptolemy_transfer_check(f, eta, force_realized=True)
+    D = np.asarray(X.dist)
+    assert (transfer._power_table(eta, D, squared=True) is None) == \
+        (power_table(eta, D, squared=True) is None)
+    assert repr((rep.implication_holds, rep.worst_value, rep.worst_quadruple,
+                 rep.worst_ratios, rep.checked)) == repr(naive_ptolemy_transfer(f, eta))
+
+
+@pytest.mark.parametrize("tiny", [1e-200, 1e-160])
+def test_the_table_falls_back_to_the_log_path_off_the_normal_floats(monkeypatch, tiny):
+    # distances over tiny..1: at alpha = 2 the table's tiny**2 / 4 underflows
+    # to 0 or to a subnormal, and the four-ratio products of the linear
+    # table do too
+    D = np.ones((4, 4)) - np.eye(4)
+    D[0, 1] = D[1, 0] = tiny
+    X = build_space(["a", "b", "c", "d"], D)
+    gauges = (Additive(), ScaledAdditive(2.0))
+    assert transfer._power_table(PowerModulus(2.0), D) is None
+    assert transfer._power_table(LinearModulus(1.0), D, squared=True) is None
+    assert transfer._power_table(LinearModulus(1.0), D) is not None
+    assert transfer._power_table(PowerModulus(2.0), np.sqrt(D)) is not None
+    rep = check_transfer_condition(*gauges, PowerModulus(2.0), pairs=X)
+    ptolemy = ptolemy_transfer_check(identity_map(X), LinearModulus(1.0))
+    assert repr(rep) == repr(naive_transfer_scan(*gauges, PowerModulus(2.0), X))
+    monkeypatch.setattr(transfer, "_power_table", lambda *args, **kwargs: None)
+    assert repr(rep) == repr(check_transfer_condition(*gauges, PowerModulus(2.0), pairs=X))
+    assert repr(ptolemy) == repr(ptolemy_transfer_check(identity_map(X), LinearModulus(1.0)))
+    assert ptolemy.mode == "realized" and ptolemy.checked == 3
 
 
 def test_a_nan_conclusion_violates_the_transfer_condition():
