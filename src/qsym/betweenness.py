@@ -55,6 +55,8 @@ def _between_columns(D: np.ndarray, tol: float):
         ok = _equal(direct, through, tol)
         ok[:, x] = False
         np.fill_diagonal(ok[:, lo:hi], False)
+        if not ok.any():
+            continue
         z, y = np.nonzero(ok)
         xs += [x] * len(z)
         ys += y.tolist()

@@ -201,8 +201,9 @@ def build_space(labels: Sequence[str], matrix, tol: float = DEFAULT_TOL) -> Semi
     """Validate a distance matrix and return an immutable space.
 
     Asymmetry up to ``tol`` (relative to the largest entry) is repaired by
-    averaging; beyond it, :class:`NonSymmetric` is raised.  Diagonal noise
-    within the tolerance is snapped to exact zero.  Off-diagonal entries
+    averaging the entries that differ from their transpose, so a symmetric
+    matrix is stored as given; beyond it, :class:`NonSymmetric` is raised.
+    Diagonal noise within the tolerance is snapped to exact zero.  Off-diagonal entries
     must be strictly positive: an exact zero or slightly negative value
     raises :class:`ZeroOffDiagonal`, a clearly negative one
     :class:`NegativeDistance`.
@@ -230,7 +231,8 @@ def build_space(labels: Sequence[str], matrix, tol: float = DEFAULT_TOL) -> Semi
             f"d({labels[i]},{labels[j]}) != d({labels[j]},{labels[i]}) "
             f"(difference {asym:.3g} exceeds tol)"
         )
-    m = 0.5 * (m + m.T)
+    if asym:  # halves first: no sum can overflow
+        m = np.where(m == m.T, m, 0.5 * m + 0.5 * m.T)
 
     diag = np.diagonal(m)
     if np.any(np.abs(diag) > tol * scale):

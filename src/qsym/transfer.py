@@ -28,7 +28,10 @@ from .report import Report
 from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace, _valid_tol
 from .triangle import (
     _QUAD_ORDERINGS,
+    Additive,
+    MaxGauge,
     PtolemyReport,
+    ScaledAdditive,
     TriangleFunction,
     TriangleReport,
     _pair_rows,
@@ -42,6 +45,10 @@ from .triangle import (
 #: diagonal product d(x,z) d(t,y): the one that matches point 0 with its partner
 _DIAGONALS = tuple({X: Z, Z: X, Y: T, T: Y}[0] - 1 for X, Y, Z, T in _QUAD_ORDERINGS)
 
+#: the gauges with Phi(c u, c v) = c Phi(u, v) for c > 0 (exact classes), whose
+#: realized sides are compared undivided
+_HOMOGENEOUS = (Additive, MaxGauge, ScaledAdditive)
+
 #: default grid for the a-priori (non-realized) implication scan
 TRANSFER_GRID_POINTS = 256
 TRANSFER_GRID_SPAN = (1e-4, 1e4)
@@ -54,8 +61,8 @@ def _inv_eta(eta: Modulus, t: np.ndarray) -> np.ndarray:
 
 
 def _power_table(eta: Modulus, D: np.ndarray, squared: bool = False):
-    """``(P, C)`` for eta(t) = C t**alpha: P = (D 2**-e)**alpha, e the binary
-    exponent of the largest distance, so P is the same at every scale 2**k D.
+    """``(P, C, S)`` for eta(t) = C t**alpha: S = D 2**-e, e the binary exponent
+    of the largest distance, and P = S**alpha, the same at every scale 2**k D.
     None (the log path) for other moduli, or when a scaled distance or C
     times the least off-diagonal P (squared for the four-ratio products) is
     not a normal float, as for distances over 1e-200..1 at alpha = 2."""
@@ -71,7 +78,7 @@ def _power_table(eta: Modulus, D: np.ndarray, squared: bool = False):
     low = C * C * (least * least) if squared else C * least
     tiny = np.finfo(float).tiny
     if np.min(S, where=off, initial=np.inf) >= tiny and tiny <= low < np.inf:
-        return P, C
+        return P, C, S
     return None
 
 
@@ -114,8 +121,11 @@ def check_transfer_condition(
     of the scan over all ordered (x, y, z) have x < y.  That scan stops
     after the first violating x; ``checked_pairs`` counts its premise pairs.
     The premise side is Phi1(d(x,z)/d(x,y), d(y,z)/d(x,y)), the conclusion
-    side Phi2(P[x,z]/(C P[x,y]), P[y,z]/(C P[x,y])) on a :func:`_power_table`,
-    else Phi2(1/eta(t1), 1/eta(t2)) by the log path.
+    side Phi2(1/eta(t1), 1/eta(t2)) by the log path or, on a
+    :func:`_power_table` (P, C, S), Phi2(P[x,z]/(C P[x,y]), P[y,z]/(C P[x,y])).
+    On a table a positively homogeneous gauge (additive, bmetric, max) is read
+    undivided: the premise as Phi1(S[x,z], S[y,z]) >= (1 - tol) S[x,y], with
+    lhs1 their quotient, the conclusion as Phi2(P[x,z], P[y,z]) / (C P[x,y]).
     """
     scan = _Scan(1.0 - _valid_tol(tol))
     if pairs is None:
@@ -139,11 +149,16 @@ def check_transfer_condition(
         D = np.asarray(space.dist)
         n = space.n
         table = _power_table(eta, D)
+        S = table[2] if table is not None and type(phi1) in _HOMOGENEOUS else None
 
         def premise_rows(x, lo, hi):  # the premise pairs (x, y, z), lo <= y < hi
-            dxy = D[x, lo:hi, None]
-            lhs1 = np.asarray(phi1(D[x] / dxy, D[lo:hi] / dxy), dtype=float)
-            premise = lhs1 >= 1.0 - tol
+            if S is None:
+                dxy = D[x, lo:hi, None]
+                lhs1 = np.asarray(phi1(D[x] / dxy, D[lo:hi] / dxy), dtype=float)
+                premise = lhs1 >= 1.0 - tol
+            else:  # undivided: lhs1 is Phi1(S[x,z], S[y,z]), divided at the witness
+                lhs1 = phi1(S[x], S[lo:hi])
+                premise = lhs1 >= (1.0 - tol) * S[x, lo:hi, None]
             premise[:, x] = False  # z != x
             np.fill_diagonal(premise[:, lo:], False)  # z != y
             return lhs1, premise
@@ -159,9 +174,12 @@ def check_transfer_condition(
                     t1, t2 = (dxy / D[x])[premise], (dxy / D[lo:hi])[premise]
                 lhs2 = np.asarray(phi2(_inv_eta(eta, t1), _inv_eta(eta, t2)), dtype=float)
             else:
-                P, C = table
+                P, C, _ = table
                 cxy = C * P[x, lo:hi, None]
-                lhs2 = np.asarray(phi2(P[x] / cxy, P[lo:hi] / cxy), dtype=float)[premise]
+                if type(phi2) in _HOMOGENEOUS:
+                    lhs2 = (phi2(P[x], P[lo:hi]) / cxy)[premise]
+                else:
+                    lhs2 = np.asarray(phi2(P[x] / cxy, P[lo:hi] / cxy), dtype=float)[premise]
             if not lhs2.size:
                 continue
 
@@ -169,7 +187,8 @@ def check_transfer_condition(
                 y, z = divmod(int(np.flatnonzero(premise)[k]), n)
                 y += lo
                 return (float(D[x, y] / D[x, z]), float(D[x, y] / D[y, z]),
-                        float(lhs1[y - lo, z]), float(lhs2[k]))
+                        float(lhs1[y - lo, z] / (1.0 if S is None else S[x, y])),
+                        float(lhs2[k]))
 
             scan.add(lhs2, witness)
             if scan.violation is not None:

@@ -220,14 +220,15 @@ class _Scan:
     """The cross-block reduction of every exhaustive scan, in scan order.
 
     ``add`` takes a nonempty block's values, in scan order once raveled, a
-    map from a raveled position to its witness and, optionally, per-value
-    floors that broadcast against the values and lie at or below ``floor``
-    (by default every value's floor is ``floor``).  ``low`` and ``least``
-    are the first minimum and its witness, where a NaN is the minimum (the
-    first NaN wins); ``violation`` is the witness of the first value that
-    is NaN or below its floor; ``count`` is the number of values read.
-    np.argmin picks the first NaN, so a block can violate only if its pick
-    is NaN or below ``floor``.
+    map from a raveled position to its witness and, optionally, a callable
+    returning per-value floors that broadcast against the values and lie at
+    or below ``floor`` (by default every value's floor is ``floor``).
+    ``low`` and ``least`` are the first minimum and its witness, where a NaN
+    is the minimum (the first NaN wins); ``violation`` is the witness of the
+    first value that is NaN or below its floor; ``count`` is the number of
+    values read.  np.argmin picks the first NaN, so a block can violate only
+    if its pick is NaN or below ``floor``: only then, and before the first
+    violation, are its floors formed.
     """
 
     def __init__(self, floor: float):
@@ -242,7 +243,7 @@ class _Scan:
         if self.low is None or v < self.low or (v != v and self.low == self.low):
             self.low, self.least = v, witness(k)
         if self.violation is None and not v >= self.floor:
-            bad = ~(values >= (self.floor if floor is None else floor))
+            bad = ~(values >= (self.floor if floor is None else floor()))
             k = int(np.argmax(bad))
             if bad.flat[k]:
                 self.violation = witness(k)
@@ -271,7 +272,7 @@ def check_triangle(
         margin = np.asarray(phi(d[x][None, :], d[lo:hi]), dtype=float)
         lhs = d[x, lo:hi, None]
         margin -= lhs
-        scan.add(margin, lambda k: (x, k % n, lo + k // n), -tol * lhs)
+        scan.add(margin, lambda k: (x, k % n, lo + k // n), lambda: -tol * lhs)
 
     x, z, y = scan.least
     lhs = float(d[x, y])
@@ -390,15 +391,14 @@ def is_ptolemaic(space: SemimetricSpace, tol: float = DEFAULT_TOL) -> PtolemyRep
         ab = q[0][1] * q[2][3]
         ce = q[0][2] * q[1][3]
         fg = q[0][3] * q[1][2]
-        products = np.stack([ab, ce, fg], axis=1)
         margins = np.stack([ce + fg - ab, ab + fg - ce, ab + ce - fg], axis=1)
 
         def witness(flat):
             m, pairing = divmod(flat, 3)
             return (i, int(j[m]), int(k[m]), int(l[m]), pairing,
-                    float(products[m, pairing]), float(margins[m, pairing]))
+                    float((ab, ce, fg)[pairing][m]), float(margins[m, pairing]))
 
-        scan.add(margins, witness, -tol * products)
+        scan.add(margins, witness, lambda: -tol * np.stack([ab, ce, fg], axis=1))
     ii, jj, kk, ll, pairing, lhs, margin = scan.least
     # arrange the worst quadruple as (x, y, z, t) with lhs = d(x,z) d(t,y)
     quad = ((ii, ll, jj, kk), (ii, ll, kk, jj), (ii, kk, ll, jj))[pairing]

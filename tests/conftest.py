@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from qsym import build_space
+from qsym import Additive, MaxGauge, ScaledAdditive, build_space
 
 
 def subspace(space, indices):
@@ -81,9 +81,9 @@ def naive_minimal_K(space):
 
 
 def power_table(eta, D, squared=False):
-    """(P, C) when eta = C t**alpha is a power, linear or bi-Lipschitz
-    modulus, not a subclass: P = (D 2**-e)**alpha with e the binary
-    exponent of the largest distance.  None, the log path, for any other
+    """(P, C, S) when eta = C t**alpha is a power, linear or bi-Lipschitz
+    modulus, not a subclass: S = D 2**-e with e the binary exponent of the
+    largest distance, and P = S**alpha.  None, the log path, for any other
     modulus, or when some off-diagonal scaled distance, or C P (C**2 P**2
     when ``squared``), is below the smallest normal float or infinite."""
     from qsym import BiLipschitzModulus, LinearModulus, PowerModulus
@@ -109,20 +109,28 @@ def power_table(eta, D, squared=False):
             low = C * C * (P[x, y] * P[x, y]) if squared else C * P[x, y]
             if not (S[x, y] >= tiny and tiny <= low < np.inf):
                 return None
-    return (P, C) if n > 1 else None
+    return (P, C, S) if n > 1 else None
+
+
+#: the gauges with Phi(c u, c v) = c Phi(u, v), as exact classes
+HOMOGENEOUS = (Additive, MaxGauge, ScaledAdditive)
 
 
 def naive_transfer_scan(phi1, phi2, eta, space, tol=1e-9):
     """The realized transfer report by loops over the ordered triples
     (x, y, z), z != x, y, with t1 = d(x,y)/d(x,z) and t2 = d(x,y)/d(y,z).
 
-    A premise pair has Phi1(d(x,z)/d(x,y), d(y,z)/d(x,y)) >= 1 - tol; its
-    conclusion side Phi2(1/eta(t1), 1/eta(t2)) violates when it is NaN or
-    below 1 - tol.  1/eta(t1) is P[x,z] / (C P[x,y]) on the
-    :func:`power_table` of eta = C t**alpha, where one applies, and
-    exp(-log eta(t1)) otherwise.  The scan stops after the row x of the
-    first violation, which is the witness; else the witness is the first
-    minimum of the first row whose minimum is smallest.  ``checked_pairs``
+    On the :func:`power_table` (P, C, S) of eta = C t**alpha, where one
+    applies, and a gauge of ``HOMOGENEOUS``: a premise pair has
+    Phi1(S[x,z], S[y,z]) >= (1 - tol) S[x,y], and lhs1 is that side over
+    S[x,y]; the conclusion side is Phi2(P[x,z], P[y,z]) / (C P[x,y]).
+    Otherwise a premise pair has Phi1(d(x,z)/d(x,y), d(y,z)/d(x,y)) >= 1 - tol,
+    and the conclusion side is Phi2(1/eta(t1), 1/eta(t2)), 1/eta(t1) being
+    P[x,z] / (C P[x,y]) on the table and exp(-log eta(t1)) off it.  A
+    conclusion side violates when it is NaN or below 1 - tol.  The scan
+    stops after the row x of the first violation, which is the witness;
+    else the witness is the first minimum of the first row whose minimum is
+    smallest.  ``checked_pairs``
     counts the premise pairs read.
     """
     from qsym import TransferReport
@@ -131,13 +139,24 @@ def naive_transfer_scan(phi1, phi2, eta, space, tol=1e-9):
     n = space.n
     table = power_table(eta, d)
 
+    def premise(x, y, z):
+        if table is not None and type(phi1) in HOMOGENEOUS:
+            S = table[2]
+            side = float(np.asarray(phi1(S[x, z], S[y, z])))
+            return side >= (1.0 - tol) * S[x, y], float(side / S[x, y])
+        lhs1 = float(np.asarray(phi1(d[x, z] / d[x, y], d[y, z] / d[x, y])))
+        return lhs1 >= 1.0 - tol, lhs1
+
     def conclusion(x, y, z):
         if table is None:
             with np.errstate(over="ignore"):
-                return tuple(float(np.exp(-float(np.asarray(eta.log_eval(t)))))
-                             for t in (d[x, y] / d[x, z], d[x, y] / d[y, z]))
-        P, C = table
-        return P[x, z] / (C * P[x, y]), P[y, z] / (C * P[x, y])
+                return float(np.asarray(phi2(*(
+                    float(np.exp(-float(np.asarray(eta.log_eval(t)))))
+                    for t in (d[x, y] / d[x, z], d[x, y] / d[y, z])))))
+        P, C = table[:2]
+        if type(phi2) in HOMOGENEOUS:
+            return float(np.asarray(phi2(P[x, z], P[y, z])) / (C * P[x, y]))
+        return float(np.asarray(phi2(P[x, z] / (C * P[x, y]), P[y, z] / (C * P[x, y]))))
 
     checked, violation, tightest = 0, None, None
     for x in range(n):
@@ -146,11 +165,11 @@ def naive_transfer_scan(phi1, phi2, eta, space, tol=1e-9):
             for z in range(n):
                 if len({x, y, z}) < 3:
                     continue
-                lhs1 = float(np.asarray(phi1(d[x, z] / d[x, y], d[y, z] / d[x, y])))
-                if not lhs1 >= 1.0 - tol:
+                holds, lhs1 = premise(x, y, z)
+                if not holds:
                     continue
                 checked += 1
-                lhs2 = float(np.asarray(phi2(*conclusion(x, y, z))))
+                lhs2 = conclusion(x, y, z)
                 pair = (float(d[x, y] / d[x, z]), float(d[x, y] / d[y, z]), lhs1, lhs2)
                 if violation is None and not lhs2 >= 1.0 - tol:
                     violation = pair
@@ -194,7 +213,7 @@ def naive_ptolemy_transfer(f, eta, tol=1e-9):
                 with np.errstate(over="ignore", invalid="ignore"):
                     c = float(np.exp(-(l1 + l2)) + np.exp(-(l3 + l4)))
             else:
-                P, C = table
+                P, C = table[:2]
                 c = float((P[x, y] * P[t, z] + P[x, t] * P[y, z])
                           / ((C * C) * (P[x, z] * P[t, y])))
             entry = (c, (x, y, z, t), tuple(float(r) for r in ratios))
@@ -342,6 +361,43 @@ def naive_ptolemaic(space):
         for lhs, rhs in pairs:
             worst = min(worst, rhs - lhs)
     return worst
+
+
+def naive_ptolemy_worst(space, tol=1e-9):
+    """The Ptolemy report by loops over the 4-subsets i < j < k < l and,
+    within each, the pairings ab = s(i,j) s(k,l), ce = s(i,k) s(j,l) and
+    fg = s(i,l) s(j,k), where s is the distance times 2**-e, e the binary
+    exponent of the largest one.  A pairing's margin is the sum of the other
+    two products minus its own; it violates when NaN or below -tol times
+    its product.  The witness is the first minimum margin in (i, j, k, l,
+    pairing) order, a NaN first, arranged as (x, y, z, t) with the product
+    d(x,z) d(t,y); lhs, rhs and margin are scaled back by 2**(2e)."""
+    from qsym import PtolemyReport
+
+    n = space.n
+    if n < 4:
+        return PtolemyReport(True, None, 0.0, 0.0, np.inf, "exhaustive", 0, tol)
+    d = np.asarray(space.dist)
+    e = math.frexp(max(float(v) for v in d.ravel()))[1]
+    s = np.ldexp(d, -e)
+    best = violation = None
+    checked = 0
+    for i, j, k, l in itertools.combinations(range(n), 4):
+        ab, ce, fg = s[i, j] * s[k, l], s[i, k] * s[j, l], s[i, l] * s[j, k]
+        pairings = ((ab, ce + fg - ab), (ce, ab + fg - ce), (fg, ab + ce - fg))
+        quads = ((i, l, j, k), (i, l, k, j), (i, k, l, j))
+        for (product, margin), quad in zip(pairings, quads):
+            checked += 1
+            if best is None or (margin != margin and best[2] == best[2]) or margin < best[2]:
+                best = (quad, product, margin)
+            if violation is None and not margin >= -tol * product:
+                violation = quad
+    quad, product, margin = best
+    with np.errstate(over="ignore"):
+        lhs, rhs, margin = (float(np.ldexp(v, 2 * e))
+                            for v in (product, product + margin, margin))
+    return PtolemyReport(violation is None, quad, lhs, rhs, margin, "exhaustive", checked,
+                         tol)
 
 
 def naive_space_ranks(space, tol=1e-9):

@@ -45,6 +45,17 @@ def test_build_space_repairs_small_asymmetry():
     assert d[0, 1] == d[1, 0]
 
 
+def test_build_space_keeps_a_symmetric_matrix_and_averages_without_overflow():
+    # 0.5 (m + m.T) turned every entry above ~9e307 into inf
+    D = np.array([[0, 1.5e308, 1e308], [1.5e308, 0, 1e308], [1e308, 1e308, 0]])
+    assert np.array_equal(build_space("abc", D).dist, D)
+    top = np.finfo(float).max
+    m = [[0, top], [top * (1 - 1e-15), 0]]
+    d = np.asarray(build_space(["a", "b"], m).dist)
+    assert d[0, 1] == d[1, 0] == 0.5 * top + 0.5 * m[1][0]
+    assert np.isfinite(d).all()
+
+
 def test_build_space_rejects_large_asymmetry():
     with pytest.raises(NonSymmetric):
         build_space(["a", "b"], [[0, 1.0], [1.5, 0]])

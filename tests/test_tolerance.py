@@ -214,16 +214,24 @@ def test_a_failing_involution_reports_a_failing_point():
                           st.floats(max_value=0.0) | st.just(-0.0)), min_size=1, max_size=30),
        st.data())
 def test_scan_with_per_value_floors_matches_the_loop_oracle(pairs, data):
-    # per-value floors at or below the scan's floor 0, as -tol lhs is
+    # per-value floors at or below the scan's floor 0, as -tol lhs is; a
+    # block's floors are formed only when its minimum is NaN or below 0
     values, floors = (list(v) for v in zip(*pairs))
     cut = data.draw(st.lists(st.booleans(), min_size=len(values) - 1,
                              max_size=len(values) - 1))
     ends = [i + 1 for i, c in enumerate(cut) if c] + [len(values)]
     scan = triangle._Scan(0.0)
-    start = 0
+    start, formed = 0, []
+
+    def block_floors(start, end):
+        formed.append(start)
+        return np.array(floors[start:end])
+
     for end in ends:
         scan.add(np.array(values[start:end]), lambda k, start=start: start + k,
-                 np.array(floors[start:end]))
+                 lambda start=start, end=end: block_floors(start, end))
+        if start in formed:
+            assert any(not v >= 0.0 for v in values[start:end])
         start = end
     low, violation, count = naive_scan(values, floors)
     assert (scan.least, scan.violation, scan.count) == (low, violation, count)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +186,51 @@ def test_the_table_path_reports_the_log_paths_conclusion(X, gauges, eta):
         abs(a - b) <= 8 * np.finfo(float).eps * max(abs(a), abs(b))
     if not abs(a - (1.0 - table.tol)) <= 1e-12:
         assert table.holds == log.holds
+
+
+#: (built-in gauge, the same sum behind a CustomGauge, which is read divided)
+SUM_GAUGES = [(Additive(), CustomGauge(lambda u, v: u + v, name="sum")),
+              (ScaledAdditive(1.5), CustomGauge(lambda u, v: 1.5 * (u + v), name="1.5sum"))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_spaces() | RANDOM_SPACES, st.sampled_from(SUM_GAUGES),
+       st.sampled_from(["phi1", "phi2", "both"]), st.sampled_from(TABLE_MODULI))
+def test_the_undivided_sides_report_the_divided_ones(X, gauges, swap, eta):
+    # the built-in gauge is compared undivided on the table; the same sum
+    # as a CustomGauge is divided first, so the two differ by rounding only
+    builtin, custom = gauges
+    phi1 = custom if swap in ("phi1", "both") else builtin
+    phi2 = custom if swap in ("phi2", "both") else builtin
+    undivided = check_transfer_condition(builtin, builtin, eta, pairs=X)
+    divided = check_transfer_condition(phi1, phi2, eta, pairs=X)
+    assert (undivided.worst is None) == (divided.worst is None)
+    if undivided.worst is None:
+        return
+    a, b = undivided.worst[3], divided.worst[3]
+    assert abs(a - b) <= 8 * np.finfo(float).eps * max(abs(a), abs(b))
+    if not abs(a - (1.0 - undivided.tol)) <= 1e-12:
+        assert undivided.holds == divided.holds
+
+
+@pytest.mark.parametrize("gauges", TRANSFER_GAUGES[:5])
+@pytest.mark.parametrize("eta", TRANSFER_MODULI + [LinearModulus(0.7),
+                                                   CallableModulus(np.sqrt, label="root")])
+def test_distances_up_to_1_5e308_give_the_report_of_their_scaled_copy(gauges, eta):
+    # the premise is compared on D 2**-e, so no gauge side overflows
+    X = build_space(["a", "b", "c", "d", "e"], np.ldexp(np.asarray(
+        euclidean_space(5, 2, seed=7).dist), 1000))
+    D = np.array(X.dist)
+    D[0, 1] = D[1, 0] = 1.5e308
+    D[2, 3] = D[3, 2] = 1e308
+    X = build_space(X.labels, D)
+    Y = build_space(X.labels, np.ldexp(D, -1000))
+    assert np.array_equal(X.dist, D)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_transfer_condition(*gauges, eta, pairs=X)
+        assert repr(rep) == repr(check_transfer_condition(*gauges, eta, pairs=Y))
+    assert repr(rep) == repr(naive_transfer_scan(*gauges, eta, X))
 
 
 #: Ptolemaic domains with exact ties (integer lines) and without

@@ -24,7 +24,8 @@ from qsym import (
     ultrametric_space,
 )
 
-from conftest import naive_minimal_K, naive_ptolemaic, naive_triangle_margin
+from conftest import (naive_minimal_K, naive_ptolemaic, naive_ptolemy_worst,
+                      naive_triangle_margin)
 
 
 def squared_line(coords):
@@ -207,6 +208,35 @@ def test_is_ptolemaic_exhaustive_above_64_points():
     lhs, rhs = ptolemy_sides(bad, rep.worst_quadruple)
     assert rep.lhs == lhs
     assert rep.rhs == pytest.approx(rhs, rel=1e-12)
+
+
+@st.composite
+def ptolemy_test_spaces(draw):
+    """4 to 8 points: integer points on a line (exact zero margins), two
+    distance values 1 and 2, or random points with one planted long
+    distance d(0, 1), which breaks Ptolemy on quadruples through it."""
+    n = draw(st.integers(4, 8))
+    kind = draw(st.sampled_from(["line", "two-valued", "planted"]))
+    if kind == "line":
+        return collinear_space(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n,
+                                             unique=True)))
+    if kind == "two-valued":
+        D = np.zeros((n, n))
+        D[np.triu_indices(n, 1)] = draw(st.lists(st.sampled_from([1.0, 2.0]),
+                                                 min_size=n * (n - 1) // 2,
+                                                 max_size=n * (n - 1) // 2))
+        return build_space([f"p{i}" for i in range(n)], D + D.T)
+    D = np.array(euclidean_space(n, 2, seed=draw(st.integers(0, 999))).dist)
+    D[0, 1] = D[1, 0] = draw(st.sampled_from([1.5, 3.0, 10.0])) * D.max()
+    return build_space([f"p{i}" for i in range(n)], D)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ptolemy_test_spaces(), st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_is_ptolemaic_matches_the_loop_oracle(X, tol):
+    # every field, to the bit: the witness is the first minimum margin in
+    # (i, j, k, l, pairing) order and the verdict reads each pairing's floor
+    assert repr(is_ptolemaic(X, tol)) == repr(naive_ptolemy_worst(X, tol))
 
 
 def test_parse_triangle_function():
