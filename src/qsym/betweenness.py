@@ -26,7 +26,7 @@ from .quasisymmetry import image_subset
 from .report import Report
 from .spaces import (DEFAULT_TOL, PointMap, SemimetricSpace, SubsetRef, _equal, _valid_tol,
                      _worst)
-from .triangle import _QUAD_ORDERINGS, _pair_rows
+from .triangle import _QUAD_ORDERINGS, _headroom, _pair_rows
 
 #: sample count for the generator monotonicity probe on [0, 1]
 GENERATOR_GRID = 128
@@ -46,8 +46,10 @@ class BetweennessTriple(NamedTuple):
 
 def _between_columns(D: np.ndarray, tol: float):
     """The betweenness triples of D as four lists x, y, z, slack, with
-    x < z, in (x, z, y) order: each pair row (x, z) against every y."""
+    x < z, in (x, z, y) order: each pair row (x, z) against every y, on the
+    distances of :func:`triangle._headroom`, with the slacks scaled back."""
     _valid_tol(tol)
+    D, s = _headroom(D)
     xs, ys, zs, slacks = [], [], [], []
     for x, lo, hi in _pair_rows(len(D)):
         direct = D[x, lo:hi, None]
@@ -61,7 +63,7 @@ def _between_columns(D: np.ndarray, tol: float):
         xs += [x] * len(z)
         ys += y.tolist()
         zs += (z + lo).tolist()
-        slacks += np.abs(direct[z, 0] - through[z, y]).tolist()
+        slacks += np.ldexp(np.abs(direct[z, 0] - through[z, y]), s).tolist()
     return xs, ys, zs, slacks
 
 
@@ -108,12 +110,13 @@ def preserves_betweenness(
     f: PointMap, tol: float = DEFAULT_TOL
 ) -> BetweennessPreservationReport:
     """Check that every domain betweenness triple maps to an image triple
-    satisfying the same additive equality within tol."""
+    satisfying the same additive equality within tol; both sides read
+    their distances through :func:`triangle._headroom`."""
     xs, ys, zs, slacks = _between_columns(np.asarray(f.domain.dist), tol)
-    R = f.image_matrix()
+    R, s = _headroom(f.image_matrix())
     direct = R[xs, zs]
     through = R[xs, ys] + R[ys, zs]
-    image = np.abs(direct - through)
+    image = np.ldexp(np.abs(direct - through), s)
     bad = np.flatnonzero(~_equal(direct, through, tol)).tolist()
     violations = tuple(
         BetweennessViolation(xs[i], ys[i], zs[i], slacks[i], float(image[i])) for i in bad

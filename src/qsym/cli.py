@@ -2,9 +2,14 @@
 
 Exit status contract: 0 when the checked property holds (or an object was
 produced), 1 when the property fails (a witness is printed), 2 on usage
-or input errors.  ``--json`` switches every report to one structured
-document with floats at 17 significant digits; reports echo input hashes
-and tolerances so failures are reproducible from the report alone.
+or input errors.
+
+Every handler builds only its own report fields and text lines and
+returns through :func:`_emit`, which prints the lines, or under ``--json``
+one structured document with floats at 17 significant digits, and maps the
+verdict to the exit status.  The document opens with ``command``; a
+handler that read files goes on with their sha256 ``inputs`` and its
+tolerance, so failures are reproducible from the report alone.
 
 A process loads only the modules its subcommand runs: each handler
 imports what it calls, and the parser needs only ``spaces``.
@@ -24,19 +29,27 @@ from .spaces import DEFAULT_TOL, RANK_TOL, build_map
 _PROPERTY_FAILURES = (UnboundedEnvelope, NotQuasisymmetric)
 
 
-def _emit(args, payload: dict, lines):
-    if getattr(args, "json", False):
+def _emit(args, payload: dict, lines, holds=True, files=(), tol: str = "tol") -> int:
+    """Print one report and return its exit status: 0 if ``holds``, else 1.
+
+    Under ``--json`` the document is ``command``, then, when the handler
+    read ``files``, their sha256 hashes as ``inputs`` and the option
+    ``tol`` names (the verdict's tolerance) under its own name, then the
+    handler's ``payload``; otherwise each of ``lines`` is printed.
+    """
+    if args.json:
         from .report import to_json
 
-        print(to_json(payload))
+        head = {"command": args.command}
+        if files:
+            from .fileio import sha256_file
+
+            head["inputs"] = {str(p): sha256_file(p) for p in files}
+            head[tol] = getattr(args, tol)
+        print(to_json({**head, **payload}))
     else:
         sys.stdout.write("".join([f"{line}\n" for line in lines]))
-
-
-def _inputs(*paths) -> dict:
-    from .fileio import sha256_file
-
-    return {str(p): sha256_file(p) for p in paths if p}
+    return 0 if holds else 1
 
 
 def _indices(text: str, n: int, what: str):
@@ -50,25 +63,28 @@ def _indices(text: str, n: int, what: str):
     return idx
 
 
-def _load_map_bundle(args, tol, require_bijective=False):
+def _load_map_bundle(args, require_bijective=False):
+    """The map that ``--map`` makes from ``--domain`` to ``--codomain``, and
+    those three paths; names that the map file gives its spaces must match
+    the space files' names."""
     from .fileio import load_map_document, load_space_document
 
-    dom, dom_name = load_space_document(args.domain, tol)
-    cod, cod_name = load_space_document(args.codomain, tol)
-    want_dom, want_cod, assignment = load_map_document(args.map)
-    if want_dom and dom_name and want_dom != dom_name:
-        raise ParseError(
-            f'map expects domain "{want_dom}" but the space file is named '
-            f'"{dom_name}"',
-            path=str(args.map),
-        )
-    if want_cod and cod_name and want_cod != cod_name:
-        raise ParseError(
-            f'map expects codomain "{want_cod}" but the space file is named '
-            f'"{cod_name}"',
-            path=str(args.map),
-        )
-    return build_map(dom, cod, assignment, require_bijective=require_bijective)
+    paths = (args.domain, args.codomain, args.map)
+    spaces = [load_space_document(path, args.tol) for path in paths[:2]]
+    *wanted, assignment = load_map_document(args.map)
+    for role, want, (_, name) in zip(("domain", "codomain"), wanted, spaces):
+        if want and name and want != name:
+            raise ParseError(
+                f'map expects {role} "{want}" but the space file is named "{name}"',
+                path=str(args.map),
+            )
+    f = build_map(spaces[0][0], spaces[1][0], assignment,
+                  require_bijective=require_bijective)
+    return f, paths
+
+
+def _verdict(holds) -> str:
+    return "HOLDS" if holds else "FAILS"
 
 
 # ---------------------------------------------------------------- handlers
@@ -86,51 +102,34 @@ def _cmd_check(args) -> int:
     )
 
     space, _ = load_space_document(args.space, args.tol)
-    inputs = _inputs(args.space)
+    files = (args.space,)
     if args.phi is not None and args.cls is not None:
         raise ParseError("give either --class or --phi, not both")
     if args.cls == "bmetric":
         K = minimal_bmetric_K(space)
         rep = check_triangle(space, parse_triangle_function(f"bmetric:{max(K, 1.0)}"),
                              tol=args.tol)
-        payload = {
-            "command": "check", "inputs": inputs, "tol": args.tol,
-            "class": "bmetric", "minimal_K": K, "report": rep.to_dict(),
-        }
-        _emit(args, payload, [f"minimal K = {K:g}"])
-        return 0
+        payload = {"class": "bmetric", "minimal_K": K, "report": rep.to_dict()}
+        return _emit(args, payload, [f"minimal K = {K:g}"], files=files)
     if args.cls == "ptolemaic":
         rep = is_ptolemaic(space, tol=args.tol)
-        payload = {
-            "command": "check", "inputs": inputs, "tol": args.tol,
-            "class": "ptolemaic", "report": rep.to_dict(),
-        }
-        lines = [
-            "HOLDS" if rep.holds else "FAILS",
-            f"worst margin {rep.margin:.6g} at quadruple "
-            f"{rep.worst_labels(space)} ({rep.mode})",
-        ] if rep.worst_quadruple is not None else ["HOLDS (vacuous: fewer than 4 points)"]
-        _emit(args, payload, lines)
-        return 0 if rep.holds else 1
-    phi = (
-        parse_triangle_function(args.phi)
-        if args.phi is not None
-        else {"metric": Additive(), "ultrametric": MaxGauge()}[args.cls or "metric"]
-    )
-    rep = check_triangle(space, phi, tol=args.tol)
-    payload = {
-        "command": "check", "inputs": inputs, "tol": args.tol,
-        "gauge": phi.describe(), "report": rep.to_dict(),
-    }
-    if rep.worst_triple is not None:
-        lines = [
-            "HOLDS" if rep.holds else "FAILS",
-            f"worst margin {rep.margin:.6g} at (x, z, y) = {rep.worst_labels(space)}",
-        ]
+        payload = {"class": "ptolemaic"}
+        at, fewer = f"quadruple {rep.worst_labels(space)} ({rep.mode})", 4
     else:
-        lines = ["HOLDS (vacuous: fewer than 3 points)"]
-    _emit(args, payload, lines)
-    return 0 if rep.holds else 1
+        phi = (
+            parse_triangle_function(args.phi)
+            if args.phi is not None
+            else {"metric": Additive(), "ultrametric": MaxGauge()}[args.cls or "metric"]
+        )
+        rep = check_triangle(space, phi, tol=args.tol)
+        payload = {"gauge": phi.describe()}
+        at, fewer = f"(x, z, y) = {rep.worst_labels(space)}", 3
+    payload["report"] = rep.to_dict()
+    if rep.worst_labels(space) is None:
+        lines = [f"HOLDS (vacuous: fewer than {fewer} points)"]
+    else:
+        lines = [_verdict(rep.holds), f"worst margin {rep.margin:.6g} at {at}"]
+    return _emit(args, payload, lines, rep.holds, files)
 
 
 def _evaluate_at(args, eta, payload: dict, name: str = "eta") -> list:
@@ -147,21 +146,19 @@ def _cmd_modulus(args) -> int:
     from .moduli import parse_modulus
 
     eta = parse_modulus(args.eta)
-    payload = {"command": "modulus", "eta": eta.describe()}
+    payload = {"eta": eta.describe()}
     lines = _evaluate_at(args, eta, payload)
-    code = 0
-    if args.involution:
-        from .weak_similarity import check_involution_identity
+    if not args.involution:
+        return _emit(args, payload, lines)
+    from .weak_similarity import check_involution_identity
 
-        rep = check_involution_identity(eta, tol=args.tol)
-        payload["involution"] = rep.to_dict()
-        lines.append(
-            f"involution identity {'HOLDS' if rep.holds else 'FAILS'} "
-            f"(max defect {rep.max_defect:.3g} at k = {rep.worst_k:g}, grid)"
-        )
-        code = 0 if rep.holds else 1
-    _emit(args, payload, lines)
-    return code
+    rep = check_involution_identity(eta, tol=args.tol)
+    payload["involution"] = rep.to_dict()
+    lines.append(
+        f"involution identity {_verdict(rep.holds)} "
+        f"(max defect {rep.max_defect:.3g} at k = {rep.worst_k:g}, grid)"
+    )
+    return _emit(args, payload, lines, rep.holds)
 
 
 def _cmd_qs_check(args) -> int:
@@ -169,27 +166,19 @@ def _cmd_qs_check(args) -> int:
     from .moduli import parse_modulus
     from .quasisymmetry import check_qs, empirical_modulus
 
-    f = _load_map_bundle(args, args.tol)
-    inputs = _inputs(args.domain, args.codomain, args.map)
+    f, files = _load_map_bundle(args)
     if args.out or args.eta is None:
         env = empirical_modulus(f)
         text = save_envelope(env, args.out) if args.out else None
     if args.eta is None:
         if args.json:
-            payload = {
-                "command": "qs-check", "inputs": inputs, "tol": args.tol,
-                "envelope": [[t, h] for t, h in zip(env.ts.tolist(), env.hs.tolist())],
-            }
-            _emit(args, payload, [])
-        else:
-            sys.stdout.write(envelope_text(env) if text is None else text)
-        return 0
+            pairs = [[t, h] for t, h in zip(env.ts.tolist(), env.hs.tolist())]
+            return _emit(args, {"envelope": pairs}, [], files=files)
+        text = envelope_text(env) if text is None else text
+        # the text ends each record's line already: print it as one line
+        return _emit(args, {}, [text[:-1]] if text else [], files=files)
     eta = parse_modulus(args.eta)
     rep = check_qs(f, eta, tol=args.tol)
-    payload = {
-        "command": "qs-check", "inputs": inputs, "tol": args.tol,
-        "eta": eta.describe(), "report": rep.to_dict(),
-    }
     if rep.holds:
         lines = [f"HOLDS: {eta.describe()} verifies the map "
                  f"({rep.checked} realized ratios)"]
@@ -199,8 +188,8 @@ def _cmd_qs_check(args) -> int:
             f"witness (x, a, b) = {rep.witness_labels}: at t = {rep.t:.9g} the "
             f"image ratio is {rep.image_ratio:.9g} but eta(t) = {rep.eta_at_t:.9g}",
         ]
-    _emit(args, payload, lines)
-    return 0 if rep.holds else 1
+    payload = {"eta": eta.describe(), "report": rep.to_dict()}
+    return _emit(args, payload, lines, rep.holds, files)
 
 
 def _cmd_invert_eta(args) -> int:
@@ -208,10 +197,8 @@ def _cmd_invert_eta(args) -> int:
 
     eta = parse_modulus(args.eta)
     inv = inverse_modulus(eta)
-    payload = {"command": "invert-eta", "eta": eta.describe(), "inverse": inv.describe()}
-    lines = _evaluate_at(args, inv, payload, name="eta'")
-    _emit(args, payload, lines)
-    return 0
+    payload = {"eta": eta.describe(), "inverse": inv.describe()}
+    return _emit(args, payload, _evaluate_at(args, inv, payload, name="eta'"))
 
 
 def _cmd_transfer(args) -> int:
@@ -222,46 +209,32 @@ def _cmd_transfer(args) -> int:
     eta = parse_modulus(args.eta)
     if args.minimal_k2 is not None:
         K2 = tr.minimal_transfer_K2(args.minimal_k2, eta)
-        payload = {
-            "command": "transfer", "eta": eta.describe(),
-            "K1": args.minimal_k2, "minimal_K2": K2,
-        }
-        _emit(args, payload, [f"minimal K2 = {K2:.12g}"])
-        return 0
+        payload = {"eta": eta.describe(), "K1": args.minimal_k2, "minimal_K2": K2}
+        return _emit(args, payload, [f"minimal K2 = {K2:.12g}"])
     phi1 = parse_triangle_function(args.phi1)
     phi2 = parse_triangle_function(args.phi2)
+    files = ()
     if args.map:
-        f = _load_map_bundle(args, args.tol, require_bijective=True)
-        inputs = _inputs(args.domain, args.codomain, args.map)
+        f, files = _load_map_bundle(args, require_bijective=True)
         rep = tr.verify_transfer_end_to_end(f, phi1, phi2, eta, tol=args.tol)
-        payload = {
-            "command": "transfer", "inputs": inputs, "tol": args.tol,
-            "eta": eta.describe(), "phi1": phi1.describe(),
-            "phi2": phi2.describe(), "report": rep.to_dict(),
-        }
         lines = [
-            "HOLDS" if rep.holds else "FAILS",
             f"implication checked on {rep.transfer.checked_pairs} realized pairs",
             f"image triangle margin {rep.image_triangle.margin:.6g}",
         ]
-        _emit(args, payload, lines)
-        return 0 if rep.holds else 1
-    rep = tr.check_transfer_condition(phi1, phi2, eta, tol=args.tol)
+    else:
+        rep = tr.check_transfer_condition(phi1, phi2, eta, tol=args.tol)
+        lines = [f"{rep.checked_pairs} premise pairs on the grid"]
+        if rep.worst is not None:
+            t1, t2, lhs1, lhs2 = rep.worst
+            lines.append(
+                f"worst pair t1 = {t1:.6g}, t2 = {t2:.6g}: premise side {lhs1:.6g}, "
+                f"conclusion side {lhs2:.6g}"
+            )
     payload = {
-        "command": "transfer", "tol": args.tol, "eta": eta.describe(),
-        "phi1": phi1.describe(), "phi2": phi2.describe(),
-        "report": rep.to_dict(),
+        "tol": args.tol, "eta": eta.describe(), "phi1": phi1.describe(),
+        "phi2": phi2.describe(), "report": rep.to_dict(),
     }
-    lines = ["HOLDS" if rep.holds else "FAILS",
-             f"{rep.checked_pairs} premise pairs on the grid"]
-    if rep.worst is not None:
-        t1, t2, lhs1, lhs2 = rep.worst
-        lines.append(
-            f"worst pair t1 = {t1:.6g}, t2 = {t2:.6g}: premise side {lhs1:.6g}, "
-            f"conclusion side {lhs2:.6g}"
-        )
-    _emit(args, payload, lines)
-    return 0 if rep.holds else 1
+    return _emit(args, payload, [_verdict(rep.holds), *lines], rep.holds, files)
 
 
 def _cmd_ptolemy_transfer(args) -> int:
@@ -269,24 +242,19 @@ def _cmd_ptolemy_transfer(args) -> int:
     from .transfer import ptolemy_transfer_check
 
     eta = parse_modulus(args.eta)
-    f = _load_map_bundle(args, args.tol, require_bijective=True)
-    inputs = _inputs(args.domain, args.codomain, args.map)
+    f, files = _load_map_bundle(args, require_bijective=True)
     rep = ptolemy_transfer_check(
         f, eta, tol=args.tol, force_realized=args.force_realized
     )
-    payload = {
-        "command": "ptolemy-transfer", "inputs": inputs, "tol": args.tol,
-        "eta": eta.describe(), "report": rep.to_dict(),
-    }
     lines = [
-        "HOLDS" if rep.holds else "FAILS",
+        _verdict(rep.holds),
         f"mode {rep.mode}; implication "
         f"{'holds' if rep.implication_holds else 'fails'} on {rep.checked} "
         f"checked arrangements; image "
         f"{'Ptolemaic' if rep.image.holds else 'not Ptolemaic'}",
     ]
-    _emit(args, payload, lines)
-    return 0 if rep.holds else 1
+    payload = {"eta": eta.describe(), "report": rep.to_dict()}
+    return _emit(args, payload, lines, rep.holds, files)
 
 
 def _cmd_distortion(args) -> int:
@@ -298,8 +266,7 @@ def _cmd_distortion(args) -> int:
     eta = parse_modulus(args.eta)
     phi1 = parse_triangle_function(args.phi1)
     phi2 = parse_triangle_function(args.phi2)
-    f = _load_map_bundle(args, args.tol)
-    inputs = _inputs(args.domain, args.codomain, args.map)
+    f, files = _load_map_bundle(args)
     if args.A is not None:
         A = SubsetRef(f.domain, _indices(args.A, f.domain.n, "--A"))
         B = SubsetRef(
@@ -309,13 +276,7 @@ def _cmd_distortion(args) -> int:
             else tuple(range(f.domain.n)),
         )
         rep = qs.tv_bounds(f, eta, A, B, phi1, phi2, tol=args.tol)
-        payload = {
-            "command": "distortion", "inputs": inputs, "tol": args.tol,
-            "eta": eta.describe(), "phi1": phi1.describe(),
-            "phi2": phi2.describe(), "report": rep.to_dict(),
-        }
         lines = [
-            "HOLDS" if rep.holds else "FAILS",
             f"diam ratio {rep.upper_lhs:.9g} <= {rep.upper_rhs:.9g} "
             f"(upper slack {rep.upper_slack:.3g})",
             f"lower bound {rep.lower_lhs:.9g} <= {rep.lower_rhs:.9g} "
@@ -327,28 +288,24 @@ def _cmd_distortion(args) -> int:
                 f"classical: {c.lower:.9g} <= {c.ratio:.9g} <= {c.upper:.9g} "
                 f"(K1 = {c.K1:g}, K2 = {c.K2:g})"
             )
-        _emit(args, payload, lines)
-        return 0 if rep.holds else 1
-    rep = qs.bounded_image_bounds(f, eta, phi1, phi2, tol=args.tol)
+    else:
+        rep = qs.bounded_image_bounds(f, eta, phi1, phi2, tol=args.tol)
+        lines = [
+            f"worst upper slack {rep.worst_upper_slack:.3g} at pair "
+            f"{rep.worst_upper_pair}",
+            f"worst lower slack {rep.worst_lower_slack:.3g} at pair "
+            f"{rep.worst_lower_pair}",
+        ]
+        if rep.derived_L is not None:
+            lines.append(
+                f"derived bi-Lipschitz L = {rep.derived_L:.9g} "
+                f"(minimal {rep.minimal_L:.9g})"
+            )
     payload = {
-        "command": "distortion", "inputs": inputs, "tol": args.tol,
-        "eta": eta.describe(), "phi1": phi1.describe(),
-        "phi2": phi2.describe(), "report": rep.to_dict(),
+        "eta": eta.describe(), "phi1": phi1.describe(), "phi2": phi2.describe(),
+        "report": rep.to_dict(),
     }
-    lines = [
-        "HOLDS" if rep.holds else "FAILS",
-        f"worst upper slack {rep.worst_upper_slack:.3g} at pair "
-        f"{rep.worst_upper_pair}",
-        f"worst lower slack {rep.worst_lower_slack:.3g} at pair "
-        f"{rep.worst_lower_pair}",
-    ]
-    if rep.derived_L is not None:
-        lines.append(
-            f"derived bi-Lipschitz L = {rep.derived_L:.9g} "
-            f"(minimal {rep.minimal_L:.9g})"
-        )
-    _emit(args, payload, lines)
-    return 0 if rep.holds else 1
+    return _emit(args, payload, [_verdict(rep.holds), *lines], rep.holds, files)
 
 
 def _cmd_between(args) -> int:
@@ -356,27 +313,22 @@ def _cmd_between(args) -> int:
     from .fileio import load_space_document
 
     space, _ = load_space_document(args.space, args.tol)
-    inputs = _inputs(args.space)
+    files = (args.space,)
     if args.quadruple is not None:
         idx = _indices(args.quadruple, space.n, "--quadruple")
         if len(idx) != 4:
             raise ParseError("--quadruple needs exactly four indices")
         shape = btw.detect_pseudolinear(space.subspace(idx), tol=args.tol)
-        payload = {
-            "command": "between", "inputs": inputs, "tol": args.tol,
-            "quadruple": list(idx), "report": shape.to_dict(),
-        }
         if shape.found:
             lines = [f"pseudolinear: ordering {shape.ordering}, "
                      f"s = {shape.s:g}, t = {shape.t:g}"]
         else:
             lines = ["not pseudolinear"]
-        _emit(args, payload, lines)
-        return 0 if shape.found else 1
+        payload = {"quadruple": list(idx), "report": shape.to_dict()}
+        return _emit(args, payload, lines, shape.found, files)
     if args.line:
         coords = btw.line_embed(space, tol=args.tol)
         payload = {
-            "command": "between", "inputs": inputs, "tol": args.tol,
             "line_embeddable": coords is not None,
             "coordinates": None if coords is None else [float(c) for c in coords],
         }
@@ -384,17 +336,11 @@ def _cmd_between(args) -> int:
             lines = ["not line-embeddable"]
         else:
             lines = [f"{lab} @ {float(c)!r}" for lab, c in zip(space.labels, coords)]
-        _emit(args, payload, lines)
-        return 0 if coords is not None else 1
+        return _emit(args, payload, lines, coords is not None, files)
     if args.map:
         args.domain = args.space
-        f = _load_map_bundle(args, args.tol)
-        inputs = _inputs(args.space, args.codomain, args.map)
+        f, files = _load_map_bundle(args)
         rep = btw.preserves_betweenness(f, tol=args.tol)
-        payload = {
-            "command": "between", "inputs": inputs, "tol": args.tol,
-            "report": rep.to_dict(),
-        }
         lines = [
             "PRESERVED" if rep.holds else "VIOLATED",
             f"{rep.checked} domain betweenness triples",
@@ -404,22 +350,17 @@ def _cmd_between(args) -> int:
                 f"triple ({space.labels[v[0]]}, {space.labels[v[1]]}, "
                 f"{space.labels[v[2]]}): image slack {v[4]:.6g}"
             )
-        _emit(args, payload, lines)
-        return 0 if rep.holds else 1
+        return _emit(args, {"report": rep.to_dict()}, lines, rep.holds, files)
     triples = btw.betweenness_triples(space, tol=args.tol)
     payload = {
-        "command": "between", "inputs": inputs, "tol": args.tol,
-        "triples": [
-            {"x": t.x, "y": t.y, "z": t.z, "slack": t.slack} for t in triples
-        ],
+        "triples": [{"x": t.x, "y": t.y, "z": t.z, "slack": t.slack} for t in triples],
     }
     lines = [f"{len(triples)} betweenness triples"] + [
         f"{space.labels[t.y]} between {space.labels[t.x]} and {space.labels[t.z]} "
         f"(slack {t.slack:.3g})"
         for t in triples
     ]
-    _emit(args, payload, lines)
-    return 0
+    return _emit(args, payload, lines, files=files)
 
 
 def _cmd_eta_k8(args) -> int:
@@ -430,20 +371,18 @@ def _cmd_eta_k8(args) -> int:
         btw.power_generator(args.n2),
         label=f"k8:{args.n1:g},{args.n2:g}",
     )
-    payload = {"command": "eta-k8", "eta": eta.describe()}
+    payload = {"eta": eta.describe()}
     lines = _evaluate_at(args, eta, payload)
-    code = 0
-    if args.check_l02:
-        rep = btw.check_l02_conditions(eta)
-        payload["l02"] = rep.to_dict()
-        lines.append(
-            f"partition equalities {'HOLD' if rep.sufficiency_holds else 'FAIL'} "
-            f"(max defects {rep.max_sum_defect:.3g} / "
-            f"{rep.max_reciprocal_defect:.3g} on {rep.samples} samples)"
-        )
-        code = 0 if rep.holds else 1
-    _emit(args, payload, lines)
-    return code
+    if not args.check_l02:
+        return _emit(args, payload, lines)
+    rep = btw.check_l02_conditions(eta, tol=args.tol)
+    payload["l02"] = rep.to_dict()
+    lines.append(
+        f"partition equalities {'HOLD' if rep.sufficiency_holds else 'FAIL'} "
+        f"(max defects {rep.max_sum_defect:.3g} / "
+        f"{rep.max_reciprocal_defect:.3g} on {rep.samples} samples)"
+    )
+    return _emit(args, payload, lines, rep.holds)
 
 
 def _cmd_weaksim(args) -> int:
@@ -452,20 +391,15 @@ def _cmd_weaksim(args) -> int:
 
     X, _ = load_space_document(args.X, args.tol)
     Y, _ = load_space_document(args.Y, args.tol)
-    inputs = _inputs(args.X, args.Y)
+    files = (args.X, args.Y)
     finder = (
         wsim.brute_force_weak_similarity if args.oracle else wsim.find_weak_similarity
     )
     ws = finder(X, Y, tol=args.rank_tol)
     if ws is None:
-        payload = {
-            "command": "weaksim", "inputs": inputs, "rank_tol": args.rank_tol,
-            "found": False,
-        }
-        _emit(args, payload, ["no weak similarity"])
-        return 1
+        return _emit(args, {"found": False}, ["no weak similarity"], False, files,
+                     tol="rank_tol")
     payload = {
-        "command": "weaksim", "inputs": inputs, "rank_tol": args.rank_tol,
         "found": True,
         "assignment": {
             X.labels[i]: Y.labels[ws.f.assignment[i]] for i in range(X.n)
@@ -475,8 +409,7 @@ def _cmd_weaksim(args) -> int:
     lines = [
         f"{X.labels[i]} -> {Y.labels[ws.f.assignment[i]]}" for i in range(X.n)
     ] + [f"{float(a)!r} -> {float(b)!r}" for a, b in ws.phi.pairs()]
-    _emit(args, payload, lines)
-    return 0
+    return _emit(args, payload, lines, files=files, tol="rank_tol")
 
 
 def _cmd_gen(args) -> int:
@@ -504,36 +437,21 @@ def _cmd_gen(args) -> int:
 
     space = generate(args.kind, seed=args.seed, **params)
     save_space(space, args.out, name=args.name or f"{args.kind}")
-    payload = {
-        "command": "gen", "kind": args.kind, "seed": args.seed,
-        "n": space.n, "out": str(args.out),
-    }
-    _emit(args, payload, [f"wrote {space.n} points to {args.out}"])
-    return 0
+    payload = {"kind": args.kind, "seed": args.seed, "n": space.n, "out": str(args.out)}
+    return _emit(args, payload, [f"wrote {space.n} points to {args.out}"])
 
 
 def _cmd_fit_snowflake(args) -> int:
     from .quasisymmetry import fit_snowflake
 
-    f = _load_map_bundle(args, args.tol)
-    inputs = _inputs(args.domain, args.codomain, args.map)
+    f, files = _load_map_bundle(args)
     fit = fit_snowflake(f, tol=args.tol)
     if fit is None:
-        payload = {
-            "command": "fit-snowflake", "inputs": inputs, "tol": args.tol,
-            "found": False,
-        }
-        _emit(args, payload, ["no exact power fit"])
-        return 1
-    payload = {
-        "command": "fit-snowflake", "inputs": inputs, "tol": args.tol,
-        "found": True, "report": fit.to_dict(),
-    }
+        return _emit(args, {"found": False}, ["no exact power fit"], False, files)
     lines = [f"rho = {fit.scale:.12g} * d^{fit.exponent:.12g}"]
     if fit.similarity:
         lines.append("similarity (exponent 1)")
-    _emit(args, payload, lines)
-    return 0
+    return _emit(args, {"found": True, "report": fit.to_dict()}, lines, files=files)
 
 
 # ----------------------------------------------------------------- parser
@@ -564,99 +482,79 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    def command(name, handler, help, eta=None, maps=None, at=False, tol=DEFAULT_TOL):
+        """Add subcommand ``name`` with ``--tol`` (default ``tol``) and
+        ``--json``; ``eta`` and ``maps``, unless None, add ``--eta`` and
+        ``--domain``/``--codomain``/``--map``, required when True."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
+        if eta is not None:
+            sp.add_argument("--eta", required=eta)
+        if maps is not None:
+            for flag in ("--domain", "--codomain", "--map"):
+                sp.add_argument(flag, required=maps)
+        if at:
+            sp.add_argument("--at", type=_domain_point, action="append")
+        sp.add_argument("--tol", type=_tolerance, default=tol)
         sp.add_argument("--json", action="store_true")
+        return sp
 
-    def map_flags(sp):
-        sp.add_argument("--domain", required=True)
-        sp.add_argument("--codomain", required=True)
-        sp.add_argument("--map", required=True)
-
-    sp = sub.add_parser("check", help="triangle-function classification")
+    sp = command("check", _cmd_check, "triangle-function classification")
     sp.add_argument("space")
     sp.add_argument("--class", dest="cls",
                     choices=["metric", "bmetric", "ultrametric", "ptolemaic"])
     sp.add_argument("--phi", help="triangle gauge spec: additive | bmetric:K | max")
-    common(sp)
-    sp.set_defaults(handler=_cmd_check)
 
-    sp = sub.add_parser("modulus", help="evaluate a modulus spec")
-    sp.add_argument("--eta", required=True)
-    sp.add_argument("--at", type=_domain_point, action="append")
+    sp = command("modulus", _cmd_modulus, "evaluate a modulus spec", eta=True, at=True)
     sp.add_argument("--involution", action="store_true",
                     help="also certify eta(k) eta(1/k) = 1 on the grid")
-    common(sp)
-    sp.set_defaults(handler=_cmd_modulus)
 
-    sp = sub.add_parser("qs-check", help="empirical envelope / verify a modulus")
-    map_flags(sp)
-    sp.add_argument("--eta")
+    sp = command("qs-check", _cmd_qs_check, "empirical envelope / verify a modulus",
+                 eta=False, maps=True)
     sp.add_argument("-o", "--out", help="write the envelope's records as 't H' lines")
-    common(sp)
-    sp.set_defaults(handler=_cmd_qs_check)
 
-    sp = sub.add_parser("invert-eta", help="the inverse-map control function")
-    sp.add_argument("--eta", required=True)
-    sp.add_argument("--at", type=_domain_point, action="append")
-    common(sp)
-    sp.set_defaults(handler=_cmd_invert_eta)
+    command("invert-eta", _cmd_invert_eta, "the inverse-map control function",
+            eta=True, at=True)
 
-    sp = sub.add_parser("transfer", help="triangle-function transfer condition")
+    sp = command("transfer", _cmd_transfer, "triangle-function transfer condition",
+                 eta=True, maps=False)
     sp.add_argument("--phi1", default="additive")
     sp.add_argument("--phi2", default="additive")
-    sp.add_argument("--eta", required=True)
-    sp.add_argument("--domain")
-    sp.add_argument("--codomain")
-    sp.add_argument("--map")
     sp.add_argument("--minimal-k2", type=float, metavar="K1",
                     help="derive the smallest image coefficient for this K1")
-    common(sp)
-    sp.set_defaults(handler=_cmd_transfer)
 
-    sp = sub.add_parser("ptolemy-transfer", help="Ptolemy inequality transfer")
-    sp.add_argument("--eta", required=True)
-    map_flags(sp)
+    sp = command("ptolemy-transfer", _cmd_ptolemy_transfer, "Ptolemy inequality transfer",
+                 eta=True, maps=True)
     sp.add_argument("--force-realized", action="store_true")
-    common(sp)
-    sp.set_defaults(handler=_cmd_ptolemy_transfer)
 
-    sp = sub.add_parser("distortion", help="two-sided diameter distortion bounds")
-    sp.add_argument("--eta", required=True)
-    map_flags(sp)
+    sp = command("distortion", _cmd_distortion, "two-sided diameter distortion bounds",
+                 eta=True, maps=True)
     sp.add_argument("--phi1", default="additive")
     sp.add_argument("--phi2", default="additive")
     sp.add_argument("--A", help="subset indices, e.g. 0,1")
     sp.add_argument("--B", help="subset indices; default: all points")
-    common(sp)
-    sp.set_defaults(handler=_cmd_distortion)
 
-    sp = sub.add_parser("between", help="betweenness triples and line structure")
+    sp = command("between", _cmd_between, "betweenness triples and line structure")
     sp.add_argument("--space", required=True)
     sp.add_argument("--codomain")
     sp.add_argument("--map")
     sp.add_argument("--quadruple", help="four indices to match the pseudolinear pattern")
     sp.add_argument("--line", action="store_true", help="attempt a line embedding")
-    common(sp)
-    sp.set_defaults(handler=_cmd_between)
 
-    sp = sub.add_parser("eta-k8", help="two-generator partition modulus")
+    # --check-l02 defaults to the check's own tolerance
+    sp = command("eta-k8", _cmd_eta_k8, "two-generator partition modulus", at=True,
+                 tol=1e-10)
     sp.add_argument("--n1", type=float, required=True)
     sp.add_argument("--n2", type=float, required=True)
-    sp.add_argument("--at", type=_domain_point, action="append")
     sp.add_argument("--check-l02", action="store_true")
-    common(sp)
-    sp.set_defaults(handler=_cmd_eta_k8)
 
-    sp = sub.add_parser("weaksim", help="weak-similarity search")
+    sp = command("weaksim", _cmd_weaksim, "weak-similarity search")
     sp.add_argument("X")
     sp.add_argument("Y")
     sp.add_argument("--oracle", action="store_true", help="factorial brute force")
     sp.add_argument("--rank-tol", type=_tolerance, default=RANK_TOL)
-    common(sp)
-    sp.set_defaults(handler=_cmd_weaksim)
 
-    sp = sub.add_parser("gen", help="write a generated space to a file")
+    sp = command("gen", _cmd_gen, "write a generated space to a file")
     sp.add_argument("kind", choices=[
         "euclidean", "ultrametric", "random_semimetric",
         "pseudolinear", "wilson", "collinear",
@@ -668,14 +566,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coords", help="comma-separated line coordinates")
     sp.add_argument("--name")
     sp.add_argument("-o", "--out", required=True)
-    common(sp)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(handler=_cmd_gen)
 
-    sp = sub.add_parser("fit-snowflake", help="exact power-law fit of a map")
-    map_flags(sp)
-    common(sp)
-    sp.set_defaults(handler=_cmd_fit_snowflake)
+    command("fit-snowflake", _cmd_fit_snowflake, "exact power-law fit of a map", maps=True)
 
     return p
 

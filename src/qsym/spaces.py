@@ -53,7 +53,8 @@ def _valid_tol(tol: float) -> float:
       :func:`build_space`, and the residuals of ``line_embed``.
 
     A NaN side fails.  Reports keep the absolute margin ``rhs - lhs``, and
-    their witness is its first minimum.
+    their witness is its first minimum, unless that one is within its floor
+    while a check fails: then it is the first violation.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
@@ -224,9 +225,12 @@ def build_space(labels: Sequence[str], matrix, tol: float = DEFAULT_TOL) -> Semi
         raise ValueError("matrix contains non-finite entries")
 
     scale = max(float(np.max(np.abs(m))), 1e-300)
-    asym = float(np.max(np.abs(m - m.T)))
+    half = np.abs(0.5 * m - 0.5 * m.T)  # on halves no difference can overflow
+    k = int(np.argmax(half))
+    asym = 2.0 * float(half.flat[k])
+    del half  # a live n x n array slows the allocations below
     if asym > tol * scale:
-        i, j = np.unravel_index(np.argmax(np.abs(m - m.T)), m.shape)
+        i, j = np.unravel_index(k, m.shape)
         raise NonSymmetric(
             f"d({labels[i]},{labels[j]}) != d({labels[j]},{labels[i]}) "
             f"(difference {asym:.3g} exceeds tol)"

@@ -27,11 +27,9 @@ from .quasisymmetry import check_qs
 from .report import Report
 from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace, _valid_tol
 from .triangle import (
+    _HOMOGENEOUS,
     _QUAD_ORDERINGS,
-    Additive,
-    MaxGauge,
     PtolemyReport,
-    ScaledAdditive,
     TriangleFunction,
     TriangleReport,
     _pair_rows,
@@ -44,10 +42,6 @@ from .triangle import (
 #: per ordering (x, y, z, t), the pairing (q01 q23, q02 q13, q03 q12) of its
 #: diagonal product d(x,z) d(t,y): the one that matches point 0 with its partner
 _DIAGONALS = tuple({X: Z, Z: X, Y: T, T: Y}[0] - 1 for X, Y, Z, T in _QUAD_ORDERINGS)
-
-#: the gauges with Phi(c u, c v) = c Phi(u, v) for c > 0 (exact classes), whose
-#: realized sides are compared undivided
-_HOMOGENEOUS = (Additive, MaxGauge, ScaledAdditive)
 
 #: default grid for the a-priori (non-realized) implication scan
 TRANSFER_GRID_POINTS = 256
@@ -278,6 +272,23 @@ class EndToEndReport(Report):
     image_triangle: TriangleReport
 
 
+def _preconditions(f: PointMap, eta: Modulus, tol: float, dom, failure: str):
+    """check_qs(f, eta) once the domain report ``dom`` holds, f is a
+    bijection and eta verifies f; else :class:`PreconditionFailed` names the
+    first of them that fails, the domain by ``failure`` and its witness."""
+    if not dom.holds:
+        raise PreconditionFailed(f"{failure} {dom.worst_labels(f.domain)}")
+    if not f.is_bijection():
+        raise PreconditionFailed("bijection: the map is not a bijection onto the codomain")
+    qs = check_qs(f, eta, tol=tol)
+    if not qs.holds:
+        raise PreconditionFailed(
+            f"quasisymmetry: {eta.describe()} does not verify the map "
+            f"(witness {qs.witness_labels})"
+        )
+    return qs
+
+
 def verify_transfer_end_to_end(
     f: PointMap,
     phi1: TriangleFunction,
@@ -287,25 +298,14 @@ def verify_transfer_end_to_end(
 ) -> EndToEndReport:
     """Run the whole transfer argument on a concrete bijection.
 
-    Preconditions (each raises :class:`PreconditionFailed` naming the
-    failing input): f bijective, the domain satisfies the Phi1 triangle
-    inequality, and eta verifies f.  Then the implication is scanned on
+    Preconditions (the first that fails raises :class:`PreconditionFailed`
+    naming it): the domain satisfies the Phi1 triangle inequality, f is
+    bijective, and eta verifies f.  Then the implication is scanned on
     realized ratios and the codomain is checked against Phi2.
     """
-    if not f.is_bijection():
-        raise PreconditionFailed("bijection: the map is not a bijection onto the codomain")
     dom = check_triangle(f.domain, phi1, tol=tol)
-    if not dom.holds:
-        raise PreconditionFailed(
-            f"domain triangle: the domain fails {phi1.describe()} at triple "
-            f"{dom.worst_labels(f.domain)}"
-        )
-    qs = check_qs(f, eta, tol=tol)
-    if not qs.holds:
-        raise PreconditionFailed(
-            f"quasisymmetry: {eta.describe()} does not verify the map "
-            f"(witness {qs.witness_labels})"
-        )
+    qs = _preconditions(f, eta, tol, dom,
+                        f"domain triangle: the domain fails {phi1.describe()} at triple")
     transfer = check_transfer_condition(phi1, phi2, eta, pairs=f, tol=tol)
     image = check_triangle(f.codomain, phi2, tol=tol)
     consistent = (not transfer.holds) or image.holds
@@ -356,20 +356,8 @@ def ptolemy_transfer_check(
     path.  Every verdict is exhaustive: each Ptolemy check costs 3 C(n, 4)
     inequalities, streamed in O(n^2) memory.
     """
-    dom = is_ptolemaic(f.domain, tol=tol)
-    if not dom.holds:
-        raise PreconditionFailed(
-            f"domain Ptolemy: fails at quadruple {dom.worst_labels(f.domain)}"
-        )
-    if not f.is_bijection():
-        raise PreconditionFailed("bijection: the map is not a bijection onto the codomain")
-    qs = check_qs(f, eta, tol=tol)
-    if not qs.holds:
-        raise PreconditionFailed(
-            f"quasisymmetry: {eta.describe()} does not verify the map "
-            f"(witness {qs.witness_labels})"
-        )
-
+    _preconditions(f, eta, tol, is_ptolemaic(f.domain, tol=tol),
+                   "domain Ptolemy: fails at quadruple")
     image = is_ptolemaic(f.codomain, tol=tol)
 
     if isinstance(eta, PowerModulus) and eta.alpha <= 1.0 and not force_realized:

@@ -185,7 +185,9 @@ class TriangleReport(Report):
 
     ``worst_triple`` is (x, z, y): the inequality read d(x,y) <= Phi(d(x,z),
     d(y,z)), so the middle entry is the via-point, and ``margin`` = rhs - lhs
-    there.
+    there.  It is the first minimum margin, unless that margin lies within
+    its floor -tol * lhs while the check fails: then it is the first triple
+    that violates, so a failing report always names a violation.
     """
 
     holds: bool
@@ -204,6 +206,18 @@ class TriangleReport(Report):
 
 #: (pair, z) entries per block of the pair scans: temporaries stay cached
 _PAIR_BLOCK = 32768
+
+
+#: the gauges with Phi(c u, c v) = c Phi(u, v) for c > 0 (exact classes)
+_HOMOGENEOUS = (Additive, MaxGauge, ScaledAdditive)
+
+
+def _headroom(D: np.ndarray):
+    """(D 2**-s, s) for the least s >= 0 that puts every entry below 2**1021,
+    where a sum of two entries, doubled, stays finite.  The scaling is exact
+    for every entry down to 2**(s - 1022)."""
+    s = max(0, math.frexp(float(np.max(D)))[1] - 1021)
+    return (np.ldexp(D, -s) if s else D), s
 
 
 def _pair_rows(n: int):
@@ -255,16 +269,18 @@ def check_triangle(
     """Check d(x, y) <= Phi(d(x, z), d(y, z)) over all triples.
 
     x and y range over distinct pairs; z ranges over *all* points,
-    including x and y themselves.  The report carries the first
-    minimum-margin triple in (x, y, z) order; the check applies the rule
+    including x and y themselves.  The report carries the witness of
+    :class:`TriangleReport` in (x, y, z) order; the check applies the rule
     of :func:`spaces._valid_tol` through :class:`_Scan`.  Phi and d are
     symmetric, so that triple has x < y and the scan reads each pair once.
+    The homogeneous gauges read the distances through :func:`_headroom`,
+    so no sum overflows, and the report is scaled back.
     """
     n = space.n
-    d = space.dist
     _valid_tol(tol)
     if n < 2:
         return TriangleReport(True, None, 0.0, 0.0, np.inf, phi.describe(), tol)
+    d, s = _headroom(space.dist) if type(phi) in _HOMOGENEOUS else (space.dist, 0)
 
     scan = _Scan(0.0)  # every floor -tol d(x, y) is at most 0
     for x, lo, hi in _pair_rows(n):
@@ -275,9 +291,13 @@ def check_triangle(
         scan.add(margin, lambda k: (x, k % n, lo + k // n), lambda: -tol * lhs)
 
     x, z, y = scan.least
+    if scan.violation is not None and scan.low >= -tol * d[x, y]:
+        x, z, y = scan.violation
     lhs = float(d[x, y])
     rhs = float(np.asarray(phi(d[x, z], d[y, z])))
-    return TriangleReport(scan.violation is None, scan.least, lhs, rhs, scan.low,
+    with np.errstate(over="ignore"):
+        lhs, rhs, margin = (float(np.ldexp(v, s)) for v in (lhs, rhs, rhs - lhs))
+    return TriangleReport(scan.violation is None, (x, z, y), lhs, rhs, margin,
                           phi.describe(), tol)
 
 
@@ -292,7 +312,7 @@ def minimal_bmetric_K(space: SemimetricSpace) -> float:
     n = space.n
     if n < 3:
         return 0.0
-    d = space.dist
+    d = _headroom(space.dist)[0]
     best = 0.0
     for x, lo, hi in _pair_rows(n):
         # y > x, so each denominator has a positive term: no 0/0, no t/0
@@ -310,8 +330,10 @@ class PtolemyReport(Report):
 
         d(x, z) d(t, y) <= d(x, y) d(t, z) + d(x, t) d(y, z).
 
-    Every verdict is exhaustive: ``checked`` counts 3 C(n, 4) inequalities,
-    one per pairing of each 4-subset, and ``mode`` is always "exhaustive".
+    It is picked like the witness of :class:`TriangleReport`, with
+    lhs = d(x, z) d(t, y).  Every verdict is exhaustive: ``checked`` counts
+    3 C(n, 4) inequalities, one per pairing of each 4-subset, and ``mode``
+    is always "exhaustive".
     """
 
     holds: bool
@@ -375,7 +397,8 @@ def is_ptolemaic(space: SemimetricSpace, tol: float = DEFAULT_TOL) -> PtolemyRep
     Holds iff each product of "diagonal" distances is at most the sum of
     the other two products.  Exhaustive at a cost of 3 C(n, 4) inequalities,
     streamed in O(n^2) memory; the witness is the first minimum margin in
-    (i, j, k, l, pairing) order.  The products are formed on the distances
+    (i, j, k, l, pairing) order, or the first violation when that one is
+    within its floor.  The products are formed on the distances
     times 2**-e, e the binary exponent of the largest one, which is exact
     and cannot overflow; scaled back, a report field may read inf, never
     NaN.  Vacuously true for n < 4.
@@ -400,6 +423,8 @@ def is_ptolemaic(space: SemimetricSpace, tol: float = DEFAULT_TOL) -> PtolemyRep
 
         scan.add(margins, witness, lambda: -tol * np.stack([ab, ce, fg], axis=1))
     ii, jj, kk, ll, pairing, lhs, margin = scan.least
+    if scan.violation is not None and margin >= -tol * lhs:
+        ii, jj, kk, ll, pairing, lhs, margin = scan.violation
     # arrange the worst quadruple as (x, y, z, t) with lhs = d(x,z) d(t,y)
     quad = ((ii, ll, jj, kk), (ii, ll, kk, jj), (ii, kk, ll, jj))[pairing]
     with np.errstate(over="ignore"):

@@ -38,13 +38,15 @@ def naive_scan(values, floor):
     return low, violation, len(values)
 
 
-def naive_triangle_worst(space, phi):
-    """The first minimum of Phi(d(x,z), d(y,z)) - d(x,y) in loop order
-    (x, y, z) over x != y and all z, by loops: (margin, (x, z, y), lhs, rhs).
-    A NaN margin is the minimum: the first NaN wins."""
+def naive_triangle_worst(space, phi, tol=1e-9):
+    """The witness of Phi(d(x,z), d(y,z)) - d(x,y) over x != y and all z, by
+    loops in (x, y, z) order: (margin, (x, z, y), lhs, rhs).  It is the first
+    minimum margin (a NaN margin is the minimum: the first NaN wins), unless
+    that margin is at or above -tol d(x,y) while another is NaN or below its
+    own floor: then it is the first such violation."""
     d = np.asarray(space.dist)
     n = space.n
-    best = (np.inf, None, 0.0, 0.0)
+    best = violation = None
     for x in range(n):
         for y in range(n):
             if x == y:
@@ -52,13 +54,18 @@ def naive_triangle_worst(space, phi):
             for z in range(n):
                 rhs = float(np.asarray(phi(d[x, z], d[y, z])))
                 m = rhs - d[x, y]
-                if m < best[0] or (m != m and best[0] == best[0]):
-                    best = (float(m), (x, z, y), float(d[x, y]), rhs)
+                seen = (float(m), (x, z, y), float(d[x, y]), rhs)
+                if best is None or m < best[0] or (m != m and best[0] == best[0]):
+                    best = seen
+                if violation is None and not m >= -tol * d[x, y]:
+                    violation = seen
+    if violation is not None and best[0] >= -tol * best[2]:
+        return violation
     return best
 
 
 def naive_triangle_margin(space, phi):
-    """min over x != y, all z of Phi(d(x,z), d(y,z)) - d(x,y), by loops."""
+    """The margin of the triangle witness of :func:`naive_triangle_worst`."""
     return naive_triangle_worst(space, phi)[0]
 
 
@@ -370,8 +377,10 @@ def naive_ptolemy_worst(space, tol=1e-9):
     exponent of the largest one.  A pairing's margin is the sum of the other
     two products minus its own; it violates when NaN or below -tol times
     its product.  The witness is the first minimum margin in (i, j, k, l,
-    pairing) order, a NaN first, arranged as (x, y, z, t) with the product
-    d(x,z) d(t,y); lhs, rhs and margin are scaled back by 2**(2e)."""
+    pairing) order, a NaN first, unless that margin is within its floor while
+    another pairing violates: then it is the first violation.  It is arranged
+    as (x, y, z, t) with the product d(x,z) d(t,y); lhs, rhs and margin are
+    scaled back by 2**(2e)."""
     from qsym import PtolemyReport
 
     n = space.n
@@ -391,8 +400,10 @@ def naive_ptolemy_worst(space, tol=1e-9):
             if best is None or (margin != margin and best[2] == best[2]) or margin < best[2]:
                 best = (quad, product, margin)
             if violation is None and not margin >= -tol * product:
-                violation = quad
+                violation = (quad, product, margin)
     quad, product, margin = best
+    if violation is not None and margin >= -tol * product:
+        quad, product, margin = violation
     with np.errstate(over="ignore"):
         lhs, rhs, margin = (float(np.ldexp(v, 2 * e))
                             for v in (product, product + margin, margin))

@@ -137,6 +137,54 @@ def test_check_json_payload(files, capsys):
     assert payload["inputs"][files["line.json"]] == sha256_file(files["line.json"])
 
 
+#: per report: a command line, the files its JSON document hashes, and the
+#: tolerance it echoes (weaksim's verdict reads --rank-tol)
+JSON_HEADERS = {
+    "check": (["check", "line.json"], ["line.json"], "tol"),
+    "modulus": (["modulus", "--eta", "power:0.5"], [], None),
+    "qs-check": (["qs-check", "--domain", "line.json", "--codomain", "snow.json",
+                  "--map", "idmap.json"], ["line.json", "snow.json", "idmap.json"], "tol"),
+    "invert-eta": (["invert-eta", "--eta", "power:2"], [], None),
+    "transfer": (["transfer", "--eta", "power:0.5", "--domain", "line.json",
+                  "--codomain", "snow.json", "--map", "idmap.json"],
+                 ["line.json", "snow.json", "idmap.json"], "tol"),
+    "transfer without a map": (["transfer", "--eta", "power:2", "--phi2", "bmetric:2"],
+                               [], "tol"),
+    "transfer --minimal-k2": (["transfer", "--eta", "power:2", "--minimal-k2", "1"],
+                              [], None),
+    "ptolemy-transfer": (["ptolemy-transfer", "--eta", "power:0.5", "--domain", "line.json",
+                          "--codomain", "snow.json", "--map", "idmap.json"],
+                         ["line.json", "snow.json", "idmap.json"], "tol"),
+    "distortion": (["distortion", "--eta", "power:0.5", "--domain", "line.json",
+                    "--codomain", "snow.json", "--map", "idmap.json"],
+                   ["line.json", "snow.json", "idmap.json"], "tol"),
+    "between": (["between", "--space", "line.json", "--codomain", "scaled3.json",
+                 "--map", "idmap.json"], ["line.json", "scaled3.json", "idmap.json"], "tol"),
+    "eta-k8": (["eta-k8", "--n1", "2", "--n2", "3", "--check-l02"], [], None),
+    "weaksim": (["weaksim", "line.json", "scaled3.json"], ["line.json", "scaled3.json"],
+                "rank_tol"),
+    "gen": (["gen", "euclidean", "--n", "4", "-o", "gen.json"], [], None),
+    "fit-snowflake": (["fit-snowflake", "--domain", "line.json", "--codomain", "snow.json",
+                       "--map", "idmap.json"], ["line.json", "snow.json", "idmap.json"],
+                      "tol"),
+}
+
+
+@pytest.mark.parametrize("case", list(JSON_HEADERS))
+def test_every_json_report_opens_with_its_header(files, capsys, case):
+    argv, hashed, tol = JSON_HEADERS[case]
+    files["gen.json"] = str(files["tmp"] / "gen.json")
+    code, out, _ = run(capsys, *[files.get(a, a) for a in argv], "--json")
+    assert code == 0
+    doc = json.loads(out)
+    head = ["command"] + ["inputs"] * bool(hashed) + [tol] * bool(tol)
+    assert list(doc)[:len(head)] == head
+    assert not {"inputs", "tol", "rank_tol"} & set(list(doc)[len(head):])
+    assert doc["command"] == argv[0]
+    assert doc.get("inputs") == ({files[h]: sha256_file(files[h]) for h in hashed}
+                                 if hashed else None)
+
+
 # ---------------------------------------------------------------- modulus
 
 
@@ -495,6 +543,21 @@ def test_eta_k8_values_and_conditions(capsys):
                        "--check-l02")
     assert code == 0
     assert "partition equalities HOLD" in out
+
+
+def test_eta_k8_check_l02_honours_tol(capsys):
+    # the sums miss 1 by up to 3.3e-16: within the check's default 1e-10,
+    # beyond a tolerance of 0
+    argv = ["eta-k8", "--n1", "2", "--n2", "3", "--check-l02"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.endswith("partition equalities HOLD (max defects 2.22e-16 / 3.33e-16 "
+                        "on 512 samples)\n")
+    code, out, _ = run(capsys, *argv, "--tol", "0")
+    assert code == 1
+    assert "partition equalities FAIL" in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert json.loads(out)["l02"]["tol"] == 1e-10
 
 
 def test_eta_k8_json(capsys):

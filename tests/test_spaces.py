@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ def test_build_space_keeps_a_symmetric_matrix_and_averages_without_overflow():
     d = np.asarray(build_space(["a", "b"], m).dist)
     assert d[0, 1] == d[1, 0] == 0.5 * top + 0.5 * m[1][0]
     assert np.isfinite(d).all()
+
+
+def test_build_space_tests_asymmetry_without_overflow():
+    # m - m.T overflowed to inf for opposite signs near the float limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonSymmetric, match=r"d\(a,b\) != d\(b,a\) \(difference inf"):
+            build_space("ab", [[0, 1.7e308], [-1.7e308, 0]])
+        with pytest.raises(NonSymmetric, match=r"difference 1\.5e\+308"):
+            build_space("ab", [[0, 1.7e308], [2e307, 0]])
 
 
 def test_build_space_rejects_large_asymmetry():

@@ -177,6 +177,40 @@ def test_ptolemy_products_cannot_overflow():
     assert rep.worst_quadruple == is_ptolemaic(euclidean_space(6, 2, seed=1)).worst_quadruple
 
 
+@pytest.mark.parametrize("coords", [None, [0.0, 6e307, 1.5e308]])
+def test_pair_kernels_at_the_float_limit_report_their_scaled_copy(coords):
+    # sums of two distances overflowed; the scans now read the distances
+    # scaled below 2**1021, and a report scaled back by 2**10 is the one
+    # of the 2**-10 copy
+    if coords is None:
+        X = build_space("abc", [[0, 1.5e308, 1e308], [1.5e308, 0, 1e308],
+                                [1e308, 1e308, 0]])
+    else:
+        X = collinear_space(coords)
+    Y = build_space(X.labels, np.ldexp(X.dist, -10))
+
+    gauges = (Additive(), ScaledAdditive(2.0), MaxGauge())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reps = [check_triangle(Z, phi) for Z in (X, Y) for phi in gauges]
+        K = [triangle.minimal_bmetric_K(Z) for Z in (X, Y)]
+        triples = [betweenness_triples(Z) for Z in (X, Y)]
+        # the line (0, 1, 3) onto X: an image sum of two distances overflowed
+        L = collinear_space([0.0, 1.0, 3.0])
+        kept = [preserves_betweenness(PointMap(L, Z, np.arange(3))) for Z in (X, Y)]
+    with np.errstate(over="ignore"):  # a rhs of the b-metric may be inf
+        up = [replace(rep, **{k: float(np.ldexp(getattr(rep, k), 10))
+                              for k in ("lhs", "rhs", "margin")}) for rep in reps[3:]]
+    assert repr(reps[:3]) == repr(up)
+    assert K[0] == K[1]
+    assert triples[0] == [t._replace(slack=float(np.ldexp(t.slack, 10)))
+                          for t in triples[1]]
+    assert len(triples[0]) == (coords is not None)
+    assert kept[0] == replace(kept[1], violations=tuple(
+        v._replace(image_slack=float(np.ldexp(v.image_slack, 10))) for v in kept[1].violations))
+    assert kept[0].holds == (coords is not None)
+
+
 def test_the_inverse_of_a_snowflake_holds_at_large_ratios():
     # the ratio 1e-10 becomes 1e5 under the square root, where the inverse
     # modulus is 1e10: an absolute residual of the bisection, or an absolute

@@ -25,7 +25,7 @@ from qsym import (
 )
 
 from conftest import (naive_minimal_K, naive_ptolemaic, naive_ptolemy_worst,
-                      naive_triangle_margin)
+                      naive_triangle_margin, naive_triangle_worst)
 
 
 def squared_line(coords):
@@ -85,6 +85,43 @@ def test_triangle_margin_matches_naive(seed):
         want = naive_triangle_margin(X, phi)
         assert rep.margin == pytest.approx(want, abs=1e-12)
         assert rep.holds == (want >= -1e-9)
+
+
+def two_groups(near_tight, violating, far):
+    """A large near-tight group and a small violating one, ``far`` apart."""
+    a, b = len(near_tight), len(violating)
+    D = np.full((a + b, a + b), far)
+    D[:a, :a], D[a:, a:] = near_tight, violating
+    return build_space([chr(ord("a") + i) for i in range(a + b)], D)
+
+
+def test_a_failing_triangle_report_names_a_violating_triple():
+    # (a, c, b) has the least margin, -5, but its floor is -tol * 1e10 = -10;
+    # (d, f, e) violates at margin -1
+    X = two_groups([[0, 1e10, 5e9 - 2.5], [1e10, 0, 5e9 - 2.5], [5e9 - 2.5, 5e9 - 2.5, 0]],
+                   [[0, 3, 1], [3, 0, 1], [1, 1, 0]], 1e12)
+    rep = check_triangle(X, Additive())
+    assert not rep.holds
+    assert (rep.worst_labels(X), rep.lhs, rep.rhs, rep.margin) == (("d", "f", "e"), 3, 2, -1)
+    assert naive_triangle_worst(X, Additive()) == (rep.margin, rep.worst_triple, 3, 2)
+    # within the floor and nothing else violating, the least margin is the witness
+    rep = check_triangle(X.subspace(range(3)), Additive())
+    assert rep.holds and (rep.worst_triple, rep.margin) == ((0, 2, 1), -5)
+
+
+def test_a_failing_ptolemy_report_names_a_violating_quadruple():
+    # a square of side 1e10 with diagonals 1e-12 too long is within its
+    # floor (margin about -4e8 against -tol * 2e20); the unit 4-cycle with
+    # diagonals 2 violates at margin -2
+    s, g = 1e10, 1e10 * np.sqrt(2.0) * (1 + 1e-12)
+    X = two_groups([[0, s, g, s], [s, 0, s, g], [g, s, 0, s], [s, g, s, 0]],
+                   [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], 1e12)
+    rep = is_ptolemaic(X)
+    assert not rep.holds
+    assert (rep.worst_labels(X), rep.lhs, rep.rhs, rep.margin) == (("e", "h", "g", "f"), 4, 2, -2)
+    assert repr(rep) == repr(naive_ptolemy_worst(X))
+    square = is_ptolemaic(X.subspace(range(4)))
+    assert square.holds and -1e9 < square.margin < -1e8
 
 
 @pytest.mark.parametrize("seed", range(6))
