@@ -16,11 +16,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    GeneratorEndpointViolation,
-    GeneratorNotIncreasing,
-    PreconditionFailed,
-)
+from .errors import PreconditionFailed, ValidationError
 from .moduli import CompositeModulus, Modulus, _vectorized
 from .quasisymmetry import image_subset
 from .report import Report
@@ -214,18 +210,18 @@ def power_generator(n: float) -> Callable:
 def _check_generator(fn, which: str):
     v0 = float(np.asarray(fn(0.0)))
     if abs(v0) > 1e-12:
-        raise GeneratorEndpointViolation(f"{which}(0) = {v0:.6g}, expected 0")
+        raise ValidationError(f"{which}(0) = {v0:.6g}, expected 0")
     v1 = float(np.asarray(fn(1.0)))
     if abs(v1 - 0.5) > 1e-12:
-        raise GeneratorEndpointViolation(f"{which}(1) = {v1:.6g}, expected 1/2")
+        raise ValidationError(f"{which}(1) = {v1:.6g}, expected 1/2")
     grid = np.linspace(0.0, 1.0, GENERATOR_GRID)
     vals = np.asarray(_vectorized(fn)(grid), dtype=float)
     if not np.all(np.isfinite(vals)):
-        raise GeneratorNotIncreasing(f"{which} is not finite on [0, 1]")
+        raise ValidationError(f"{which} is not finite on [0, 1]")
     diffs = np.diff(vals)
     if np.any(diffs <= 0):
         k = int(np.argmax(diffs <= 0))
-        raise GeneratorNotIncreasing(
+        raise ValidationError(
             f"{which} is not strictly increasing near x = {grid[k]:.6g}"
         )
 

@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Exit status contract: 0 when the checked property holds (or an object was
-produced), 1 when the property fails (a witness is printed), 2 on usage
-or input errors.
+produced), 1 when the property fails, 2 when no verdict could be reached:
+a usage error, or any :class:`~qsym.errors.QsymError` or ValueError, among
+them a failed hypothesis (:class:`~qsym.errors.PreconditionFailed`).  A
+failed property is a report, never an exception, so exit 1 always comes
+with a report on stdout, its witness included.
 
 Every handler builds only its own report fields and text lines and
 returns through :func:`_emit`, which prints the lines, or under ``--json``
@@ -18,15 +21,16 @@ imports what it calls, and the parser needs only ``spaces``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
-from .errors import NotQuasisymmetric, ParseError, QsymError, UnboundedEnvelope
+from .errors import ParseError, QsymError
 from .spaces import DEFAULT_TOL, RANK_TOL, build_map
 
-#: errors that represent a failing property rather than bad input
-_PROPERTY_FAILURES = (UnboundedEnvelope, NotQuasisymmetric)
+#: the flags that name a map's domain, codomain and assignment files
+_MAP_FLAGS = ("--domain", "--codomain", "--map")
 
 
 def _emit(args, payload: dict, lines, holds=True, files=(), tol: str = "tol") -> int:
@@ -57,19 +61,24 @@ def _indices(text: str, n: int, what: str):
         idx = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise ParseError(f"{what} must be a comma-separated index list, got {text!r}")
-    for i in idx:
+    for k, i in enumerate(idx):
         if not 0 <= i < n:
             raise ParseError(f"{what} index {i} out of range for {n} points")
+        if i in idx[:k]:
+            raise ParseError(f"{what} repeats index {i}")
     return idx
 
 
 def _load_map_bundle(args, require_bijective=False):
     """The map that ``--map`` makes from ``--domain`` to ``--codomain``, and
-    those three paths; names that the map file gives its spaces must match
-    the space files' names."""
+    those three paths; each flag must be given, and names that the map file
+    gives its spaces must match the space files' names."""
     from .fileio import load_map_document, load_space_document
 
     paths = (args.domain, args.codomain, args.map)
+    for flag, path in zip(_MAP_FLAGS, paths):
+        if path is None:
+            raise ParseError(f"a map needs {flag}")
     spaces = [load_space_document(path, args.tol) for path in paths[:2]]
     *wanted, assignment = load_map_document(args.map)
     for role, want, (_, name) in zip(("domain", "codomain"), wanted, spaces):
@@ -167,6 +176,10 @@ def _cmd_qs_check(args) -> int:
     from .quasisymmetry import check_qs, empirical_modulus
 
     f, files = _load_map_bundle(args)
+    if args.out and os.path.exists(args.out):
+        for flag, path in zip(_MAP_FLAGS, files):
+            if os.path.samefile(args.out, path):
+                raise ParseError(f"-o would overwrite the {flag} file", path=args.out)
     if args.out or args.eta is None:
         env = empirical_modulus(f)
         text = save_envelope(env, args.out) if args.out else None
@@ -214,7 +227,7 @@ def _cmd_transfer(args) -> int:
     phi1 = parse_triangle_function(args.phi1)
     phi2 = parse_triangle_function(args.phi2)
     files = ()
-    if args.map:
+    if args.domain or args.codomain or args.map:
         f, files = _load_map_bundle(args, require_bijective=True)
         rep = tr.verify_transfer_end_to_end(f, phi1, phi2, eta, tol=args.tol)
         lines = [
@@ -337,7 +350,7 @@ def _cmd_between(args) -> int:
         else:
             lines = [f"{lab} @ {float(c)!r}" for lab, c in zip(space.labels, coords)]
         return _emit(args, payload, lines, coords is not None, files)
-    if args.map:
+    if args.codomain or args.map:
         args.domain = args.space
         f, files = _load_map_bundle(args)
         rep = btw.preserves_betweenness(f, tol=args.tol)
@@ -491,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if eta is not None:
             sp.add_argument("--eta", required=eta)
         if maps is not None:
-            for flag in ("--domain", "--codomain", "--map"):
+            for flag in _MAP_FLAGS:
                 sp.add_argument(flag, required=maps)
         if at:
             sp.add_argument("--at", type=_domain_point, action="append")
@@ -577,9 +590,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _PROPERTY_FAILURES as exc:
-        print(f"FAILS: {exc}", file=sys.stderr)
-        return 1
     except (QsymError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

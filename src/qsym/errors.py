@@ -1,8 +1,20 @@
 """Exception types raised across the package.
 
-Validation failures subclass :class:`ValidationError` (itself a ValueError)
-so that callers can catch "the input was malformed" in one clause while the
-analysis routines signal their own, more specific conditions.
+An error means the analysis could not run; a failed property is a report
+with ``holds`` false, never an exception.  There are six classes, one per
+thing a caller can act on:
+
+- :class:`ValidationError` (a ValueError): the input is malformed, e.g. a
+  matrix that is not a semimetric, a map that is not defined everywhere,
+  or a function that is not increasing on its probe grid;
+- :class:`ParseError`: a file or command-line value could not be read;
+- :class:`PreconditionFailed`: the inputs are well formed but do not meet
+  a theorem's hypothesis, e.g. the supplied modulus does not verify the
+  map;
+- :class:`NotInvertible`: a function has no inverse at the asked value;
+- :class:`TooLarge`: an exhaustive search was asked to enumerate too much;
+
+all under the base :class:`QsymError`.
 """
 
 
@@ -14,142 +26,20 @@ class ValidationError(QsymError, ValueError):
     """Input data or parameters failed validation."""
 
 
-# -- space construction -------------------------------------------------
-
-class DuplicateLabel(ValidationError):
-    pass
-
-
-class NonSymmetric(ValidationError):
-    """Asymmetry of the distance matrix exceeds the tolerance."""
-
-
-class NegativeDistance(ValidationError):
-    pass
-
-
-class ZeroOffDiagonal(ValidationError):
-    """Two distinct points sit at distance <= 0."""
-
-
-class NonzeroDiagonal(ValidationError):
-    """A diagonal entry is positive beyond the tolerance."""
-
-
-class ScalerNotMonotone(ValidationError):
-    """A distance scaler is not strictly increasing on the space's spectrum."""
-
-
-class ScalerOriginNonzero(ValidationError):
-    """A distance scaler does not fix zero."""
-
-
-class BadParams(ValidationError):
-    """Generator parameters are out of range or incomplete."""
-
-
-# -- point maps ---------------------------------------------------------
-
-class MapValidationError(ValidationError):
-    pass
-
-
-class UnassignedPoint(MapValidationError):
-    pass
-
-
-class UnknownTarget(MapValidationError):
-    pass
-
-
-class NotBijective(MapValidationError):
-    pass
-
-
-# -- triangle functions -------------------------------------------------
-
-class GaugeInvalid(ValidationError):
-    """A custom two-variable gauge failed its probe-grid validation."""
+class PreconditionFailed(QsymError):
+    """An analysis was invoked on inputs that do not satisfy its theorem's
+    hypotheses; the message names the failing one."""
 
 
 class NotInvertible(QsymError):
-    """A gauge diagonal or modulus is not strictly increasing, so it
-    cannot be inverted."""
+    """A gauge diagonal or modulus cannot be inverted at the asked value:
+    it is not strictly increasing, never reaches the value, or its
+    bisection stalls."""
 
-
-class NoBracket(QsymError):
-    """Bracket doubling never reached the target value."""
-
-
-# -- quasisymmetry ------------------------------------------------------
-
-class UnboundedEnvelope(QsymError):
-    """No finite control function can verify the map: some image ratio has a
-    zero denominator with a nonzero numerator.  ``witness`` holds the
-    offending (x, a, b) index triple."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class NotQuasisymmetric(QsymError):
-    """A precondition required the map to verify against the supplied
-    modulus, and it does not."""
-
-
-class SandwichOrderViolated(ValidationError):
-    pass
-
-
-class SubmultiplicativityViolated(ValidationError):
-    pass
-
-
-# -- structure transfer -------------------------------------------------
-
-class PreconditionFailed(QsymError):
-    """An end-to-end verification was invoked on inputs that do not satisfy
-    the theorem's hypotheses; the message names the failing one."""
-
-
-class Unbounded(QsymError):
-    """A supremum diverged during a coefficient search."""
-
-
-# -- betweenness --------------------------------------------------------
-
-class GeneratorEndpointViolation(ValidationError):
-    pass
-
-
-class GeneratorNotIncreasing(ValidationError):
-    pass
-
-
-# -- weak similarity ----------------------------------------------------
 
 class TooLarge(QsymError):
     """The brute-force search was asked to enumerate too many permutations."""
 
-
-class NotAntisymmetric(ValidationError):
-    pass
-
-
-class NotHomeomorphism(ValidationError):
-    pass
-
-
-class NotAContinuation(ValidationError):
-    pass
-
-
-class NotSubmultiplicative(ValidationError):
-    pass
-
-
-# -- file formats -------------------------------------------------------
 
 class ParseError(QsymError):
     """A space, map, or envelope file could not be parsed; carries the path

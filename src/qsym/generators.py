@@ -13,16 +13,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParams
+from .errors import ValidationError
 from .spaces import SemimetricSpace, build_space
 
 
 def euclidean_space(n: int, dim: int, seed: int = 0) -> SemimetricSpace:
     """n uniform random points in the unit cube of R^dim, Euclidean distances."""
     if n < 1:
-        raise BadParams("euclidean: need n >= 1")
+        raise ValidationError("euclidean: need n >= 1")
     if dim < 1:
-        raise BadParams("euclidean: need dim >= 1")
+        raise ValidationError("euclidean: need dim >= 1")
     rng = np.random.default_rng(seed)
     pts = rng.random((n, dim))
     diff = pts[:, None, :] - pts[None, :, :]
@@ -40,7 +40,7 @@ def ultrametric_space(n: int, seed: int = 0) -> SemimetricSpace:
     d(x, y) <= max(d(x, z), d(y, z)) for all triples.
     """
     if n < 1:
-        raise BadParams("ultrametric: need n >= 1")
+        raise ValidationError("ultrametric: need n >= 1")
     rng = np.random.default_rng(seed)
     m = np.zeros((n, n))
     clusters = [[i] for i in range(n)]
@@ -58,7 +58,7 @@ def ultrametric_space(n: int, seed: int = 0) -> SemimetricSpace:
 def random_semimetric_space(n: int, seed: int = 0) -> SemimetricSpace:
     """Independent uniform (0, 1] distances; no triangle-type property."""
     if n < 1:
-        raise BadParams("random_semimetric: need n >= 1")
+        raise ValidationError("random_semimetric: need n >= 1")
     rng = np.random.default_rng(seed)
     m = np.zeros((n, n))
     iu = np.triu_indices(n, k=1)
@@ -74,7 +74,7 @@ def pseudolinear_quadruple(s: float, t: float) -> SemimetricSpace:
     a whole does not.
     """
     if not (s > 0 and t > 0):
-        raise BadParams("pseudolinear: need s > 0 and t > 0")
+        raise ValidationError("pseudolinear: need s > 0 and t > 0")
     s, t = float(s), float(t)
     d = s + t
     m = [
@@ -92,7 +92,7 @@ def wilson_space(n: int) -> SemimetricSpace:
     triangle inequality first fails at n = 3 (d(-1, 0) = 1 while the route
     through 1/3 has length 2/3)."""
     if n < 1:
-        raise BadParams("wilson: need n >= 1")
+        raise ValidationError("wilson: need n >= 1")
     coords = [Fraction(-1), Fraction(0)] + [Fraction(1, k) for k in range(1, n + 1)]
     labels = ["-1", "0"] + ["1" if k == 1 else f"1/{k}" for k in range(1, n + 1)]
     size = n + 2
@@ -111,9 +111,9 @@ def collinear_space(coordinates: Sequence[float]) -> SemimetricSpace:
     """Points on the real line at the given (distinct) coordinates."""
     coords = [float(c) for c in coordinates]
     if len(coords) < 1:
-        raise BadParams("collinear: need at least one coordinate")
+        raise ValidationError("collinear: need at least one coordinate")
     if len(set(coords)) != len(coords):
-        raise BadParams("collinear: coordinates must be distinct")
+        raise ValidationError("collinear: coordinates must be distinct")
     arr = np.array(coords)
     m = np.abs(arr[:, None] - arr[None, :])
     # the short label unless it rounds the coordinate (and so may repeat)
@@ -135,17 +135,17 @@ def generate(kind: str, seed: int = 0, **params) -> SemimetricSpace:
     """Dispatch on a generator tag; see the per-kind functions for meaning.
 
     Unknown tags, missing parameters, and out-of-range values all raise
-    :class:`BadParams`.
+    :class:`ValidationError`.
     """
     if kind not in _KINDS:
-        raise BadParams(f"unknown generator kind {kind!r}; known: {sorted(_KINDS)}")
+        raise ValidationError(f"unknown generator kind {kind!r}; known: {sorted(_KINDS)}")
     fn, names, seeded = _KINDS[kind]
     missing = [p for p in names if p not in params]
     if missing:
-        raise BadParams(f"{kind}: missing parameter {missing[0]!r}")
+        raise ValidationError(f"{kind}: missing parameter {missing[0]!r}")
     extra = [p for p in params if p not in names]
     if extra:
-        raise BadParams(f"{kind}: unexpected parameter {extra[0]!r}")
+        raise ValidationError(f"{kind}: unexpected parameter {extra[0]!r}")
     args = [params[p] for p in names]
     if seeded:
         return fn(*args, seed=seed)

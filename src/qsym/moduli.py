@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NoBracket, NotHomeomorphism, NotInvertible
+from .errors import NotInvertible, ValidationError
 
 #: validation grid for modulus monotonicity
 MONOTONE_GRID = np.geomspace(1e-6, 1e6, 1024)
@@ -72,15 +72,15 @@ class Modulus:
 def _check_grid_monotone(m: Modulus, what: str = "modulus"):
     vals = np.asarray(m.eval(MONOTONE_GRID), dtype=float)
     if not np.all(np.isfinite(vals)):
-        raise NotHomeomorphism(f"{m.name}: non-finite value on the probe grid")
+        raise ValidationError(f"{m.name}: non-finite value on the probe grid")
     if np.any(np.diff(vals) <= 0):
         k = int(np.argmax(np.diff(vals) <= 0))
-        raise NotHomeomorphism(
+        raise ValidationError(
             f"{m.name}: {what} not strictly increasing near t = {MONOTONE_GRID[k]:.4g}"
         )
     at0 = float(np.asarray(m.eval(0.0)))
     if abs(at0) > 1e-12:
-        raise NotHomeomorphism(f"{m.name}: eta(0) = {at0:.3g}, expected 0")
+        raise ValidationError(f"{m.name}: eta(0) = {at0:.3g}, expected 0")
 
 
 class PowerModulus(Modulus):
@@ -237,9 +237,9 @@ class InvolutiveModulus(Modulus):
         self.name = label
         g = self.log_eval(MONOTONE_GRID)
         if not np.all(np.isfinite(g)):
-            raise NotHomeomorphism(f"{label}: kernel non-finite on the probe grid")
+            raise ValidationError(f"{label}: kernel non-finite on the probe grid")
         if np.any(np.diff(g) <= 0):
-            raise NotHomeomorphism(
+            raise ValidationError(
                 f"{label}: exp(psi(t, 1/t)) is not strictly increasing on the probe grid"
             )
 
@@ -338,9 +338,9 @@ def invert_modulus(eta: Modulus, y: float) -> float:
     """Solve eta(s) = y for s >= 0 by bracket doubling plus bisection.
 
     Residual tolerance ``1e-12 * y``, relative at every step.  Raises
-    :class:`NoBracket` when doubling from 1 never reaches y, and
-    :class:`NotInvertible` when the bisection stalls: the bracket cannot be
-    split (its midpoint equals an end) or 400 steps pass.
+    :class:`NotInvertible` when y has no preimage (y < 0, or doubling from
+    1 never reaches it) and when the bisection stalls: the bracket cannot
+    be split (its midpoint equals an end) or 400 steps pass.
     """
     return _bisect(eta.eval, y, eta.name)
 
@@ -353,17 +353,15 @@ def _bisect(fn: Callable, y, name: str):
     doubling from 1 and then bisection on compact arrays of the open
     targets (lo, hi, y, shrunk by one mask), so fn sees one array per
     step and every value equals its own scalar bisection.  The error raised
-    is the first failing target's.
+    carries the first failing target's message.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
     out = np.zeros_like(y)
-    failed = {}  # target index -> (error class, message)
+    failed = {}  # target index -> message
     for i in np.flatnonzero(y < 0).tolist():
-        failed[i] = (
-            NotInvertible, f"cannot invert {name} at negative value {float(y[i])}"
-        )
+        failed[i] = f"cannot invert {name} at negative value {float(y[i])}"
     k = np.flatnonzero(y > 0)
     hi = np.ones(k.size)
     up = np.arange(k.size)
@@ -373,7 +371,7 @@ def _bisect(fn: Callable, y, name: str):
         up = up[np.asarray(fn(hi[up]), dtype=float) < y[k[up]]]
         hi[up] *= 2.0
     for i in k[up].tolist():
-        failed[i] = (NoBracket, f"{name} never reaches {y[i]:.6g} (bracket past 2^64)")
+        failed[i] = f"{name} never reaches {y[i]:.6g} (bracket past 2^64)"
     k, hi = np.delete(k, up), np.delete(hi, up)
     yk = y[k]
     lo = np.zeros_like(yk)
@@ -394,14 +392,12 @@ def _bisect(fn: Callable, y, name: str):
         out[k[done]] = mid[done]
         for j in np.flatnonzero(stop).tolist():
             failed[int(k[j])] = (
-                NotInvertible,
                 f"{name}: bisection stalled at residual {res[j]:.3g} inverting "
-                f"{yk[j]:.6g}",
+                f"{yk[j]:.6g}"
             )
         k, yk, lo, hi = k[keep], yk[keep], lo[keep], hi[keep]
     if failed:
-        error, message = failed[min(failed)]
-        raise error(message)
+        raise NotInvertible(failed[min(failed)])
     return float(out[0]) if scalar else out
 
 

@@ -30,12 +30,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .errors import (
-    NotQuasisymmetric,
-    SandwichOrderViolated,
-    SubmultiplicativityViolated,
-    UnboundedEnvelope,
-)
+from .errors import PreconditionFailed, ValidationError
 from .moduli import (
     BiLipschitzModulus,
     EmpiricalModulus,
@@ -99,37 +94,39 @@ def _rows(f: PointMap):
     block are ``_ratios(d)`` and ``_ratios(rho)``, and position k among
     them is position start + k in the (x, a, b) order of all ratios, the
     triple :func:`_triples` names.  A constant map (every ratio 0/0) yields
-    nothing; as rho is symmetric, any other map with a collapsed image row
-    is unbounded.
-
-    Raises :class:`UnboundedEnvelope`, before the first block, when some
-    denominator pair collapses while a numerator does not.
+    nothing.  Image ratios are finite only when :func:`_collapse` finds no
+    triple; a caller that reads them checks that first.
     """
     R = f.image_matrix()
+    if not R.any():
+        return
     n = f.domain.n
     off = ~np.eye(n, dtype=bool)
-    zero = (R == 0.0) & off
-    pos = (R > 0.0) & off
-    unbounded = zero.any(axis=1) & pos.any(axis=1)
-    if np.any(unbounded):
-        x = int(np.argmax(unbounded))
-        b = int(np.argmax(zero[x]))
-        a = int(np.argmax(pos[x]))
-        lab = f.domain.labels
-        raise UnboundedEnvelope(
-            f"rho(f{lab[x]}, f{lab[b]}) = 0 but "
-            f"rho(f{lab[x]}, f{lab[a]}) > 0: "
-            "no finite control function exists",
-            witness=(x, a, b),
-        )
-    if not pos.any():
-        return
     # row x of each: its n - 1 entries off the diagonal
     D = np.asarray(f.domain.dist)[off].reshape(n, n - 1)
     R = R[off].reshape(n, n - 1)
     step = max(1, _ROW_BLOCK // (n - 1) ** 2)
     for i in range(0, n, step):
         yield i * (n - 1) ** 2, D[i:i + step], R[i:i + step]
+
+
+def _collapse(f: PointMap) -> Optional[tuple]:
+    """The first (x, a, b) with rho(fx, fb) = 0 < rho(fx, fa), or None.
+
+    Its image ratio is infinite, so no modulus verifies f.  As rho is
+    symmetric, a map has such a triple unless it is injective or constant.
+    x is the first base point with both, b and a its first zero and
+    positive image distances.
+    """
+    R = f.image_matrix()
+    off = ~np.eye(f.domain.n, dtype=bool)
+    zero = (R == 0.0) & off
+    pos = (R > 0.0) & off
+    both = zero.any(axis=1) & pos.any(axis=1)
+    if not both.any():
+        return None
+    x = int(np.argmax(both))
+    return x, int(np.argmax(pos[x])), int(np.argmax(zero[x]))
 
 
 def _triples(n: int, pos) -> np.ndarray:
@@ -165,7 +162,17 @@ def empirical_modulus(f: PointMap) -> EmpiricalEnvelope:
     all ratios is a record of its block, so the records of the blocks'
     records, taken in block order, are the envelope, witnesses included.
     Only those are mapped to their (x, a, b) triples.
+
+    Raises :class:`ValidationError` when :func:`_collapse` finds a triple:
+    no finite envelope exists.
     """
+    collapse = _collapse(f)
+    if collapse is not None:
+        lab = [f.domain.labels[i] for i in collapse]
+        raise ValidationError(
+            f"rho(f{lab[0]}, f{lab[2]}) = 0 but rho(f{lab[0]}, f{lab[1]}) > 0: "
+            "no finite control function exists"
+        )
     parts = [(np.array([]), np.array([]), np.array([], dtype=int))]
     for start, d, rho in _rows(f):
         t, r = _ratios(d), _ratios(rho)
@@ -213,6 +220,11 @@ def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
     The witness is ranked by t and r, not by scan position, so this scan
     keeps its own rule instead of the first-in-order ``triangle._Scan``.
 
+    A map that collapses one pair while another stays apart fails without
+    a scan: the witness is the triple (x, a, b) of :func:`_collapse`, with
+    t = d(x,a)/d(x,b), image ratio inf, eta_at_t = eta(t) and ``checked``
+    0.
+
     The report is kept per map object, modulus object and tol while both
     live, and the derived analyses reuse it.  Only identity-hashed moduli
     are kept.  Maps and moduli are values: do not mutate one after a check.
@@ -229,6 +241,13 @@ def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
 
 
 def _scan_qs(f: PointMap, eta: Modulus, tol: float) -> QsReport:
+    lab = f.domain.labels
+    collapse = _collapse(f)
+    if collapse is not None:
+        x, a, b = collapse
+        t = float(f.domain.dist[x, a] / f.domain.dist[x, b])
+        return QsReport(False, collapse, (lab[x], lab[a], lab[b]), t, np.inf,
+                        float(np.asarray(eta.eval(t))), eta.describe(), tol, 0)
     checked = 0
     lo = np.inf
     worst = None  # (r, eta(lo), x, a, b) of the kept violation at t = lo
@@ -257,7 +276,6 @@ def _scan_qs(f: PointMap, eta: Modulus, tol: float) -> QsReport:
     if worst is None:
         return QsReport(True, None, None, None, None, None, eta.describe(), tol, checked)
     h, v, x, a, b = worst
-    lab = f.domain.labels
     return QsReport(False, (x, a, b), (lab[x], lab[a], lab[b]), float(lo), float(h), float(v),
                     eta.describe(), tol, checked)
 
@@ -285,8 +303,9 @@ def eta_ratio_report(f: PointMap, eta: Modulus) -> RatioIdentityReport:
     attaining it, the envelope knot where the minimum over knots lands.
     Ties go to the smallest t, not the first position, so the first
     minimum of ``triangle._Scan`` does not fit.  ``checked`` counts the
-    ratios scanned.  Pure report; tolerances are ``RATIO_PRODUCT_TOL`` and
-    ``ETA_ONE_TOL``.
+    ratios scanned.  Only domain ratios are read, so a map that collapses
+    a pair gets a report too.  Pure report; tolerances are
+    ``RATIO_PRODUCT_TOL`` and ``ETA_ONE_TOL``.
     """
     checked = 0
     best = None  # (product with NaN as -inf, t, product) of the minimum
@@ -382,9 +401,9 @@ def eta_from_sandwich(
 ) -> SandwichModulus:
     """Build eta(t) = C K**2 phi1(t) after probing the sandwich hypotheses.
 
-    Checks, on fixed probe grids: phi1 <= phi2 <= K phi1
-    (:class:`SandwichOrderViolated`) and phi2(u v) <= C phi2(u) phi2(v)
-    (:class:`SubmultiplicativityViolated`).  phi1 must itself be a
+    Checks, on fixed probe grids, phi1 <= phi2 <= K phi1 and
+    phi2(u v) <= C phi2(u) phi2(v) (:class:`ValidationError` otherwise,
+    naming the first failing probe).  phi1 must itself be a
     homeomorphism of the half line; that is validated by the modulus
     constructor.
     """
@@ -405,7 +424,7 @@ def eta_from_sandwich(
         high_bad = (1.0 - 1e-9) * v2 > K * v1
     if np.any(low_bad) or np.any(high_bad):
         k = int(np.argmax(low_bad | high_bad))
-        raise SandwichOrderViolated(
+        raise ValidationError(
             f"phi1 <= phi2 <= K phi1 fails at t = {g[k]:.6g}: "
             f"phi1 = {v1[k]:.6g}, phi2 = {v2[k]:.6g}, K = {K:g}"
         )
@@ -418,7 +437,7 @@ def eta_from_sandwich(
         bad = (1.0 - 1e-9) * lhs > rhs
     if np.any(bad):
         i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise SubmultiplicativityViolated(
+        raise ValidationError(
             f"phi2(uv) <= C phi2(u) phi2(v) fails at u = {SUBMULT_AXIS[i]:.6g}, "
             f"v = {SUBMULT_AXIS[j]:.6g}: lhs = {lhs[i, j]:.6g}, rhs = {rhs[i, j]:.6g}"
         )
@@ -487,7 +506,7 @@ class DiameterBoundsReport(Report):
 def _require_qs(f: PointMap, eta: Modulus, tol: float):
     rep = check_qs(f, eta, tol=tol)
     if not rep.holds:
-        raise NotQuasisymmetric(
+        raise PreconditionFailed(
             f"map does not verify against {eta.describe()}: at t = {rep.t:.6g} the "
             f"image ratio {rep.image_ratio:.6g} exceeds eta(t) = {rep.eta_at_t:.6g} "
             f"(witness {rep.witness_labels})"
@@ -506,7 +525,7 @@ def tv_bounds(
     """Two-sided distortion bounds for nested subsets A within B.
 
     Requires A, B on the domain of f with A a subset of B and diam A > 0,
-    f verifying against eta (:class:`NotQuasisymmetric` otherwise), and
+    f verifying against eta (:class:`PreconditionFailed` otherwise), and
     both gauge diagonals invertible (:class:`NotInvertible`).
     """
     if A.space is not f.domain or B.space is not f.domain:

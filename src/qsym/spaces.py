@@ -18,20 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DuplicateLabel,
-    NegativeDistance,
-    NonSymmetric,
-    NonzeroDiagonal,
-    NotBijective,
-    ScalerNotMonotone,
-    ScalerOriginNonzero,
-    UnassignedPoint,
-    UnknownTarget,
-    MapValidationError,
-    ValidationError,
-    ZeroOffDiagonal,
-)
+from .errors import ValidationError
 from .moduli import _vectorized
 
 DEFAULT_TOL = 1e-9
@@ -176,7 +163,7 @@ class PointMap:
 
     def inverse(self) -> "PointMap":
         if not self.is_bijection():
-            raise NotBijective("cannot invert: assignment is not a bijection")
+            raise ValidationError("cannot invert: assignment is not a bijection")
         inv = np.empty(self.codomain.n, dtype=int)
         inv[self.assignment] = np.arange(self.domain.n)
         return PointMap(self.codomain, self.domain, _frozen_array(inv, dtype=int), True)
@@ -184,7 +171,7 @@ class PointMap:
     def compose(self, then: "PointMap") -> "PointMap":
         """The map ``then(self(.))``; ``then.domain`` must be our codomain."""
         if then.domain is not self.codomain and then.domain != self.codomain:
-            raise MapValidationError("composition mismatch: codomain != next domain")
+            raise ValidationError("composition mismatch: codomain != next domain")
         comp = then.assignment[self.assignment]
         return PointMap(
             self.domain,
@@ -203,18 +190,18 @@ def build_space(labels: Sequence[str], matrix, tol: float = DEFAULT_TOL) -> Semi
 
     Asymmetry up to ``tol`` (relative to the largest entry) is repaired by
     averaging the entries that differ from their transpose, so a symmetric
-    matrix is stored as given; beyond it, :class:`NonSymmetric` is raised.
+    matrix is stored as given; beyond it, :class:`ValidationError` is raised.
     Diagonal noise within the tolerance is snapped to exact zero.  Off-diagonal entries
-    must be strictly positive: an exact zero or slightly negative value
-    raises :class:`ZeroOffDiagonal`, a clearly negative one
-    :class:`NegativeDistance`.
+    must be strictly positive: an exact zero, slightly negative or clearly
+    negative value raises :class:`ValidationError`, each with its own
+    message.
     """
     _valid_tol(tol)
     labels = tuple(str(l) for l in labels)
     if len(set(labels)) != len(labels):
         seen = set()
         dup = next(l for l in labels if l in seen or seen.add(l))
-        raise DuplicateLabel(f"label {dup!r} appears more than once")
+        raise ValidationError(f"label {dup!r} appears more than once")
     m = np.array(matrix, dtype=float)
     n = len(labels)
     if n == 0:
@@ -231,7 +218,7 @@ def build_space(labels: Sequence[str], matrix, tol: float = DEFAULT_TOL) -> Semi
     del half  # a live n x n array slows the allocations below
     if asym > tol * scale:
         i, j = np.unravel_index(k, m.shape)
-        raise NonSymmetric(
+        raise ValidationError(
             f"d({labels[i]},{labels[j]}) != d({labels[j]},{labels[i]}) "
             f"(difference {asym:.3g} exceeds tol)"
         )
@@ -242,19 +229,19 @@ def build_space(labels: Sequence[str], matrix, tol: float = DEFAULT_TOL) -> Semi
     if np.any(np.abs(diag) > tol * scale):
         i = int(np.argmax(np.abs(diag)))
         if diag[i] < 0:
-            raise NegativeDistance(f"negative diagonal entry at {labels[i]!r}: {diag[i]:.3g}")
-        raise NonzeroDiagonal(f"nonzero diagonal entry at {labels[i]!r}: {diag[i]:.3g}")
+            raise ValidationError(f"negative diagonal entry at {labels[i]!r}: {diag[i]:.3g}")
+        raise ValidationError(f"nonzero diagonal entry at {labels[i]!r}: {diag[i]:.3g}")
     np.fill_diagonal(m, 0.0)
 
     off = ~np.eye(n, dtype=bool)
     neg = off & (m < -tol * scale)
     if np.any(neg):
         i, j = np.argwhere(neg)[0]
-        raise NegativeDistance(f"d({labels[i]},{labels[j]}) = {m[i, j]:.3g} < 0")
+        raise ValidationError(f"d({labels[i]},{labels[j]}) = {m[i, j]:.3g} < 0")
     bad = off & (m <= 0.0)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
-        raise ZeroOffDiagonal(f"distinct points {labels[i]!r}, {labels[j]!r} at distance <= 0")
+        raise ValidationError(f"distinct points {labels[i]!r}, {labels[j]!r} at distance <= 0")
 
     return SemimetricSpace(labels, _frozen_array(m))
 
@@ -273,19 +260,19 @@ def transform_distances(
     """Apply ``scaler`` elementwise to every distance.
 
     The scaler must fix 0 and be strictly increasing; both are checked on
-    the space's spectrum (:class:`ScalerOriginNonzero`,
-    :class:`ScalerNotMonotone`).  The result is revalidated.
+    the space's spectrum (:class:`ValidationError`).  The result is
+    revalidated.
     """
     g = _vectorized(scaler)
     sp = np.unique(space.dist)  # the spectrum, 0 first
     scaled = np.asarray(g(sp), dtype=float)
     if not np.all(np.isfinite(scaled)):
-        raise ScalerNotMonotone("scaler produced non-finite values on the spectrum")
+        raise ValidationError("scaler produced non-finite values on the spectrum")
     if scaled[0] != 0.0:
-        raise ScalerOriginNonzero(f"scaler(0) = {scaled[0]:.3g}, expected 0")
+        raise ValidationError(f"scaler(0) = {scaled[0]:.3g}, expected 0")
     if np.any(np.diff(scaled) <= 0):
         k = int(np.argmax(np.diff(scaled) <= 0))
-        raise ScalerNotMonotone(
+        raise ValidationError(
             f"scaler not strictly increasing on the spectrum: "
             f"g({sp[k]:.6g}) = {scaled[k]:.6g}, g({sp[k + 1]:.6g}) = {scaled[k + 1]:.6g}"
         )
@@ -323,10 +310,10 @@ def build_map(
     """Build a point map from a label-to-label assignment.
 
     ``assignment`` is a mapping or an iterable of (domain label, codomain
-    label) pairs; every domain label must appear exactly once
-    (:class:`UnassignedPoint`), every target must exist
-    (:class:`UnknownTarget`).  With ``require_bijective`` the assignment
-    must be a bijection onto the codomain (:class:`NotBijective`).
+    label) pairs; every domain label must appear exactly once and every
+    target must exist.  With ``require_bijective`` the assignment must be a
+    bijection onto the codomain.  Each failure is a
+    :class:`ValidationError`.
     """
     if isinstance(assignment, Mapping):
         pairs = list(assignment.items())
@@ -339,20 +326,20 @@ def build_map(
     for src, dst in pairs:
         src, dst = str(src), str(dst)
         if src not in dom_index:
-            raise MapValidationError(f"{src!r} is not a point of the domain")
+            raise ValidationError(f"{src!r} is not a point of the domain")
         if src in seen:
-            raise MapValidationError(f"domain point {src!r} assigned more than once")
+            raise ValidationError(f"domain point {src!r} assigned more than once")
         if dst not in cod_index:
-            raise UnknownTarget(f"target {dst!r} is not a point of the codomain")
+            raise ValidationError(f"target {dst!r} is not a point of the codomain")
         seen[src] = cod_index[dst]
     missing = [lab for lab in domain.labels if lab not in seen]
     if missing:
-        raise UnassignedPoint(f"domain point {missing[0]!r} has no image")
+        raise ValidationError(f"domain point {missing[0]!r} has no image")
 
     arr = np.array([seen[lab] for lab in domain.labels], dtype=int)
     bij = len(set(arr.tolist())) == codomain.n and domain.n == codomain.n
     if require_bijective and not bij:
-        raise NotBijective("assignment is not a bijection onto the codomain")
+        raise ValidationError("assignment is not a bijection onto the codomain")
     return PointMap(domain, codomain, _frozen_array(arr, dtype=int), bij)
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import PreconditionFailed, Unbounded
+from .errors import PreconditionFailed, ValidationError
 from .moduli import BiLipschitzModulus, LinearModulus, Modulus, PowerModulus
 from .quasisymmetry import check_qs
 from .report import Report
@@ -232,7 +232,7 @@ def minimal_transfer_K2(K1: float, eta: Modulus, grid_points: int = 2001) -> flo
     t1, t2, obj = objective(us)
     if np.any(~np.isfinite(obj)):
         i = int(np.argmax(~np.isfinite(obj)))
-        raise Unbounded(
+        raise ValidationError(
             f"transfer coefficient diverges at t1 = {t1[i]:.6g}, t2 = {t2[i]:.6g}"
         )
     i = int(np.argmax(obj))

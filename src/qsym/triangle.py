@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GaugeInvalid, NotInvertible
+from .errors import NotInvertible, ValidationError
 from .moduli import _bisect, _vectorized
 from .report import Report
 from .spaces import DEFAULT_TOL, SemimetricSpace, _valid_tol
@@ -120,7 +120,7 @@ class CustomGauge(TriangleFunction):
 
     The function must vanish at (0, 0), be symmetric, and be monotone
     (non-strictly) in each variable on the grid; violations raise
-    :class:`GaugeInvalid`.  A callable that does not map arrays
+    :class:`ValidationError`.  A callable that does not map arrays
     elementwise is wrapped by ``moduli._vectorized``.  Calls evaluate
     fn(min(u, v), max(u, v)), so the gauge is symmetric bit for bit off
     the grid too, as the pair scans need; the grid probe sees the unsorted
@@ -138,21 +138,21 @@ class CustomGauge(TriangleFunction):
     def _validate(self):
         z = float(self._fn(0.0, 0.0))
         if abs(z) > 1e-12:
-            raise GaugeInvalid(f"{self.name}: Phi(0,0) = {z:.3g}, expected 0")
+            raise ValidationError(f"{self.name}: Phi(0,0) = {z:.3g}, expected 0")
         g = GAUGE_PROBE_AXIS
         vals = np.asarray(self._fn(g[:, None], g[None, :]), dtype=float)
         if not np.all(np.isfinite(vals)):
-            raise GaugeInvalid(f"{self.name}: non-finite value on the probe grid")
+            raise ValidationError(f"{self.name}: non-finite value on the probe grid")
         asym = np.abs(vals - vals.T)
         if np.any(asym > 1e-9 * np.maximum(np.abs(vals), np.abs(vals.T))):
             i, j = np.unravel_index(np.argmax(asym), asym.shape)
-            raise GaugeInvalid(
+            raise ValidationError(
                 f"{self.name}: not symmetric at ({g[i]:.3g}, {g[j]:.3g})"
             )
         if np.any(np.diff(vals, axis=0) < -1e-12 * vals[:-1, :]) or np.any(
             np.diff(vals, axis=1) < -1e-12 * vals[:, :-1]
         ):
-            raise GaugeInvalid(f"{self.name}: not monotone on the probe grid")
+            raise ValidationError(f"{self.name}: not monotone on the probe grid")
 
     def diag_inverse(self, y):
         return _bisect_diag(self, y)

@@ -21,14 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    NotAContinuation,
-    NotAntisymmetric,
-    NotBijective,
-    NotQuasisymmetric,
-    NotSubmultiplicative,
-    TooLarge,
-)
+from .errors import PreconditionFailed, TooLarge, ValidationError
 from .moduli import (
     CallableModulus,
     INVOLUTION_GRID,
@@ -342,7 +335,7 @@ def check_monotone_implications(
     and strictly increasing (order implication).
     """
     if not f.is_bijection():
-        raise NotBijective("monotone implications are certified for bijections only")
+        raise ValidationError("monotone implications are certified for bijections only")
     X = f.domain
     D = np.asarray(X.dist)
     R = f.image_matrix()
@@ -419,7 +412,7 @@ def eta_from_antisymmetric(psi: Callable, label: str = "involutive") -> Modulus:
     """Promote an antisymmetric kernel to the modulus exp(psi(t, 1/t)).
 
     psi(x, z) = -psi(z, x) is probed on a grid pair sample
-    (:class:`NotAntisymmetric` on failure); the resulting modulus must
+    (:class:`ValidationError` on failure); the resulting modulus must
     still be strictly increasing with limit 0 at 0, which the constructor
     validates on the log grid.
     """
@@ -431,7 +424,7 @@ def eta_from_antisymmetric(psi: Callable, label: str = "involutive") -> Modulus:
     bad = np.abs(fwd + bwd) > 1e-9 * np.maximum(np.abs(fwd), np.abs(bwd))
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise NotAntisymmetric(
+        raise ValidationError(
             f"psi({x[i]:.4g}, {z[i]:.4g}) + psi({z[i]:.4g}, {x[i]:.4g}) = "
             f"{fwd[i] + bwd[i]:.3g}, expected 0"
         )
@@ -444,10 +437,10 @@ def qs_from_weaksim(
     """Turn a weak similarity into a quasisymmetry modulus.
 
     ``phistar`` must continue ws.phi off the spectrum: it has to match the
-    paired values within 1e-12 (:class:`NotAContinuation`), be a valid
-    modulus, and be submultiplicative, phistar(uv) <= phistar(u)phistar(v),
-    on the probe grid (:class:`NotSubmultiplicative`).  The returned
-    modulus is asserted to verify ws.f.
+    paired values within 1e-12, be a valid modulus, and be
+    submultiplicative, phistar(uv) <= phistar(u)phistar(v), on the probe
+    grid (:class:`ValidationError` otherwise).  The returned modulus must
+    verify ws.f (:class:`PreconditionFailed` otherwise).
     """
     p = _vectorized(phistar)
     dv = ws.phi.domain_values
@@ -457,7 +450,7 @@ def qs_from_weaksim(
     bad = gap > 1e-12 * np.maximum(np.abs(got), np.abs(cv))
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise NotAContinuation(
+        raise ValidationError(
             f"phistar({dv[i]:.6g}) = {got[i]:.6g}, but the realization needs "
             f"{cv[i]:.6g}"
         )
@@ -471,7 +464,7 @@ def qs_from_weaksim(
         bad = (1.0 - 1e-9) * lhs > rhs
     if np.any(bad):
         i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise NotSubmultiplicative(
+        raise ValidationError(
             f"phistar({SUBMULT_AXIS[i] * SUBMULT_AXIS[j]:.6g}) = "
             f"{lhs[i, j]:.6g} > {rhs[i, j]:.6g} = phistar({SUBMULT_AXIS[i]:.6g})"
             f" * phistar({SUBMULT_AXIS[j]:.6g})"
@@ -479,7 +472,7 @@ def qs_from_weaksim(
     eta = CallableModulus(p, label="phistar")
     rep = check_qs(ws.f, eta, tol=tol)
     if not rep.holds:
-        raise NotQuasisymmetric(
+        raise PreconditionFailed(
             f"continuation does not verify the realization (witness "
             f"{rep.witness_labels}, t = {rep.t:.6g})"
         )

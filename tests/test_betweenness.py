@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from qsym import (
-    GeneratorEndpointViolation,
-    GeneratorNotIncreasing,
     PowerModulus,
     PreconditionFailed,
     SubsetRef,
+    ValidationError,
     betweenness_image_structure,
     betweenness_triples,
     build_space,
@@ -191,16 +190,17 @@ def test_generator_modulus_values():
 
 
 def test_generator_endpoint_rejection():
-    with pytest.raises(GeneratorEndpointViolation):
+    with pytest.raises(ValidationError, match=r"^f1\(1\) = 1, expected 1/2$"):
         eta_from_generators(lambda x: x, power_generator(1))
-    with pytest.raises(GeneratorEndpointViolation):
+    with pytest.raises(ValidationError, match=r"^f2\(0\) = 0\.1, expected 0$"):
         eta_from_generators(power_generator(1), lambda x: x / 2.0 + 0.1)
 
 
 def test_generator_monotonicity_rejection():
     wavy = lambda x: (x + 0.3 * np.sin(2.0 * np.pi * np.asarray(x))) / 2.0
     assert abs(wavy(0.0)) < 1e-15 and abs(wavy(1.0) - 0.5) < 1e-12
-    with pytest.raises(GeneratorNotIncreasing):
+    with pytest.raises(ValidationError,
+                       match=r"^f1 is not strictly increasing near x = 0\.338583$"):
         eta_from_generators(wavy, power_generator(1))
 
 

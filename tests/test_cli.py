@@ -2,8 +2,9 @@
 
 Every test drives ``qsym.cli.main`` with an argv list and asserts on the
 exit status contract: 0 when the property holds or an object is written,
-1 when a property fails (with a witness on stdout/stderr), 2 on usage or
-input errors.
+1 when a property fails (with a report and its witness on stdout), 2 on
+usage or input errors and failed hypotheses (one ``error:`` line on
+stderr).
 """
 
 import json
@@ -341,13 +342,36 @@ def test_qs_check_counts_realized_ratios_with_or_without_dump(files, capsys):
 
 
 def test_qs_check_unbounded_ratio_is_a_property_failure(files, capsys):
-    code, _, err = run(
-        capsys, "qs-check",
-        "--domain", files["line.json"], "--codomain", files["line.json"],
-        "--map", files["collapse.json"], "--eta", "power:1",
-    )
-    assert code == 1
-    assert err.startswith("FAILS:")
+    argv = ["qs-check", "--domain", files["line.json"], "--codomain", files["line.json"],
+            "--map", files["collapse.json"], "--eta", "power:1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out == ("FAILS\nwitness (x, a, b) = ('0', '3', '1'): at t = 3 the image ratio "
+                   "is inf but eta(t) = 3\n")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert '"image_ratio": Infinity' in out
+    report = json.loads(out)["report"]
+    assert report["holds"] is False and report["checked"] == 0
+    assert report["witness_labels"] == ["0", "3", "1"]
+    assert report["image_ratio"] == np.inf and report["t"] == report["eta_at_t"] == 3.0
+    # the envelope of such a map does not exist: an input error
+    code, out, err = run(capsys, *argv[:-2])
+    assert (code, out) == (2, "")
+    assert err == ("error: rho(f0, f1) = 0 but rho(f0, f3) > 0: "
+                   "no finite control function exists\n")
+
+
+@pytest.mark.parametrize("flag", ["--domain", "--codomain", "--map"])
+def test_qs_check_refuses_to_write_over_an_input(files, capsys, flag):
+    paths = {"--domain": files["line.json"], "--codomain": files["snow.json"],
+             "--map": files["idmap.json"]}
+    before = Path(paths[flag]).read_bytes()
+    code, out, err = run(capsys, "qs-check", *[a for kv in paths.items() for a in kv],
+                         "-o", paths[flag])
+    assert (code, out) == (2, "")
+    assert err == f"error: {paths[flag]}: -o would overwrite the {flag} file\n"
+    assert Path(paths[flag]).read_bytes() == before
 
 
 def test_qs_check_json_envelope_roundtrips(files, capsys):
@@ -446,6 +470,60 @@ def test_ptolemy_transfer_analytic_and_realized(files, capsys):
     assert code == 0 and "mode analytic" in out
     code, out, _ = run(capsys, *base, "--force-realized")
     assert code == 0 and "mode realized" in out
+
+
+#: every subcommand that reads a map: its other arguments and its domain flag
+MAP_COMMANDS = {
+    "qs-check": ([], "--domain"),
+    "transfer": (["--eta", "power:0.5"], "--domain"),
+    "ptolemy-transfer": (["--eta", "power:0.5"], "--domain"),
+    "distortion": (["--eta", "power:0.5"], "--domain"),
+    "fit-snowflake": ([], "--domain"),
+    "between": ([], "--space"),
+}
+#: the map of the line onto its 1/2-snowflake
+SNOW_MAP = ["--domain", "line.json", "--codomain", "snow.json", "--map", "idmap.json"]
+
+
+@pytest.mark.parametrize("missing", [0, 1, 2])
+@pytest.mark.parametrize("command", list(MAP_COMMANDS))
+def test_a_missing_map_flag_is_an_input_error(files, capsys, command, missing):
+    extra, domain = MAP_COMMANDS[command]
+    flags = [domain, *SNOW_MAP[2::2]]
+    argv = [command, *extra]
+    for i, (flag, path) in enumerate(zip(flags, SNOW_MAP[1::2])):
+        if i != missing:
+            argv += [flag, files[path]]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a flag that argparse requires
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1].endswith(flags[missing])
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["between", "--space", "pl.json", "--quadruple", "0,1,2,1"], "--quadruple"),
+    (["distortion", "--eta", "power:0.5", *SNOW_MAP, "--A", "0,0,1"], "--A"),
+    (["distortion", "--eta", "power:0.5", *SNOW_MAP, "--A", "0,1", "--B", "0,1,3,3"], "--B"),
+])
+def test_a_repeated_index_is_an_input_error(files, capsys, argv, flag):
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} repeats index ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["distortion"], ["distortion", "--A", "0,1"], ["transfer"], ["ptolemy-transfer"],
+])
+def test_a_modulus_that_does_not_verify_the_map_is_a_failed_hypothesis(files, capsys,
+                                                                     argv):
+    code, out, err = run(capsys, *argv, "--eta", "power:0.45",
+                         *[files.get(a, a) for a in SNOW_MAP])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "power:0.45" in err and "(witness ('6', '0', '1'))" in err
 
 
 def test_ptolemy_transfer_precondition_is_input_error(files, capsys):
@@ -702,9 +780,20 @@ def test_every_public_name_resolves():
     exec("from qsym import *", star)
     assert set(qsym.__all__) <= set(star)
     assert star["check_qs"] is qsym.check_qs
-    for gone in ("spectrum", "Spectrum", "eval_modulus", "no_such_name"):
+    for gone in ("spectrum", "Spectrum", "eval_modulus", "no_such_name",
+                 "UnboundedEnvelope", "NotQuasisymmetric", "NoBracket", "NonSymmetric"):
         with pytest.raises(AttributeError):
             getattr(qsym, gone)
+
+
+def test_six_error_classes_one_per_action():
+    from qsym import errors
+
+    defined = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    assert defined == {"QsymError", "ValidationError", "ParseError", "PreconditionFailed",
+                       "NotInvertible", "TooLarge"}
+    assert issubclass(errors.ValidationError, ValueError)
+    assert defined <= set(qsym.__all__)
 
 
 def test_rank_tol_default_is_the_search_constant():

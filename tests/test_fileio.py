@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from qsym import (
-    NotBijective,
     ParseError,
-    UnknownTarget,
+    ValidationError,
     build_space,
     empirical_modulus,
     load_envelope_points,
@@ -129,11 +128,10 @@ def test_space_csv_errors(tmp_path):
 
 
 def test_space_axioms_pass_through(tmp_path):
-    from qsym import NonSymmetric
-
     path = tmp_path / "bad.json"
     path.write_text('{"points": ["a", "b"], "matrix": [[0, 1], [2, 0]]}')
-    with pytest.raises(NonSymmetric):
+    with pytest.raises(ValidationError,
+                       match=r"^d\(a,b\) != d\(b,a\) \(difference 1 exceeds tol\)$"):
         load_space(path)
 
 
@@ -179,12 +177,11 @@ def test_map_requires_assignment_object(tmp_path):
 def test_map_target_and_coverage_errors(tmp_path, line3):
     path = tmp_path / "map.json"
     path.write_text(json.dumps({"assignment": {"0": "0", "1": "9", "3": "3"}}))
-    with pytest.raises(UnknownTarget):
+    with pytest.raises(ValidationError, match=r"^target '9' is not a point of the codomain$"):
         load_map(path, line3, line3)
-    from qsym import UnassignedPoint
 
     path.write_text(json.dumps({"assignment": {"0": "0", "1": "1"}}))
-    with pytest.raises(UnassignedPoint):
+    with pytest.raises(ValidationError, match=r"^domain point '3' has no image$"):
         load_map(path, line3, line3)
 
 
@@ -192,7 +189,7 @@ def test_map_bijectivity_flag(tmp_path, line3):
     path = tmp_path / "map.json"
     path.write_text(json.dumps({"assignment": {"0": "0", "1": "0", "3": "3"}}))
     assert not load_map(path, line3, line3).is_bijection()
-    with pytest.raises(NotBijective):
+    with pytest.raises(ValidationError, match=r"^assignment is not a bijection onto the codomain$"):
         load_map(path, line3, line3, require_bijective=True)
 
 

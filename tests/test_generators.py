@@ -3,8 +3,8 @@ import pytest
 
 from qsym import (
     Additive,
-    BadParams,
     MaxGauge,
+    ValidationError,
     check_triangle,
     collinear_space,
     euclidean_space,
@@ -58,7 +58,7 @@ def test_pseudolinear_quadruple_pattern():
     assert d[0, 1] == 2.0 and d[2, 3] == 2.0
     assert d[1, 2] == 1.0 and d[3, 0] == 1.0
     assert d[0, 2] == 3.0 and d[1, 3] == 3.0
-    with pytest.raises(BadParams):
+    with pytest.raises(ValidationError, match=r"^pseudolinear: need s > 0 and t > 0$"):
         pseudolinear_quadruple(0.0, 2.0)
 
 
@@ -86,9 +86,9 @@ def test_collinear_space_distances():
     X = collinear_space([0.0, 1.0, 3.0])
     d = np.asarray(X.dist)
     assert d[0, 2] == 3.0 and d[1, 2] == 2.0
-    with pytest.raises(BadParams):
+    with pytest.raises(ValidationError, match=r"^collinear: coordinates must be distinct$"):
         collinear_space([0.0, 0.0, 1.0])
-    with pytest.raises(BadParams):
+    with pytest.raises(ValidationError, match=r"^collinear: need at least one coordinate$"):
         collinear_space([])
 
 
@@ -103,11 +103,14 @@ def test_generate_dispatch():
     assert X.n == 4
     Y = generate("collinear", coordinates=[0, 1, 2])
     assert Y.n == 3
-    with pytest.raises(BadParams):
+    with pytest.raises(ValidationError,
+                       match=r"^unknown generator kind 'nope'; known: \['collinear', "
+                             r"'euclidean', 'pseudolinear', 'random_semimetric', 'ultrametric', "
+                             r"'wilson'\]$"):
         generate("nope")
-    with pytest.raises(BadParams):
+    with pytest.raises(ValidationError, match=r"^euclidean: missing parameter 'dim'$"):
         generate("euclidean", n=4)  # dim missing
-    with pytest.raises(BadParams):
+    with pytest.raises(ValidationError, match=r"^ultrametric: unexpected parameter 'dim'$"):
         generate("ultrametric", n=4, dim=2)  # dim unexpected
 
 

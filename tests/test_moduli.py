@@ -9,11 +9,10 @@ from qsym import (
     ExpRatioModulus,
     InvolutiveModulus,
     LinearModulus,
-    NoBracket,
-    NotHomeomorphism,
     NotInvertible,
     PowerModulus,
     SandwichModulus,
+    ValidationError,
     inverse_modulus,
     invert_modulus,
     parse_modulus,
@@ -76,16 +75,19 @@ def test_involutive_modulus():
     # psi(t, 1/t) = log t, so eta is the identity
     assert eta(5.0) == pytest.approx(5.0)
     assert eta(0.0) == 0.0
-    with pytest.raises(NotHomeomorphism):
+    with pytest.raises(ValidationError,
+                       match=r"^involutive: exp\(psi\(t, 1/t\)\) is not strictly increasing on "
+                             r"the probe grid$"):
         InvolutiveModulus(lambda a, b: b - a)  # decreasing in t
 
 
 def test_callable_modulus_validation():
     eta = CallableModulus(lambda t: t ** 2, label="sq")
     assert eta(3.0) == 9.0
-    with pytest.raises(NotHomeomorphism):
+    with pytest.raises(ValidationError,
+                       match=r"^custom: modulus not strictly increasing near t = 1e-06$"):
         CallableModulus(np.cos)
-    with pytest.raises(NotHomeomorphism):
+    with pytest.raises(ValidationError, match=r"^custom: eta\(0\) = 1, expected 0$"):
         CallableModulus(lambda t: t + 1.0)  # eta(0) != 0
 
 
@@ -120,7 +122,7 @@ def test_invert_modulus_bisection():
         invert_modulus(PowerModulus(1.0), -1.0)
     # a bounded callable never reaches 10
     capped = CallableModulus(lambda t: t / (1.0 + t), label="capped")
-    with pytest.raises(NoBracket):
+    with pytest.raises(NotInvertible, match=r"^capped never reaches 10 \(bracket past 2\^64\)$"):
         invert_modulus(capped, 10.0)
 
 
@@ -189,7 +191,7 @@ def test_array_bisection_names_the_first_failing_target():
     # the distinct arguments run in ascending order, as one bisection each
     # would: t = 0.05 asks for the unreachable 20 before t = 0.1 asks for 10
     capped = CallableModulus(lambda t: t / (1.0 + t), label="capped")
-    with pytest.raises(NoBracket, match=r"^capped never reaches 20 \(bracket past 2\^64\)$"):
+    with pytest.raises(NotInvertible, match=r"^capped never reaches 20 \(bracket past 2\^64\)$"):
         NumericInverseModulus(capped).eval(np.array([0.05, 0.1, 4.0]))
     with pytest.raises(NotInvertible, match="^cannot invert power:1 at negative value -1.0$"):
         invert_modulus(PowerModulus(1.0), -1.0)

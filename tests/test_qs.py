@@ -15,13 +15,11 @@ from qsym import (
     ExpRatioModulus,
     LinearModulus,
     MaxGauge,
-    NotQuasisymmetric,
     PowerModulus,
+    PreconditionFailed,
     ScaledAdditive,
-    SubmultiplicativityViolated,
-    SandwichOrderViolated,
     SubsetRef,
-    UnboundedEnvelope,
+    ValidationError,
     build_map,
     build_space,
     check_qs,
@@ -179,11 +177,22 @@ def test_envelope_empty_for_singleton():
 def test_unbounded_envelope_dichotomy(line3):
     Y = collinear_space([0.0, 1.0])
     f = build_map(line3, Y, {"0": "0", "1": "1", "3": "0"})
-    with pytest.raises(UnboundedEnvelope) as exc:
-        empirical_modulus(f)
-    x, a, b = exc.value.witness
+    eta = PowerModulus(1.0)
+    rep = check_qs(f, eta)
+    x, a, b = rep.witness
     assert f.image_dist(x, b) == 0.0
     assert f.image_dist(x, a) > 0.0
+    # the first base point with a collapsed pair, its first collapsed and
+    # first separated points; no ratio is scanned
+    assert (rep.holds, rep.witness_labels, rep.checked) == (False, ("0", "1", "3"), 0)
+    assert rep.t == line3.dist[x, a] / line3.dist[x, b] == rep.eta_at_t == 1.0 / 3.0
+    assert rep.image_ratio == np.inf
+    with pytest.raises(ValidationError,
+                       match=r"^rho\(f0, f3\) = 0 but rho\(f0, f1\) > 0: "
+                             r"no finite control function exists$"):
+        empirical_modulus(f)
+    # the reciprocal-ratio identity reads domain ratios only
+    assert eta_ratio_report(f, eta) == eta_ratio_report(identity_map(line3), eta)
 
 
 def test_check_qs_verdicts(line3):
@@ -273,9 +282,13 @@ def test_fit_soundness_via_check_qs():
 def test_eta_from_sandwich():
     eta = eta_from_sandwich(lambda t: t, lambda t: 1.5 * t, C=1.0, K=2.0)
     assert eta(2.0) == pytest.approx(1.0 * 4.0 * 2.0)
-    with pytest.raises(SandwichOrderViolated):
+    with pytest.raises(ValidationError,
+                       match=r"^phi1 <= phi2 <= K phi1 fails at t = 1e-06: phi1 = 1e-06, phi2 = "
+                             r"3e-06, K = 2$"):
         eta_from_sandwich(lambda t: t, lambda t: 3.0 * t, C=1.0, K=2.0)
-    with pytest.raises(SubmultiplicativityViolated):
+    with pytest.raises(ValidationError,
+                       match=r"^phi2\(uv\) <= C phi2\(u\) phi2\(v\) fails at u = 1\.15832, v = "
+                             r"5\.03649: lhs = 340\.682, rhs = 334\.085$"):
         # e**t - 1 is superadditive at large arguments, so the
         # submultiplicativity probe fails (u = v = 2 is a witness)
         eta_from_sandwich(np.expm1, np.expm1, C=1.0, K=1.0)
@@ -362,7 +375,10 @@ def test_tv_bounds_preconditions(line4):
     f = snowflake_map(line4, 0.5)
     A = SubsetRef(line4, (0, 1))
     B = SubsetRef(line4, (0, 1, 2, 3))
-    with pytest.raises(NotQuasisymmetric):
+    with pytest.raises(PreconditionFailed,
+                       match=r"^map does not verify against power:0\.3: at t = 1\.2 the image "
+                             r"ratio 1\.09545 exceeds eta\(t\) = 1\.05622 \(witness \('6', '0', "
+                             r"'1'\)\)$"):
         tv_bounds(f, PowerModulus(0.3), A, B, Additive(), Additive())
     with pytest.raises(ValueError):
         tv_bounds(f, PowerModulus(0.5), B, A, Additive(), Additive())  # not A <= B
@@ -684,7 +700,7 @@ def test_failing_verdicts_are_remembered(line4, row_walks):
     walks = len(row_walks)
     A = SubsetRef(line4, (0, 1))
     B = SubsetRef(line4, (0, 1, 2, 3))
-    with pytest.raises(NotQuasisymmetric) as err:
+    with pytest.raises(PreconditionFailed) as err:
         tv_bounds(f, small, A, B, Additive(), Additive())
     assert str(err.value) == (
         "map does not verify against power:0.3: at t = 1.2 the image ratio 1.09545 "

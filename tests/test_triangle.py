@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from qsym import (
     Additive,
     CustomGauge,
-    GaugeInvalid,
     MaxGauge,
     ScaledAdditive,
+    ValidationError,
     build_space,
     check_triangle,
     collinear_space,
@@ -149,11 +149,11 @@ def test_custom_gauge_accepts_lp_combination():
 
 
 def test_custom_gauge_rejections():
-    with pytest.raises(GaugeInvalid):
+    with pytest.raises(ValidationError, match=r"^custom: not symmetric at \(1e-06, 1e\+06\)$"):
         CustomGauge(lambda u, v: u - v)  # not symmetric
-    with pytest.raises(GaugeInvalid):
+    with pytest.raises(ValidationError, match=r"^custom: Phi\(0,0\) = 1, expected 0$"):
         CustomGauge(lambda u, v: u + v + 1.0)  # nonzero at the origin
-    with pytest.raises(GaugeInvalid):
+    with pytest.raises(ValidationError, match=r"^custom: not monotone on the probe grid$"):
         CustomGauge(lambda u, v: np.sin(u) + np.sin(v))  # not monotone
 
 

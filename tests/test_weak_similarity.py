@@ -12,14 +12,11 @@ from hypothesis import given, settings, strategies as st
 from qsym import (
     BiLipschitzModulus,
     ExpRatioModulus,
-    NotAContinuation,
-    NotAntisymmetric,
-    NotBijective,
-    NotSubmultiplicative,
     PointMap,
     PowerModulus,
     ScalingFunction,
     TooLarge,
+    ValidationError,
     WeakSimilarity,
     brute_force_weak_similarity,
     build_space,
@@ -514,7 +511,8 @@ def test_monotone_implications_match_the_pair_loop(case):
 def test_monotone_implications_need_bijection():
     X = collinear_space([0.0, 1.0, 3.0])
     f = PointMap(X, X, (0, 0, 1))
-    with pytest.raises(NotBijective):
+    with pytest.raises(ValidationError,
+                       match=r"^monotone implications are certified for bijections only$"):
         check_monotone_implications(f)
 
 
@@ -568,7 +566,9 @@ def test_eta_from_antisymmetric_identity():
 
 
 def test_eta_from_antisymmetric_rejects_symmetric_kernel():
-    with pytest.raises(NotAntisymmetric):
+    with pytest.raises(ValidationError,
+                       match=r"^psi\(0\.001, 0\.001\) \+ psi\(0\.001, 0\.001\) = 0\.002, "
+                             r"expected 0$"):
         eta_from_antisymmetric(lambda x, z: x)
 
 
@@ -586,7 +586,7 @@ def test_qs_from_weaksim_linear_continuation(line4):
 def test_qs_from_weaksim_rejects_non_continuation(line4):
     Y = transform_distances(line4, lambda d: 3.0 * d)
     ws = find_weak_similarity(line4, Y)
-    with pytest.raises(NotAContinuation):
+    with pytest.raises(ValidationError, match=r"^phistar\(1\) = 1, but the realization needs 3$"):
         qs_from_weaksim(ws, lambda t: np.asarray(t) ** 2)
 
 
@@ -595,7 +595,9 @@ def test_qs_from_weaksim_rejects_supermultiplicative(line4):
     ws = find_weak_similarity(line4, Y)
     assert ws is not None
     # expm1 continues the realization but expm1(4) > expm1(2)^2
-    with pytest.raises(NotSubmultiplicative):
+    with pytest.raises(ValidationError,
+                       match=r"^phistar\(5\.83388\) = 340\.682 > 334\.085 = phistar\(1\.15832\) "
+                             r"\* phistar\(5\.03649\)$"):
         qs_from_weaksim(ws, np.expm1)
 
 
