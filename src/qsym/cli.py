@@ -221,6 +221,9 @@ def _cmd_transfer(args) -> int:
 
     eta = parse_modulus(args.eta)
     if args.minimal_k2 is not None:
+        for flag, path in zip(_MAP_FLAGS, (args.domain, args.codomain, args.map)):
+            if path is not None:
+                raise ParseError(f"--minimal-k2 reads no map: drop {flag}")
         K2 = tr.minimal_transfer_K2(args.minimal_k2, eta)
         payload = {"eta": eta.describe(), "K1": args.minimal_k2, "minimal_K2": K2}
         return _emit(args, payload, [f"minimal K2 = {K2:.12g}"])

@@ -353,8 +353,11 @@ def ptolemy_transfer_check(
     of :class:`_Scan`, one scan per ordering).  The conclusion side
     1/(eta(t1)eta(t2)) + 1/(eta(t3)eta(t4)) is read on a :func:`_power_table`
     as (P[x,y]P[t,z] + P[x,t]P[y,z]) / (C**2 P[x,z]P[t,y]), else by the log
-    path.  Every verdict is exhaustive: each Ptolemy check costs 3 C(n, 4)
-    inequalities, streamed in O(n^2) memory.
+    path.  Every verdict is exhaustive: each Ptolemy check, and the realized
+    scan, costs 3 C(n, 4) inequalities, read in the blocks of whole (i, j)
+    runs of :func:`triangle._quadruple_blocks`, in O(n^2 + _QUAD_BLOCK)
+    memory; the scans reduce across blocks, so no report depends on where
+    a block ends.
     """
     _preconditions(f, eta, tol, is_ptolemaic(f.domain, tol=tol),
                    "domain Ptolemy: fails at quadruple")
@@ -390,7 +393,7 @@ def ptolemy_transfer_check(
                 c = (a + b) / (C2 * products[diagonal])
 
             def witness(m):
-                quad = (i, int(j[m]), int(k[m]), int(l[m]))
+                quad = (int(i[m]), int(j[m]), int(k[m]), int(l[m]))
                 x, y, z, t = (quad[p] for p in (X, Y, Z, T))
                 ratios = (D[x, z] / D[x, y], D[t, y] / D[t, z],
                           D[x, z] / D[x, t], D[t, y] / D[y, z])

@@ -357,38 +357,47 @@ class PtolemyReport(Report):
 _QUAD_ORDERINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
 
 
-def _quadruple_blocks(d: np.ndarray):
-    """All quadruples i<j<k<l in lexicographic order, in blocks of O(n^2).
+#: quadruples per block of the Ptolemy scans, past which a block ends at its
+#: next run boundary: temporaries stay cached, numpy calls stay few
+_QUAD_BLOCK = 16384
 
-    A block holds consecutive (i, j) runs of (k, l) pairs for one i, at
-    least C(n, 2) quadruples unless i runs out, so memory stays O(n^2)
-    while numpy calls stay few.  Yields ``(i, j, k, l, q)``: ``j``, ``k``
-    and ``l`` are index arrays over the block, and ``q[a][b]`` is the
-    array of distances between positions a and b of (i, j, k, l).
+
+def _quadruple_blocks(d: np.ndarray):
+    """All quadruples i<j<k<l in lexicographic order, in blocks of whole runs.
+
+    The quadruples with a given (i, j) form a run: the (k, l) pairs with
+    k > j, a suffix of the pairs in lexicographic order.  A block holds
+    consecutive whole runs, across base points i, up to the first run that
+    brings it to ``_QUAD_BLOCK`` quadruples (or to the last quadruple), so
+    no block is smaller than one run and memory stays O(n^2 + _QUAD_BLOCK).
+    Yields ``(i, j, k, l, q)``: ``i``, ``j``, ``k`` and ``l`` are index
+    arrays over the block, and ``q[a][b]`` is the array of distances
+    between positions a and b of (i, j, k, l).
     """
     n = len(d)
-    K, L = np.triu_indices(n, 1)  # row-major: the pairs with k > j are a suffix
-    P = len(K)
-    after = np.cumsum(np.arange(n - 1, 0, -1))  # after[j]: first pair with k > j
-    dkl_all = d[K, L]
-    flat = d.ravel()  # flat[j n + k] gathers d[j, k] faster than d[j, k] does
-    for i in range(n - 3):
-        row = d[i]
-        js, size = [], 0
-        for jj in range(i + 1, n - 2):
-            js.append(jj)
-            size += P - after[jj]
-            if size < P and jj < n - 3:
-                continue
-            pos = np.concatenate([np.arange(after[j], P) for j in js])
-            j = np.repeat(js, P - after[js])
-            k, l = K[pos], L[pos]
-            dij, dik, dil = row[j], row[k], row[l]
-            jn = j * n
-            djk, djl, dkl = flat[jn + k], flat[jn + l], dkl_all[pos]
-            yield i, j, k, l, ((None, dij, dik, dil), (dij, None, djk, djl),
-                               (dik, djk, None, dkl), (dil, djl, dkl, None))
-            js, size = [], 0
+    I, J = np.triu_indices(n, 1)  # the pairs, row-major: (i, j) and (k, l) alike
+    after = np.cumsum(np.arange(n - 1, -1, -1))  # after[j]: first pair with k > j
+    run = len(I) - after[J]  # the run of pair p: its (k, l) pairs with k > j
+    end = np.cumsum(run)  # end[p]: quadruples through run p
+    shift = after[J] - (end - run)  # along run p, (k, l) pair index = quadruple + shift
+    dpair = d[I, J]
+    flat = d.ravel()  # flat.take(a n + b) gathers d[a, b] faster than d[a, b]
+    top, stop, p0 = 0, math.comb(n, 4), 0
+    while top < stop:
+        p1 = int(np.searchsorted(end, min(top + _QUAD_BLOCK, stop))) + 1
+        runs = run[p0:p1]
+        i, j = np.repeat(I[p0:p1], runs), np.repeat(J[p0:p1], runs)
+        bottom, top = top, int(end[p1 - 1])
+        pos = np.repeat(shift[p0:p1], runs)
+        pos += np.arange(bottom, top)
+        k, l, dkl = I.take(pos), J.take(pos), dpair.take(pos)
+        dij = np.repeat(dpair[p0:p1], runs)
+        ii, jj = i * n, j * n
+        dik, dil = flat.take(ii + k), flat.take(ii + l)
+        djk, djl = flat.take(jj + k), flat.take(jj + l)
+        yield i, j, k, l, ((None, dij, dik, dil), (dij, None, djk, djl),
+                           (dik, djk, None, dkl), (dil, djl, dkl, None))
+        p0 = p1
 
 
 def is_ptolemaic(space: SemimetricSpace, tol: float = DEFAULT_TOL) -> PtolemyReport:
@@ -396,12 +405,13 @@ def is_ptolemaic(space: SemimetricSpace, tol: float = DEFAULT_TOL) -> PtolemyRep
 
     Holds iff each product of "diagonal" distances is at most the sum of
     the other two products.  Exhaustive at a cost of 3 C(n, 4) inequalities,
-    streamed in O(n^2) memory; the witness is the first minimum margin in
-    (i, j, k, l, pairing) order, or the first violation when that one is
-    within its floor.  The products are formed on the distances
-    times 2**-e, e the binary exponent of the largest one, which is exact
-    and cannot overflow; scaled back, a report field may read inf, never
-    NaN.  Vacuously true for n < 4.
+    streamed by :func:`_quadruple_blocks` in blocks of whole (i, j) runs, so
+    in O(n^2 + _QUAD_BLOCK) memory; the witness is the first minimum margin
+    in (i, j, k, l, pairing) order, or the first violation when that one is
+    within its floor, whatever the block boundaries.  The products are
+    formed on the distances times 2**-e, e the binary exponent of the
+    largest one, which is exact and cannot overflow; scaled back, a report
+    field may read inf, never NaN.  Vacuously true for n < 4.
     """
     n = space.n
     _valid_tol(tol)
@@ -418,7 +428,7 @@ def is_ptolemaic(space: SemimetricSpace, tol: float = DEFAULT_TOL) -> PtolemyRep
 
         def witness(flat):
             m, pairing = divmod(flat, 3)
-            return (i, int(j[m]), int(k[m]), int(l[m]), pairing,
+            return (int(i[m]), int(j[m]), int(k[m]), int(l[m]), pairing,
                     float((ab, ce, fg)[pairing][m]), float(margins[m, pairing]))
 
         scan.add(margins, witness, lambda: -tol * np.stack([ab, ce, fg], axis=1))

@@ -442,6 +442,14 @@ def test_transfer_has_no_grid_option(capsys):
     assert "unrecognized arguments: --grid 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--domain", "--codomain", "--map"])
+def test_transfer_minimal_k2_with_a_map_flag_is_an_input_error(capsys, flag):
+    # the flag would otherwise be ignored, its file never read
+    code, out, err = run(capsys, "transfer", "--eta", "power:2", "--minimal-k2", "1",
+                         flag, "nonexist.json")
+    assert (code, out, err) == (2, "", f"error: --minimal-k2 reads no map: drop {flag}\n")
+
+
 def test_transfer_minimal_k2_rejects_nan(capsys):
     code, out, err = run(capsys, "transfer", "--eta", "power:2", "--minimal-k2", "nan")
     assert (code, out, err) == (2, "", "error: K1 must be >= 1\n")

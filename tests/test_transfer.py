@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from qsym import (
     verify_transfer_end_to_end,
 )
 
-from qsym import transfer
+from qsym import transfer, triangle
 from conftest import naive_ptolemy_transfer, naive_transfer_scan, power_table
 
 
@@ -257,6 +258,23 @@ def test_realized_ptolemy_transfer_matches_the_loop_oracle(X, case):
     D = np.asarray(X.dist)
     assert (transfer._power_table(eta, D, squared=True) is None) == \
         (power_table(eta, D, squared=True) is None)
+    assert repr((rep.implication_holds, rep.worst_value, rep.worst_quadruple,
+                 rep.worst_ratios, rep.checked)) == repr(naive_ptolemy_transfer(f, eta))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(0, 40), min_size=4, max_size=10, unique=True).map(collinear_space),
+    st.builds(euclidean_space, st.integers(4, 10), st.just(2), seed=st.integers(0, 999)),
+), st.sampled_from(PTOLEMY_CASES))
+def test_realized_ptolemy_transfer_matches_the_loop_oracle_at_every_block_size(block, X,
+                                                                              case):
+    # up to 10 points, so blocks of 64 quadruples split too
+    alpha, eta = case
+    f = snowflake_map(X, alpha)
+    with mock.patch.object(triangle, "_QUAD_BLOCK", block):
+        rep = ptolemy_transfer_check(f, eta, force_realized=True)
     assert repr((rep.implication_holds, rep.worst_value, rep.worst_quadruple,
                  rep.worst_ratios, rep.checked)) == repr(naive_ptolemy_transfer(f, eta))
 

@@ -1,4 +1,7 @@
+import itertools
+import tracemalloc
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from qsym import (
     Additive,
     CustomGauge,
     MaxGauge,
+    PowerModulus,
     ScaledAdditive,
     ValidationError,
     build_space,
@@ -18,11 +22,14 @@ from qsym import (
     is_ptolemaic,
     minimal_bmetric_K,
     parse_triangle_function,
+    ptolemy_transfer_check,
     random_semimetric_space,
     snowflake,
+    snowflake_map,
     transform_distances,
     ultrametric_space,
 )
+from qsym import triangle
 
 from conftest import (naive_minimal_K, naive_ptolemaic, naive_ptolemy_worst,
                       naive_triangle_margin, naive_triangle_worst)
@@ -274,6 +281,56 @@ def test_is_ptolemaic_matches_the_loop_oracle(X, tol):
     # every field, to the bit: the witness is the first minimum margin in
     # (i, j, k, l, pairing) order and the verdict reads each pairing's floor
     assert repr(is_ptolemaic(X, tol)) == repr(naive_ptolemy_worst(X, tol))
+
+
+#: Ptolemy block sizes that split the quadruples within and across base points
+QUAD_BLOCKS = (1, 7, 64)
+
+
+@pytest.mark.parametrize("block", QUAD_BLOCKS)
+def test_quadruple_blocks_are_whole_runs_of_the_4_subsets_in_order(monkeypatch, block):
+    monkeypatch.setattr(triangle, "_QUAD_BLOCK", block)
+    for n in range(4, 13):
+        D = np.arange(n * n, dtype=float).reshape(n, n)
+        D += D.T
+        blocks = list(triangle._quadruple_blocks(D))
+        quads = np.concatenate([np.stack(b[:4], axis=1) for b in blocks])
+        assert quads.tolist() == [list(c) for c in itertools.combinations(range(n), 4)]
+        for i, j, k, l, q in blocks:
+            # a block opens an (i, j) run, with (k, l) = (j + 1, j + 2)
+            assert (k[0], l[0]) == (j[0] + 1, j[0] + 2)
+            points = (i, j, k, l)
+            for a, b in itertools.permutations(range(4), 2):
+                assert q[a][b].tobytes() == D[points[a], points[b]].tobytes()
+        assert all(len(b[0]) >= block for b in blocks[:-1])
+
+
+@pytest.mark.parametrize("block", QUAD_BLOCKS)
+@settings(max_examples=50, deadline=None)
+@given(ptolemy_test_spaces(), st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_is_ptolemaic_matches_the_loop_oracle_at_every_block_size(block, X, tol):
+    with mock.patch.object(triangle, "_QUAD_BLOCK", block):
+        assert repr(is_ptolemaic(X, tol)) == repr(naive_ptolemy_worst(X, tol))
+
+
+@pytest.mark.parametrize("kernel", [
+    is_ptolemaic,
+    lambda X: ptolemy_transfer_check(snowflake_map(X, 0.5), PowerModulus(0.5),
+                                     force_realized=True),
+], ids=["is_ptolemaic", "ptolemy_transfer_check"])
+def test_the_ptolemy_kernels_stream_in_quadratic_memory(kernel):
+    # a block holds whole (i, j) runs, each at most C(n - 2, 2) quadruples,
+    # so the peak is O(n^2 + _QUAD_BLOCK) floats, not O(n^4) nor a whole
+    # base point's C(n - 1, 3) quadruples
+    n = 120
+    X = euclidean_space(n, 2, seed=1)
+    tracemalloc.start()
+    try:
+        assert kernel(X).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 8 * (n * n + triangle._QUAD_BLOCK)
 
 
 def test_parse_triangle_function():
