@@ -22,7 +22,7 @@ from .quasisymmetry import image_subset
 from .report import Report
 from .spaces import (DEFAULT_TOL, PointMap, SemimetricSpace, SubsetRef, _equal, _valid_tol,
                      _worst)
-from .triangle import _QUAD_ORDERINGS, _headroom, _pair_rows
+from .triangle import _QUAD_ORDERINGS, _distinct, _headroom, _pair_rows
 
 #: sample count for the generator monotonicity probe on [0, 1]
 GENERATOR_GRID = 128
@@ -47,19 +47,19 @@ def _between_columns(D: np.ndarray, tol: float):
     _valid_tol(tol)
     D, s = _headroom(D)
     xs, ys, zs, slacks = [], [], [], []
-    for x, lo, hi in _pair_rows(len(D)):
-        direct = D[x, lo:hi, None]
-        through = D[x] + D[lo:hi]  # d(x, y) + d(y, z)
+    for xa, xb, lo, hi in _pair_rows(len(D)):
+        direct = D[xa:xb, lo:hi, None]
+        through = D[xa:xb, None] + D[None, lo:hi]  # d(x, y) + d(y, z)
         ok = _equal(direct, through, tol)
-        ok[:, x] = False
-        np.fill_diagonal(ok[:, lo:hi], False)
+        _distinct(ok, xa, xb, lo, hi)  # y != x, z; z > x
         if not ok.any():
             continue
-        z, y = np.nonzero(ok)
-        xs += [x] * len(z)
+        x, z, y = np.nonzero(ok)
+        for i, count in enumerate(np.bincount(x, minlength=xb - xa).tolist()):
+            xs += [xa + i] * count
         ys += y.tolist()
         zs += (z + lo).tolist()
-        slacks += np.ldexp(np.abs(direct[z, 0] - through[z, y]), s).tolist()
+        slacks += np.ldexp(np.abs(direct[x, z, 0] - through[x, z, y]), s).tolist()
     return xs, ys, zs, slacks
 
 

@@ -32,6 +32,8 @@ from .triangle import (
     PtolemyReport,
     TriangleFunction,
     TriangleReport,
+    _distinct,
+    _pair_column,
     _pair_rows,
     _quadruple_blocks,
     _Scan,
@@ -114,6 +116,9 @@ def check_transfer_condition(
     first violation and the tightest pair (the first smallest conclusion)
     of the scan over all ordered (x, y, z) have x < y.  That scan stops
     after the first violating x; ``checked_pairs`` counts its premise pairs.
+    A block of ``_pair_rows`` may hold several base points, whose masked
+    rows y <= x hold no premise pair; a violation at one of them drops the
+    premise pairs of the block's later base points from the count.
     The premise side is Phi1(d(x,z)/d(x,y), d(y,z)/d(x,y)), the conclusion
     side Phi2(1/eta(t1), 1/eta(t2)) by the log path or, on a
     :func:`_power_table` (P, C, S), Phi2(P[x,z]/(C P[x,y]), P[y,z]/(C P[x,y])).
@@ -145,48 +150,59 @@ def check_transfer_condition(
         table = _power_table(eta, D)
         S = table[2] if table is not None and type(phi1) in _HOMOGENEOUS else None
 
-        def premise_rows(x, lo, hi):  # the premise pairs (x, y, z), lo <= y < hi
+        def premise_rows(xa, xb, lo, hi):  # the premise pairs of a block
             if S is None:
-                dxy = D[x, lo:hi, None]
-                lhs1 = np.asarray(phi1(D[x] / dxy, D[lo:hi] / dxy), dtype=float)
+                dxy = _pair_column(D, xa, xb, lo, hi)
+                lhs1 = np.asarray(phi1(D[xa:xb, None] / dxy, D[None, lo:hi] / dxy),
+                                  dtype=float)
                 premise = lhs1 >= 1.0 - tol
-            else:  # undivided: lhs1 is Phi1(S[x,z], S[y,z]), divided at the witness
-                lhs1 = phi1(S[x], S[lo:hi])
-                premise = lhs1 >= (1.0 - tol) * S[x, lo:hi, None]
-            premise[:, x] = False  # z != x
-            np.fill_diagonal(premise[:, lo:], False)  # z != y
+            else:  # undivided; the witness forms its lhs1 again, so that a
+                # block keeps one full-size float array fewer alive
+                lhs1 = None
+                premise = phi1(S[xa:xb, None], S[None, lo:hi]) >= \
+                    (1.0 - tol) * S[xa:xb, lo:hi, None]
+            _distinct(premise, xa, xb, lo, hi)  # z != x, y; y > x
             return lhs1, premise
 
         stop = n - 1
-        for x, lo, hi in _pair_rows(n):
-            if x > stop:
+        for xa, xb, lo, hi in _pair_rows(n):
+            if xa > stop:
                 break
-            lhs1, premise = premise_rows(x, lo, hi)
+            lhs1, premise = premise_rows(xa, xb, lo, hi)
             if table is None:
-                dxy = D[x, lo:hi, None]
+                dxy = _pair_column(D, xa, xb, lo, hi)
                 with np.errstate(divide="ignore"):
-                    t1, t2 = (dxy / D[x])[premise], (dxy / D[lo:hi])[premise]
+                    t1, t2 = (dxy / D[xa:xb, None])[premise], (dxy / D[None, lo:hi])[premise]
                 lhs2 = np.asarray(phi2(_inv_eta(eta, t1), _inv_eta(eta, t2)), dtype=float)
             else:
                 P, C, _ = table
-                cxy = C * P[x, lo:hi, None]
+                cxy = C * _pair_column(P, xa, xb, lo, hi)
                 if type(phi2) in _HOMOGENEOUS:
-                    lhs2 = (phi2(P[x], P[lo:hi]) / cxy)[premise]
+                    lhs2 = phi2(P[xa:xb, None], P[None, lo:hi])
+                    lhs2 /= cxy
+                    lhs2 = lhs2[premise]
                 else:
-                    lhs2 = np.asarray(phi2(P[x] / cxy, P[lo:hi] / cxy), dtype=float)[premise]
+                    lhs2 = np.asarray(phi2(P[xa:xb, None] / cxy, P[None, lo:hi] / cxy),
+                                      dtype=float)[premise]
             if not lhs2.size:
                 continue
 
             def witness(k):
-                y, z = divmod(int(np.flatnonzero(premise)[k]), n)
-                y += lo
-                return (float(D[x, y] / D[x, z]), float(D[x, y] / D[y, z]),
-                        float(lhs1[y - lo, z] / (1.0 if S is None else S[x, y])),
+                i, j, z = np.unravel_index(np.flatnonzero(premise)[k], premise.shape)
+                x, y = xa + i, lo + j
+                side = lhs1[i, j, z] if S is None else phi1(S[x, z], S[y, z]) / S[x, y]
+                return (float(D[x, y] / D[x, z]), float(D[x, y] / D[y, z]), float(side),
                         float(lhs2[k]))
 
             scan.add(lhs2, witness)
             if scan.violation is not None:
-                stop = x  # finish this x, where the full scan stops
+                # finish the violating x, where the full scan stops: in a
+                # packed block, drop the premise pairs of its later base points
+                stop = xa
+                if xb - xa > 1:
+                    at = np.flatnonzero(premise)[int(np.argmax(~(lhs2 >= scan.floor)))]
+                    stop += int(at) // premise[0].size
+                    scan.count -= int(np.count_nonzero(premise[stop - xa + 1:]))
         # the full scan meets each premise pair (x, y, z) again as (y, x, z)
         # in row y; after a violation, only the rows y <= stop
         checked = 2 * scan.count

@@ -221,13 +221,59 @@ def _headroom(D: np.ndarray):
 
 
 def _pair_rows(n: int):
-    """The pairs x < y in lexicographic order as ``(x, lo, hi)``: blocks of
-    whole y-rows lo <= y < hi for one x, about ``_PAIR_BLOCK`` (pair, z)
-    entries each, which a kernel reads as the slices d[x] and d[lo:hi]."""
-    step = max(1, _PAIR_BLOCK // n)
-    for x in range(n - 1):
-        for lo in range(x + 1, n, step):
-            yield x, lo, min(lo + step, n)
+    """The pairs x < y in lexicographic order, in rectangles ``(xa, xb, lo,
+    hi)`` of at most ``_PAIR_BLOCK`` (x, y, z) entries or one y-row: the
+    base points xa <= x < xb against lo <= y < hi and every z, which a
+    kernel reads as the broadcast views d[xa:xb, None], d[None, lo:hi] and
+    d[xa:xb, lo:hi, None], with no gathers.
+
+    A base point whose run of (n - 1 - x) n entries fills ``_PAIR_BLOCK``
+    is one block, or several y-runs of at least one row.  Otherwise a block
+    packs the next base points whose runs fit, against y in (xa, n): its
+    rows y <= x, ``_dupes``, repeat a pair or are the diagonal y = x, and
+    each kernel masks them.  Raveled, a block is in (x, y, z) order.
+    """
+    x = 0
+    while x < n - 1:
+        run = (n - 1 - x) * n
+        if run >= _PAIR_BLOCK:
+            step = max(1, _PAIR_BLOCK // n)
+            for lo in range(x + 1, n, step):
+                yield x, x + 1, lo, min(lo + step, n)
+            x += 1
+        else:
+            m = min(n - 1 - x, _PAIR_BLOCK // run)
+            yield x, x + m, x + 1, n
+            x += m
+
+
+def _dupes(xa, xb, lo, hi):
+    """The rows y <= x of a block of :func:`_pair_rows`, as an (xb - xa,
+    hi - lo) mask."""
+    return np.arange(lo, hi) <= np.arange(xa, xb)[:, None]
+
+
+def _pair_column(M, xa, xb, lo, hi):
+    """M[xa:xb, lo:hi, None] for a block of :func:`_pair_rows`, where the
+    masked rows of a packed block read M[x, hi - 1], a pair of that block,
+    instead: so a kernel that divides by d(x, y) never divides by d(x, x)."""
+    col = M[xa:xb, lo:hi, None]
+    if xb - xa == 1:
+        return col
+    return np.where(_dupes(xa, xb, lo, hi)[..., None], M[xa:xb, hi - 1, None, None], col)
+
+
+def _distinct(block, xa, xb, lo, hi):
+    """Clear, in a boolean block of :func:`_pair_rows`, the entries with
+    z = x or z = y and the masked rows y <= x."""
+    if xb - xa == 1:
+        block[0, :, xa] = False
+        np.fill_diagonal(block[0, :, lo:], False)
+        return
+    block[_dupes(xa, xb, lo, hi)] = False
+    i, j = np.arange(xb - xa), np.arange(hi - lo)
+    block[i, :, xa + i] = False
+    block[:, j, lo + j] = False
 
 
 class _Scan:
@@ -283,12 +329,17 @@ def check_triangle(
     d, s = _headroom(space.dist) if type(phi) in _HOMOGENEOUS else (space.dist, 0)
 
     scan = _Scan(0.0)  # every floor -tol d(x, y) is at most 0
-    for x, lo, hi in _pair_rows(n):
-        # margin[y - lo, z] = Phi(d(x, z), d(y, z)) - d(x, y)
-        margin = np.asarray(phi(d[x][None, :], d[lo:hi]), dtype=float)
-        lhs = d[x, lo:hi, None]
+    for xa, xb, lo, hi in _pair_rows(n):
+        # margin[x - xa, y - lo, z] = Phi(d(x, z), d(y, z)) - d(x, y)
+        margin = np.asarray(phi(d[xa:xb, None], d[None, lo:hi]), dtype=float)
+        lhs = d[xa:xb, lo:hi, None]
         margin -= lhs
-        scan.add(margin, lambda k: (x, k % n, lo + k // n), lambda: -tol * lhs)
+        if xb - xa > 1:
+            margin[_dupes(xa, xb, lo, hi)] = np.inf
+        rows = (hi - lo) * n
+        scan.add(margin, lambda k: (xa + k // rows, k % n, lo + k % rows // n),
+                 lambda: -tol * lhs)
+        del margin  # one full-size block alive at a time: the heap reuses its memory
 
     x, z, y = scan.least
     if scan.violation is not None and scan.low >= -tol * d[x, y]:
@@ -314,9 +365,13 @@ def minimal_bmetric_K(space: SemimetricSpace) -> float:
         return 0.0
     d = _headroom(space.dist)[0]
     best = 0.0
-    for x, lo, hi in _pair_rows(n):
-        # y > x, so each denominator has a positive term: no 0/0, no t/0
-        m = float(np.max(d[x, lo:hi, None] / (d[x][None, :] + d[lo:hi])))
+    for xa, xb, lo, hi in _pair_rows(n):
+        # y > x, so each denominator has a positive term: no 0/0, no t/0;
+        # a masked row y <= x reads t/inf = 0
+        den = d[xa:xb, None] + d[None, lo:hi]
+        if xb - xa > 1:
+            den[_dupes(xa, xb, lo, hi)] = np.inf
+        m = float(np.max(np.divide(d[xa:xb, lo:hi, None], den, out=den)))
         if m > best:
             best = m
     return best

@@ -4,6 +4,8 @@ tie-heavy spaces, at several block sizes, and the symmetry they rely on:
 each kernel scans the pairs x < y only, which is exact when both the
 distance matrix and the gauge are symmetric bit for bit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +14,11 @@ from qsym import (
     Additive,
     CustomGauge,
     MaxGauge,
+    PowerModulus,
     ScaledAdditive,
     betweenness_triples,
     build_space,
+    check_transfer_condition,
     check_triangle,
     collinear_space,
     euclidean_space,
@@ -67,13 +71,16 @@ def test_pair_kernels_match_the_loop_oracles_on_ties(X):
     assert [(t.x, t.y, t.z) for t in betweenness_triples(X)] == in_scan_order
 
 
-@pytest.mark.parametrize("block", [1, 7, 40])
+@pytest.mark.parametrize("block", [1, 7, 40, 200, 500])
 def test_pair_kernels_are_independent_of_the_block_size(monkeypatch, block):
-    # at these sizes the default block is one whole x; smaller blocks split
-    # the y-rows of one x and must give the same reports
+    # at these sizes the default block packs the whole space; blocks of 200
+    # and 500 cut a packed rectangle mid-space, and smaller ones split the
+    # y-rows of one x: all must give the same reports
     spaces = tie_heavy_spaces() + [euclidean_space(13, 2, seed=3),
                                    random_semimetric_space(11, seed=4),
-                                   collinear_space([0.0, 1.0])]
+                                   euclidean_space(23, 2, seed=5),
+                                   collinear_space([0.0]), collinear_space([0.0, 1.0]),
+                                   collinear_space([0.0, 1.0, 3.0])]
 
     def run(X):
         return ([check_triangle(X, phi) for phi in GAUGES], minimal_bmetric_K(X),
@@ -83,6 +90,41 @@ def test_pair_kernels_are_independent_of_the_block_size(monkeypatch, block):
     monkeypatch.setattr(triangle, "_PAIR_BLOCK", block)
     assert [run(X) for X in spaces] == whole
     assert any(not rep.holds for rep in (w[3] for w in whole))
+
+
+@pytest.mark.parametrize("block", [1, 7, 40, 200, 500, triangle._PAIR_BLOCK])
+def test_pair_rows_cover_each_pair_once_in_order(monkeypatch, block):
+    # the rows y > x of the blocks, read in order, are the pairs x < y in
+    # lexicographic order, and a block holds at most one y-row or the block
+    # size of (x, y, z) entries, whichever is larger
+    monkeypatch.setattr(triangle, "_PAIR_BLOCK", block)
+    for n in range(25):
+        seen = []
+        for xa, xb, lo, hi in triangle._pair_rows(n):
+            assert (xb - xa) * (hi - lo) * n <= max(block, n)
+            seen += [(x, y) for x in range(xa, xb) for y in range(lo, hi) if y > x]
+        assert seen == [(x, y) for x in range(n) for y in range(x + 1, n)]
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda X: check_triangle(X, Additive()),
+    minimal_bmetric_K,
+    lambda X: check_transfer_condition(Additive(), Additive(), PowerModulus(0.5), pairs=X),
+    betweenness_triples,
+], ids=["check_triangle", "minimal_bmetric_K", "check_transfer_condition", "betweenness_triples"])
+def test_the_pair_kernels_stream_in_quadratic_memory(kernel):
+    # a block holds at most _PAIR_BLOCK (x, y, z) entries or one y-row, so
+    # the peak is O(n^2 + _PAIR_BLOCK) floats, not O(n^3); the last base
+    # points at n=300 are packed
+    n = 300
+    X = euclidean_space(n, 2, seed=1)
+    tracemalloc.start()
+    try:
+        kernel(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * (n * n + triangle._PAIR_BLOCK)
 
 
 def bit_symmetric(X):

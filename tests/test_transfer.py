@@ -103,12 +103,22 @@ def test_realized_transfer_accepts_space():
     assert rep.holds and rep.mode == "realized"
 
 
-@pytest.mark.parametrize("block", [1, 7, 40])
-def test_realized_transfer_is_independent_of_the_block_size(monkeypatch, block):
-    # at these sizes the default batch is one whole base point; smaller
-    # batches must give the same count, first violation and tightest pair
-    from qsym import triangle
+def late_violation_space(n=17):
+    """Three points 100 apart from every other point, then a planar
+    cluster: base points 0, 1 and 2 see every t1 = 1, so under power:2
+    the first violation of the transfer scan has x >= 3."""
+    D = np.full((n, n), 100.0)
+    D[3:, 3:] = euclidean_space(n - 3, 2, seed=8).dist
+    np.fill_diagonal(D, 0.0)
+    return build_space([f"p{i}" for i in range(n)], D)
 
+
+@pytest.mark.parametrize("block", [1, 7, 40, 200, 500])
+def test_realized_transfer_is_independent_of_the_block_size(monkeypatch, block):
+    # at these sizes the default block packs the whole space; blocks of 200
+    # and 500 cut a packed rectangle mid-space, and smaller ones split the
+    # y-rows of one base point: all must give the same count, first
+    # violation and tightest pair
     cases = [
         (Additive(), Additive(), PowerModulus(0.5), euclidean_space(23, 2, seed=3)),
         (Additive(), Additive(), PowerModulus(2.0), euclidean_space(23, 2, seed=3)),
@@ -116,6 +126,10 @@ def test_realized_transfer_is_independent_of_the_block_size(monkeypatch, block):
          random_semimetric_space(19, seed=4)),
         (MaxGauge(), MaxGauge(), PowerModulus(0.5), ultrametric_space(17, seed=5)),
         (Additive(), Additive(), PowerModulus(0.5), collinear_space([0.0, 1.0])),
+        (Additive(), Additive(), PowerModulus(2.0), late_violation_space()),
+        (Additive(), Additive(), CallableModulus(lambda t: t * t), late_violation_space(13)),
+        (Additive(), Additive(), PowerModulus(2.0), collinear_space([0.0])),
+        (Additive(), Additive(), PowerModulus(2.0), collinear_space([0.0, 1.0, 2.0])),
     ]
     whole = [check_transfer_condition(*c[:3], pairs=c[3]) for c in cases]
     monkeypatch.setattr(triangle, "_PAIR_BLOCK", block)
@@ -123,6 +137,22 @@ def test_realized_transfer_is_independent_of_the_block_size(monkeypatch, block):
         assert check_transfer_condition(*c[:3], pairs=c[3]) == expect
     assert not whole[1].holds and whole[0].holds
     assert whole[4].checked_pairs == 0 and whole[4].worst is None
+    assert whole[7].checked_pairs == 0 and whole[7].worst is None
+    # the midpoint 1 of 0 and 2: t1 = t2 = 2, a violation at x = 0
+    assert not whole[8].holds and whole[8].worst[:2] == (2.0, 2.0)
+
+
+@pytest.mark.parametrize("eta", [PowerModulus(2.0), CallableModulus(lambda t: t * t)])
+def test_a_violation_past_the_first_base_point_of_a_packed_block(eta):
+    # the default block packs all 17 base points; the scan must stop after
+    # the violating one, so the count drops the later base points' premises
+    X = late_violation_space()
+    assert [rows[:2] for rows in triangle._pair_rows(X.n)] == [(0, 16)]
+    rep = check_transfer_condition(Additive(), Additive(), eta, pairs=X)
+    oracle = naive_transfer_scan(Additive(), Additive(), eta, X)
+    assert not rep.holds
+    assert (rep.checked_pairs, rep.worst) == (oracle.checked_pairs, oracle.worst)
+    assert rep.worst[0] != 1.0  # so x >= 3
 
 
 #: validated on its probe grid, which stops at 1e6, and NaN past it
