@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionFailed, ValidationError
-from .moduli import CompositeModulus, Modulus, _vectorized
+from .moduli import CompositeModulus, Modulus, _inv_eta, _vectorized
 from .quasisymmetry import image_subset
 from .report import Report
 from .spaces import (DEFAULT_TOL, PointMap, SemimetricSpace, SubsetRef, _equal, _valid_tol,
@@ -177,10 +177,7 @@ def check_l02_conditions(
     direct = np.asarray(eta.eval(t1), dtype=float) + np.asarray(
         eta.eval(t2), dtype=float
     )
-    with np.errstate(over="ignore", divide="ignore"):
-        recip = np.exp(-np.asarray(eta.log_eval(1.0 / t1), dtype=float)) + np.exp(
-            -np.asarray(eta.log_eval(1.0 / t2), dtype=float)
-        )
+    recip = _inv_eta(eta, 1.0 / t1) + _inv_eta(eta, 1.0 / t2)
     sum_defect, sum_ok = np.abs(direct - 1.0), _equal(1.0, direct, tol)
     recip_defect, recip_ok = np.abs(recip - 1.0), _equal(1.0, recip, tol)
     sufficiency = bool(sum_ok.all() and recip_ok.all())

@@ -8,6 +8,9 @@ Valid moduli fix 0 and are strictly increasing; parametric variants are
 checked analytically, everything else on a 1024-point log-spaced probe
 grid.  The empirical variant is the right-continuous step envelope
 recovered from a concrete map and is allowed to be merely nondecreasing.
+The power moduli C t**alpha (``power:``, ``linear:``, ``bilip:``) are one
+class with its alpha = 1 members as subclasses; other modules read C and
+alpha through the exact-type tuple ``_POWER_FAMILY``.
 """
 
 from __future__ import annotations
@@ -84,7 +87,11 @@ def _check_grid_monotone(m: Modulus, what: str = "modulus"):
 
 
 class PowerModulus(Modulus):
-    """eta(t) = t**alpha, alpha > 0; the snowflake control function."""
+    """eta(t) = C t**alpha.  ``PowerModulus(alpha)`` is the snowflake t**alpha;
+    its subclasses are the alpha = 1 members.  Each computes C t or t**alpha."""
+
+    C = 1.0
+    log_C = 0.0
 
     def __init__(self, alpha: float):
         alpha = float(alpha)
@@ -94,47 +101,69 @@ class PowerModulus(Modulus):
         self.name = f"power:{alpha:g}"
 
     def eval(self, t):
-        return np.asarray(t, dtype=float) ** self.alpha
+        t = np.asarray(t, dtype=float)
+        if self.alpha == 1.0:
+            return self.C * t
+        return t ** self.alpha if self.C == 1.0 else self.C * t ** self.alpha
 
     def log_eval(self, t):
         with np.errstate(divide="ignore"):
-            return self.alpha * np.log(np.asarray(t, dtype=float))
+            lt = np.log(np.asarray(t, dtype=float))
+        if self.alpha != 1.0:
+            lt = self.alpha * lt
+        return lt if self.C == 1.0 else self.log_C + lt
 
 
-class LinearModulus(Modulus):
+class LinearModulus(PowerModulus):
     """eta(t) = C t, C > 0."""
+
+    alpha = 1.0
 
     def __init__(self, C: float):
         C = float(C)
         if C <= 0:
             raise ValueError(f"linear modulus needs C > 0, got {C}")
-        self.C = C
+        self.C, self.log_C = C, np.log(C)
         self.name = f"linear:{C:g}"
 
-    def eval(self, t):
-        return self.C * np.asarray(t, dtype=float)
 
-    def log_eval(self, t):
-        with np.errstate(divide="ignore"):
-            return np.log(self.C) + np.log(np.asarray(t, dtype=float))
-
-
-class BiLipschitzModulus(Modulus):
+class BiLipschitzModulus(PowerModulus):
     """eta(t) = L**2 t: the control function of an L-bi-Lipschitz map."""
+
+    alpha = 1.0
 
     def __init__(self, L: float):
         L = float(L)
         if L < 1:
             raise ValueError(f"bi-Lipschitz constant must be >= 1, got {L}")
         self.L = L
+        self.C, self.log_C = L ** 2, 2.0 * np.log(L)
         self.name = f"bilip:{L:g}"
 
-    def eval(self, t):
-        return (self.L ** 2) * np.asarray(t, dtype=float)
 
-    def log_eval(self, t):
-        with np.errstate(divide="ignore"):
-            return 2.0 * np.log(self.L) + np.log(np.asarray(t, dtype=float))
+#: the power family, as exact classes: a user subclass may override ``eval``
+_POWER_FAMILY = (PowerModulus, LinearModulus, BiLipschitzModulus)
+
+
+def _inv_eta(eta: Modulus, t: np.ndarray) -> np.ndarray:
+    """1/eta(t) through the log path, stable under overflow of eta."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.exp(-np.asarray(eta.log_eval(t), dtype=float))
+
+
+def _submult_failure(p: Callable, C: float = 1.0) -> Optional[tuple]:
+    """The first (u, v, lhs, rhs) on the ``SUBMULT_AXIS`` grid with lhs = p(uv)
+    above rhs = C p(u) p(v) by a relative 1e-9, or None; inf > inf is false."""
+    u = SUBMULT_AXIS[:, None]
+    v = SUBMULT_AXIS[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.asarray(p(u * v), dtype=float)
+        rhs = C * np.asarray(p(u), dtype=float) * np.asarray(p(v), dtype=float)
+        bad = (1.0 - 1e-9) * lhs > rhs
+    if not np.any(bad):
+        return None
+    i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return SUBMULT_AXIS[i], SUBMULT_AXIS[j], lhs[i, j], rhs[i, j]
 
 
 def _log_expm1(x):
@@ -404,15 +433,12 @@ def _bisect(fn: Callable, y, name: str):
 def inverse_modulus(eta: Modulus) -> Modulus:
     """The control function of the inverse map: eta'(t) = 1 / eta^{-1}(1/t).
 
-    Closed forms: power alpha -> power 1/alpha, linear C -> linear C,
-    bi-Lipschitz L -> itself.  Step moduli are not invertible.
+    Closed forms on the power family: a member with alpha = 1 (C t) is its
+    own inverse, and t**alpha inverts to t**(1/alpha).  Step moduli are not
+    invertible.
     """
-    if isinstance(eta, PowerModulus):
-        return PowerModulus(1.0 / eta.alpha)
-    if isinstance(eta, BiLipschitzModulus):
-        return BiLipschitzModulus(eta.L)
-    if isinstance(eta, LinearModulus):
-        return LinearModulus(eta.C)
+    if type(eta) in _POWER_FAMILY:
+        return eta if eta.alpha == 1.0 else PowerModulus(1.0 / eta.alpha)
     if isinstance(eta, EmpiricalModulus):
         raise NotInvertible("a step modulus has no strictly increasing inverse")
     return NumericInverseModulus(eta)

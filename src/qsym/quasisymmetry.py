@@ -32,13 +32,12 @@ import numpy as np
 
 from .errors import PreconditionFailed, ValidationError
 from .moduli import (
-    BiLipschitzModulus,
+    _POWER_FAMILY,
     EmpiricalModulus,
-    LinearModulus,
     Modulus,
     MONOTONE_GRID,
-    SUBMULT_AXIS,
     SandwichModulus,
+    _submult_failure,
     _vectorized,
 )
 from .report import Report
@@ -429,17 +428,11 @@ def eta_from_sandwich(
             f"phi1 = {v1[k]:.6g}, phi2 = {v2[k]:.6g}, K = {K:g}"
         )
 
-    u = SUBMULT_AXIS[:, None]
-    v = SUBMULT_AXIS[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = np.asarray(p2(u * v), dtype=float)
-        rhs = C * np.asarray(p2(u), dtype=float) * np.asarray(p2(v), dtype=float)
-        bad = (1.0 - 1e-9) * lhs > rhs
-    if np.any(bad):
-        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    if failure := _submult_failure(p2, C):
+        u, v, lhs, rhs = failure
         raise ValidationError(
-            f"phi2(uv) <= C phi2(u) phi2(v) fails at u = {SUBMULT_AXIS[i]:.6g}, "
-            f"v = {SUBMULT_AXIS[j]:.6g}: lhs = {lhs[i, j]:.6g}, rhs = {rhs[i, j]:.6g}"
+            f"phi2(uv) <= C phi2(u) phi2(v) fails at u = {u:.6g}, v = {v:.6g}: "
+            f"lhs = {lhs:.6g}, rhs = {rhs:.6g}"
         )
     return SandwichModulus(C, K, p1, label=label)
 
@@ -605,8 +598,8 @@ def bounded_image_bounds(
             <= rho(fx, fy) <=
         diam fX * eta(d(x,y) / phi1inv(diam X)).
 
-    When eta is linear (C t, or a bi-Lipschitz L**2 t) the report also
-    carries the derived bi-Lipschitz constant
+    When eta is C t (``linear:C``, ``bilip:L`` with C = L**2, ``power:1``)
+    the report also carries the derived bi-Lipschitz constant
     2 C max(diam fX / diam X, diam X / diam fX).
     """
     n = f.domain.n
@@ -634,13 +627,9 @@ def bounded_image_bounds(
     pair_up = (int(iu[0][iu_up]), int(iu[1][iu_up]))
     pair_low = (int(iu[0][iu_low]), int(iu[1][iu_low]))
 
-    derived_L = C = None
-    if isinstance(eta, LinearModulus):
-        C = eta.C
-    elif isinstance(eta, BiLipschitzModulus):
-        C = eta.L ** 2
-    if C is not None:
-        derived_L = 2.0 * C * max(dfX / dX, dX / dfX)
+    derived_L = None
+    if type(eta) in _POWER_FAMILY and eta.alpha == 1.0:
+        derived_L = 2.0 * eta.C * max(dfX / dX, dX / dfX)
 
     holds = bool(np.all(up_slack >= -tol * rho) and np.all(low_slack >= -tol * lower))
     return PairBoundsReport(dX, dfX, float(up_slack[iu_up]), pair_up, float(low_slack[iu_low]),

@@ -8,7 +8,7 @@ ratios or on a log grid, derive the minimal scaled-additive coefficient
 the image can be given, and run the whole chain end to end, including the
 four-ratio Ptolemy variant.
 
-For eta(t) = C t**alpha (power, linear, bi-Lipschitz) the realized scans
+For eta(t) = C t**alpha in ``moduli._POWER_FAMILY`` the realized scans
 read eta(d(x,y)/d(x,z)) = C P[x,y] / P[x,z] off the table P = d**alpha, n**2
 powers; other moduli take the log path 1/eta(t) = exp(-log eta(t)).
 """
@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import PreconditionFailed, ValidationError
-from .moduli import BiLipschitzModulus, LinearModulus, Modulus, PowerModulus
+from .moduli import _POWER_FAMILY, Modulus, PowerModulus, _inv_eta
 from .quasisymmetry import check_qs
 from .report import Report
 from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace, _valid_tol
@@ -50,23 +50,15 @@ TRANSFER_GRID_POINTS = 256
 TRANSFER_GRID_SPAN = (1e-4, 1e4)
 
 
-def _inv_eta(eta: Modulus, t: np.ndarray) -> np.ndarray:
-    """1/eta(t) through the log path, stable under overflow of eta."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.exp(-np.asarray(eta.log_eval(t), dtype=float))
-
-
 def _power_table(eta: Modulus, D: np.ndarray, squared: bool = False):
-    """``(P, C, S)`` for eta(t) = C t**alpha: S = D 2**-e, e the binary exponent
-    of the largest distance, and P = S**alpha, the same at every scale 2**k D.
-    None (the log path) for other moduli, or when a scaled distance or C
-    times the least off-diagonal P (squared for the four-ratio products) is
-    not a normal float, as for distances over 1e-200..1 at alpha = 2."""
-    form = {PowerModulus: lambda: (1.0, eta.alpha), LinearModulus: lambda: (eta.C, 1.0),
-            BiLipschitzModulus: lambda: (eta.L ** 2, 1.0)}.get(type(eta))  # exact classes
-    if form is None:
+    """``(P, C, S)`` for eta(t) = C t**alpha in ``_POWER_FAMILY``: S = D 2**-e,
+    e the binary exponent of the largest distance, and P = S**alpha, the same
+    at every scale 2**k D.  None (the log path) for other moduli, or when a
+    scaled distance or C times the least off-diagonal P (squared for the
+    four-ratio products) is not a normal float, as for 1e-200..1 at alpha 2."""
+    if type(eta) not in _POWER_FAMILY:
         return None
-    C, alpha = form()
+    C, alpha = eta.C, eta.alpha
     off = ~np.eye(len(D), dtype=bool)
     S = np.ldexp(D, -math.frexp(float(np.max(D, initial=0.0)))[1])
     P = S ** alpha
@@ -354,9 +346,9 @@ def ptolemy_transfer_check(
     """Does the map carry the Ptolemy inequality to its image?
 
     Preconditions: the domain is Ptolemaic, f is a bijection, and eta
-    verifies f.  For eta = t**alpha with alpha <= 1 the four-ratio
-    implication holds analytically (subadditivity of u**alpha) and only
-    the image is verified; otherwise the implication
+    verifies f.  For eta = t**alpha, alpha <= 1, of exact type PowerModulus
+    the four-ratio implication holds analytically (subadditivity of
+    u**alpha) and only the image is verified; otherwise the implication
 
         t1 t2 t3 t4 <= t1 t2 + t3 t4
             implies  eta(t1)eta(t2)eta(t3)eta(t4)
@@ -379,7 +371,7 @@ def ptolemy_transfer_check(
                    "domain Ptolemy: fails at quadruple")
     image = is_ptolemaic(f.codomain, tol=tol)
 
-    if isinstance(eta, PowerModulus) and eta.alpha <= 1.0 and not force_realized:
+    if type(eta) is PowerModulus and eta.alpha <= 1.0 and not force_realized:
         return PtolemyTransferReport(
             image.holds, "analytic", True, 0, None, None, None, image, tol
         )

@@ -5,10 +5,10 @@ triangle inequality: a space satisfies Phi when
 
     d(x, y) <= Phi(d(x, z), d(y, z))   for all points x != y and every z.
 
-``Additive`` gives metrics, ``ScaledAdditive(K)`` gives b-metrics with
-coefficient K, ``MaxGauge`` gives ultrametrics, and ``CustomGauge`` wraps a
-user function after probing it for symmetry and monotonicity on a fixed
-grid.
+``ScaledAdditive(K)`` gives b-metrics with coefficient K, and its K = 1
+member ``Additive`` gives metrics; ``MaxGauge`` gives ultrametrics, and
+``CustomGauge`` wraps a user function after probing it for symmetry and
+monotonicity on a fixed grid.
 """
 
 from __future__ import annotations
@@ -24,11 +24,8 @@ from .moduli import _bisect, _vectorized
 from .report import Report
 from .spaces import DEFAULT_TOL, SemimetricSpace, _valid_tol
 
-#: probe grid used to validate custom gauges (both axes)
+#: probe axis of custom gauges: both validation axes and the diagonal probe
 GAUGE_PROBE_AXIS = np.geomspace(1e-6, 1e6, 64)
-
-#: probe grid used to test diagonal invertibility
-DIAG_PROBE_AXIS = np.geomspace(1e-6, 1e6, 64)
 
 
 class TriangleFunction:
@@ -57,22 +54,6 @@ class TriangleFunction:
         return self.name
 
 
-class Additive(TriangleFunction):
-    """Phi(u, v) = u + v: the ordinary triangle inequality."""
-
-    name = "additive"
-
-    def __call__(self, u, v):
-        return np.asarray(u) + np.asarray(v)
-
-    def diag_inverse(self, y):
-        return y / 2.0
-
-    @property
-    def classical_coefficient(self):
-        return 1.0
-
-
 class ScaledAdditive(TriangleFunction):
     """Phi(u, v) = K (u + v) with K >= 1: the b-metric inequality."""
 
@@ -84,7 +65,8 @@ class ScaledAdditive(TriangleFunction):
         self.name = f"bmetric:{K:g}"
 
     def __call__(self, u, v):
-        return self.K * (np.asarray(u) + np.asarray(v))
+        s = np.asarray(u) + np.asarray(v)
+        return s if self.K == 1.0 else self.K * s
 
     def diag_inverse(self, y):
         return y / (2.0 * self.K)
@@ -92,6 +74,14 @@ class ScaledAdditive(TriangleFunction):
     @property
     def classical_coefficient(self):
         return self.K
+
+
+class Additive(ScaledAdditive):
+    """Phi(u, v) = u + v: the ordinary triangle inequality."""
+
+    def __init__(self):
+        super().__init__(1.0)
+        self.name = "additive"
 
 
 class MaxGauge(TriangleFunction):
@@ -110,9 +100,6 @@ class MaxGauge(TriangleFunction):
         # max(u, v) <= u + v <= 2 max(u, v), so the classical bound holds
         # with the halved coefficient.
         return 0.5
-
-    def describe(self):
-        return "max"
 
 
 class CustomGauge(TriangleFunction):
@@ -162,7 +149,7 @@ def _bisect_diag(phi: TriangleFunction, y: float) -> float:
     """Invert phi.diag by the modulus bisection, once the diagonal is seen
     to be strictly increasing on the probe grid."""
     if float(y) > 0:
-        probe = np.asarray(phi.diag(DIAG_PROBE_AXIS), dtype=float)
+        probe = np.asarray(phi.diag(GAUGE_PROBE_AXIS), dtype=float)
         if np.any(np.diff(probe) <= 0):
             raise NotInvertible(
                 f"{phi.name}: diagonal gauge is not strictly increasing on the probe grid"

@@ -27,7 +27,7 @@ from .moduli import (
     INVOLUTION_GRID,
     InvolutiveModulus,
     Modulus,
-    SUBMULT_AXIS,
+    _submult_failure,
     _vectorized,
 )
 from .quasisymmetry import check_qs
@@ -454,20 +454,11 @@ def qs_from_weaksim(
             f"phistar({dv[i]:.6g}) = {got[i]:.6g}, but the realization needs "
             f"{cv[i]:.6g}"
         )
-    u = SUBMULT_AXIS[:, None]
-    v = SUBMULT_AXIS[None, :]
-    # fast-growing continuations overflow at the far corner of the probe
-    # grid; inf on both sides compares as equal and asserts nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = np.asarray(p(u * v), dtype=float)
-        rhs = np.asarray(p(u), dtype=float) * np.asarray(p(v), dtype=float)
-        bad = (1.0 - 1e-9) * lhs > rhs
-    if np.any(bad):
-        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    if failure := _submult_failure(p):
+        u, v, lhs, rhs = failure
         raise ValidationError(
-            f"phistar({SUBMULT_AXIS[i] * SUBMULT_AXIS[j]:.6g}) = "
-            f"{lhs[i, j]:.6g} > {rhs[i, j]:.6g} = phistar({SUBMULT_AXIS[i]:.6g})"
-            f" * phistar({SUBMULT_AXIS[j]:.6g})"
+            f"phistar({u * v:.6g}) = {lhs:.6g} > {rhs:.6g} = phistar({u:.6g})"
+            f" * phistar({v:.6g})"
         )
     eta = CallableModulus(p, label="phistar")
     rep = check_qs(ws.f, eta, tol=tol)
