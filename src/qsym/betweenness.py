@@ -20,9 +20,9 @@ from .errors import PreconditionFailed, ValidationError
 from .moduli import CompositeModulus, Modulus, _inv_eta, _vectorized
 from .quasisymmetry import image_subset
 from .report import Report
-from .spaces import (DEFAULT_TOL, PointMap, SemimetricSpace, SubsetRef, _equal, _valid_tol,
-                     _worst)
-from .triangle import _QUAD_ORDERINGS, _distinct, _headroom, _pair_rows
+from .spaces import (DEFAULT_TOL, PointMap, SemimetricSpace, SubsetRef, _equal, _scaled,
+                     _unscaled, _valid_tol, _worst)
+from .triangle import _QUAD_ORDERINGS, _distinct, _pair_rows
 
 #: sample count for the generator monotonicity probe on [0, 1]
 GENERATOR_GRID = 128
@@ -43,9 +43,9 @@ class BetweennessTriple(NamedTuple):
 def _between_columns(D: np.ndarray, tol: float):
     """The betweenness triples of D as four lists x, y, z, slack, with
     x < z, in (x, z, y) order: each pair row (x, z) against every y, on the
-    distances of :func:`triangle._headroom`, with the slacks scaled back."""
+    distances of :func:`spaces._scaled`, with the slacks scaled back."""
     _valid_tol(tol)
-    D, s = _headroom(D)
+    D, s = _scaled(D)
     xs, ys, zs, slacks = [], [], [], []
     for xa, xb, lo, hi in _pair_rows(len(D)):
         direct = D[xa:xb, lo:hi, None]
@@ -59,7 +59,7 @@ def _between_columns(D: np.ndarray, tol: float):
             xs += [xa + i] * count
         ys += y.tolist()
         zs += (z + lo).tolist()
-        slacks += np.ldexp(np.abs(direct[x, z, 0] - through[x, z, y]), s).tolist()
+        slacks += _unscaled(np.abs(direct[x, z, 0] - through[x, z, y]), s).tolist()
     return xs, ys, zs, slacks
 
 
@@ -107,12 +107,12 @@ def preserves_betweenness(
 ) -> BetweennessPreservationReport:
     """Check that every domain betweenness triple maps to an image triple
     satisfying the same additive equality within tol; both sides read
-    their distances through :func:`triangle._headroom`."""
+    their distances through :func:`spaces._scaled`."""
     xs, ys, zs, slacks = _between_columns(np.asarray(f.domain.dist), tol)
-    R, s = _headroom(f.image_matrix())
+    R, s = _scaled(f.image_matrix())
     direct = R[xs, zs]
     through = R[xs, ys] + R[ys, zs]
-    image = np.ldexp(np.abs(direct - through), s)
+    image = _unscaled(np.abs(direct - through), s)
     bad = np.flatnonzero(~_equal(direct, through, tol)).tolist()
     violations = tuple(
         BetweennessViolation(xs[i], ys[i], zs[i], slacks[i], float(image[i])) for i in bad

@@ -22,7 +22,8 @@ distortion bounds.
 
 from __future__ import annotations
 
-from contextlib import suppress
+import math
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -41,7 +42,7 @@ from .moduli import (
     _vectorized,
 )
 from .report import Report
-from .spaces import DEFAULT_TOL, PointMap, SubsetRef, _valid_tol, diameter
+from .spaces import _TINY, DEFAULT_TOL, PointMap, SubsetRef, _valid_tol, _wide, diameter
 from .triangle import TriangleFunction, invert_diag
 
 #: pinned tolerances of the ratio-identity report
@@ -140,6 +141,30 @@ def _ratios(v: np.ndarray) -> np.ndarray:
     return (v[:, :, None] / v[:, None, :]).ravel()
 
 
+def _log_ratios(v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """log v[i, a] - log v[i, b] at positions k of ``_ratios(v)``."""
+    i, a, b = np.unravel_index(k, (len(v), v.shape[1], v.shape[1]))
+    return np.log(v[i, a]) - np.log(v[i, b])
+
+
+def _off_range(f: PointMap, eta: Modulus, start: int, pos, *ratios) -> np.ndarray:
+    """The indices at which some array of ``ratios`` reads 0 or inf or is
+    subnormal.  The arrays hold the ratios at positions ``pos`` (all when
+    None) of the block of :func:`_rows` that starts at ``start``.  Only the
+    members of ``moduli._POWER_FAMILY`` are decided there, in logs; for any
+    other modulus the first such index is a :class:`ValidationError` that
+    names its triple."""
+    normal = np.logical_and.reduce([(v >= _TINY) & (v < np.inf) for v in ratios])
+    odd = np.flatnonzero(~normal)
+    if odd.size and type(eta) not in _POWER_FAMILY:
+        at = odd[0] if pos is None else pos[odd[0]]
+        x, a, b = (f.domain.labels[i] for i in _triples(f.domain.n, start + at))
+        raise ValidationError(
+            f"the ratio d({x},{a})/d({x},{b}) or its image is not a normal float: "
+            "only a power modulus (power:, linear:, bilip:) is compared there, in logs")
+    return odd
+
+
 def _records(t: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Positions of the strict records of the running maximum H of h over
     t: one for each distinct t at which H rises, in increasing t.  Each is
@@ -219,6 +244,12 @@ def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
     The witness is ranked by t and r, not by scan position, so this scan
     keeps its own rule instead of the first-in-order ``triangle._Scan``.
 
+    Where the domain or codomain distances span 2**1022 or more
+    (:func:`spaces._wide`), a ratio t or r of :func:`_off_range` is decided
+    in logs, log C + alpha log t >= log(1 - tol) + log r, each log a
+    difference of logs of distances; the report shows t, r and eta(t) as
+    they read in floats, so an overflowed ratio reads inf.
+
     A map that collapses one pair while another stays apart fails without
     a scan: the witness is the triple (x, a, b) of :func:`_collapse`, with
     t = d(x,a)/d(x,b), image ratio inf, eta_at_t = eta(t) and ``checked``
@@ -247,31 +278,40 @@ def _scan_qs(f: PointMap, eta: Modulus, tol: float) -> QsReport:
         t = float(f.domain.dist[x, a] / f.domain.dist[x, b])
         return QsReport(False, collapse, (lab[x], lab[a], lab[b]), t, np.inf,
                         float(np.asarray(eta.eval(t))), eta.describe(), tol, 0)
+    wide = _wide(f.domain.dist) or _wide(f.codomain.dist)
+    log_floor = math.log1p(-tol) if tol < 1.0 else -math.inf
     checked = 0
     lo = np.inf
     worst = None  # (r, eta(lo), x, a, b) of the kept violation at t = lo
-    for start, d, rho in _rows(f):
-        t = _ratios(d)
-        r = _ratios(rho)
-        checked += len(t)
-        pos = None
-        if worst is not None:  # only a ratio t <= lo can displace the kept violation
-            pos = np.nonzero(t <= lo)[0]
-            if not pos.size:
+    with np.errstate(all="ignore") if wide else nullcontext():
+        for start, d, rho in _rows(f):
+            t = _ratios(d)
+            r = _ratios(rho)
+            checked += len(t)
+            pos = None
+            if worst is not None:  # only a ratio t <= lo can displace the kept violation
+                pos = np.nonzero(t <= lo)[0]
+                if not pos.size:
+                    continue
+                t, r = t[pos], r[pos]
+            odd = _off_range(f, eta, start, pos, t, r) if wide else ()
+            vals = np.asarray(eta.eval(t), dtype=float)
+            ok = vals >= (1.0 - tol) * r  # a NaN eta(t) violates
+            if len(odd):
+                at = odd if pos is None else pos[odd]
+                ok[odd] = eta.log_C + eta.alpha * _log_ratios(d, at) >= \
+                    log_floor + _log_ratios(rho, at)
+            bad = np.nonzero(~ok)[0]
+            if len(bad) == 0:
                 continue
-            t, r = t[pos], r[pos]
-        vals = np.asarray(eta.eval(t), dtype=float)
-        bad = np.nonzero(~(vals >= (1.0 - tol) * r))[0]  # a NaN eta(t) violates
-        if len(bad) == 0:
-            continue
-        t_bad = t[bad]
-        t_min = t_bad.min()
-        at = bad[t_bad == t_min]
-        k = at[np.nonzero(r[at] == r[at].max())[0][-1]]
-        if worst is None or t_min < lo or r[k] >= worst[0]:
-            j = start + (k if pos is None else pos[k])
-            lo = t_min
-            worst = (r[k], vals[k], *_triples(f.domain.n, j).tolist())
+            t_bad = t[bad]
+            t_min = t_bad.min()
+            at = bad[t_bad == t_min]
+            k = at[np.nonzero(r[at] == r[at].max())[0][-1]]
+            if worst is None or t_min < lo or r[k] >= worst[0]:
+                j = start + (k if pos is None else pos[k])
+                lo = t_min
+                worst = (r[k], vals[k], *_triples(f.domain.n, j).tolist())
     if worst is None:
         return QsReport(True, None, None, None, None, None, eta.describe(), tol, checked)
     h, v, x, a, b = worst
@@ -303,20 +343,27 @@ def eta_ratio_report(f: PointMap, eta: Modulus) -> RatioIdentityReport:
     Ties go to the smallest t, not the first position, so the first
     minimum of ``triangle._Scan`` does not fit.  ``checked`` counts the
     ratios scanned.  Only domain ratios are read, so a map that collapses
-    a pair gets a report too.  Pure report; tolerances are
+    a pair gets a report too.  Where the domain distances span 2**1022 or
+    more, a product at a ratio of :func:`_off_range` is C**2, exactly
+    eta(t) eta(1/t) for eta = C t**alpha.  Pure report; tolerances are
     ``RATIO_PRODUCT_TOL`` and ``ETA_ONE_TOL``.
     """
+    wide = _wide(f.domain.dist)
     checked = 0
     best = None  # (product with NaN as -inf, t, product) of the minimum
-    for _, d, _ in _rows(f):
-        t = _ratios(d)
-        checked += len(t)
-        prod = _ratio_products(eta, t)
-        key = np.where(np.isnan(prod), -np.inf, prod)
-        tie = np.nonzero(key == key.min())[0]
-        j = tie[np.argmin(t[tie])]
-        if best is None or (key[j], t[j]) < best[:2]:
-            best = (key[j], t[j], prod[j])
+    with np.errstate(all="ignore") if wide else nullcontext():
+        for start, d, _ in _rows(f):
+            t = _ratios(d)
+            checked += len(t)
+            prod = _ratio_products(eta, t)
+            odd = _off_range(f, eta, start, None, t) if wide else ()
+            if len(odd):  # eta(t) eta(1/t) = C t**alpha C t**-alpha
+                prod[odd] = eta.C * eta.C
+            key = np.where(np.isnan(prod), -np.inf, prod)
+            tie = np.nonzero(key == key.min())[0]
+            j = tie[np.argmin(t[tie])]
+            if best is None or (key[j], t[j]) < best[:2]:
+                best = (key[j], t[j], prod[j])
     eta_one = float(np.asarray(eta.eval(1.0)))
     eta_one_ok = bool(eta_one >= 1.0 - ETA_ONE_TOL)
     if best is None:

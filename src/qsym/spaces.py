@@ -48,6 +48,54 @@ def _valid_tol(tol: float) -> float:
     return tol
 
 
+def _scaled(D: np.ndarray, axis=None):
+    """(D 2**-s, s): the one float-range rule of every kernel that scales.
+
+    Every property checked here is unchanged when all distances are
+    multiplied by one constant, and multiplying by a power of two is exact
+    while every entry stays a normal float, so a kernel may work on this
+    copy and scale its report back with :func:`_unscaled`.  s is the binary
+    exponent of the largest entry, which puts it in [1/2, 1): no sum of
+    entries and no product of two can overflow.  s is clamped so that the
+    least positive entry stays a normal float and, above that, so that the
+    largest stays below 2**1021, where a sum of two entries, doubled, is
+    finite.  The clamp acts only when the positive entries span more than
+    2**1021; the largest scaled entry is then 1 or more.  With ``axis``,
+    each slice along it gets its own s, an int array that broadcasts
+    against D.  Returns D itself when s = 0.
+    """
+    D = np.asarray(D)
+    keep = axis is not None
+    top = np.max(D, axis=axis, keepdims=keep, initial=0.0)
+    least = np.min(D, axis=axis, keepdims=keep, where=D > 0, initial=np.inf)
+    e = np.frexp(top)[1]
+    s = np.maximum(e - 1021, np.minimum(e, np.frexp(np.minimum(least, top))[1] + 1021))
+    if not keep:
+        s = int(s)
+        if not s:
+            return D, 0
+    return np.ldexp(D, -s), s
+
+
+#: the least normal float
+_TINY = np.finfo(float).tiny
+
+
+def _unscaled(v, s) -> np.ndarray:
+    """v 2**s, the report side of :func:`_scaled`: a value beyond the float
+    range reads +-inf, and a nonzero one below it reads +-0.0, its sign
+    kept."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(v, s)
+
+
+def _wide(M: np.ndarray) -> bool:
+    """Whether the positive entries of M span 2**1022 or more.  Otherwise
+    the quotient of any two of them is a normal float."""
+    top = float(np.max(M, initial=0.0))
+    return top >= float(np.min(M, where=M > 0, initial=np.inf)) * 2.0 ** 1022
+
+
 def _equal(direct, through, tol: float) -> np.ndarray:
     """direct = through within tol, as the two compares
     direct (1 - tol) <= through <= direct / (1 - tol)."""

@@ -15,7 +15,6 @@ powers; other moduli take the log path 1/eta(t) = exp(-log eta(t)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -25,7 +24,7 @@ from .errors import PreconditionFailed, ValidationError
 from .moduli import _POWER_FAMILY, Modulus, PowerModulus, _inv_eta
 from .quasisymmetry import check_qs
 from .report import Report
-from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace, _valid_tol
+from .spaces import _TINY, DEFAULT_TOL, PointMap, SemimetricSpace, _scaled, _valid_tol
 from .triangle import (
     _HOMOGENEOUS,
     _QUAD_ORDERINGS,
@@ -51,21 +50,23 @@ TRANSFER_GRID_SPAN = (1e-4, 1e4)
 
 
 def _power_table(eta: Modulus, D: np.ndarray, squared: bool = False):
-    """``(P, C, S)`` for eta(t) = C t**alpha in ``_POWER_FAMILY``: S = D 2**-e,
-    e the binary exponent of the largest distance, and P = S**alpha, the same
-    at every scale 2**k D.  None (the log path) for other moduli, or when a
-    scaled distance or C times the least off-diagonal P (squared for the
+    """``(P, C, S)`` for eta(t) = C t**alpha in ``_POWER_FAMILY``: S is D read
+    through :func:`spaces._scaled` and P = S**alpha, the same at every scale
+    2**k D.  None (the log path) for other moduli, where the clamp of
+    ``_scaled`` acts (S reaches 1, and P may overflow), or when a scaled
+    distance or C times the least off-diagonal P (squared for the
     four-ratio products) is not a normal float, as for 1e-200..1 at alpha 2."""
     if type(eta) not in _POWER_FAMILY:
         return None
+    S = _scaled(D)[0]
+    if not np.max(S, initial=0.0) < 1.0:
+        return None
     C, alpha = eta.C, eta.alpha
     off = ~np.eye(len(D), dtype=bool)
-    S = np.ldexp(D, -math.frexp(float(np.max(D, initial=0.0)))[1])
     P = S ** alpha
     least = float(np.min(P, where=off, initial=np.inf))
     low = C * C * (least * least) if squared else C * least
-    tiny = np.finfo(float).tiny
-    if np.min(S, where=off, initial=np.inf) >= tiny and tiny <= low < np.inf:
+    if np.min(S, where=off, initial=np.inf) >= _TINY and _TINY <= low < np.inf:
         return P, C, S
     return None
 

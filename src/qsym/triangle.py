@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NotInvertible, ValidationError
 from .moduli import _bisect, _vectorized
 from .report import Report
-from .spaces import DEFAULT_TOL, SemimetricSpace, _valid_tol
+from .spaces import _TINY, DEFAULT_TOL, SemimetricSpace, _scaled, _unscaled, _valid_tol
 
 #: probe axis of custom gauges: both validation axes and the diagonal probe
 GAUGE_PROBE_AXIS = np.geomspace(1e-6, 1e6, 64)
@@ -199,14 +199,6 @@ _PAIR_BLOCK = 32768
 _HOMOGENEOUS = (Additive, MaxGauge, ScaledAdditive)
 
 
-def _headroom(D: np.ndarray):
-    """(D 2**-s, s) for the least s >= 0 that puts every entry below 2**1021,
-    where a sum of two entries, doubled, stays finite.  The scaling is exact
-    for every entry down to 2**(s - 1022)."""
-    s = max(0, math.frexp(float(np.max(D)))[1] - 1021)
-    return (np.ldexp(D, -s) if s else D), s
-
-
 def _pair_rows(n: int):
     """The pairs x < y in lexicographic order, in rectangles ``(xa, xb, lo,
     hi)`` of at most ``_PAIR_BLOCK`` (x, y, z) entries or one y-row: the
@@ -306,14 +298,14 @@ def check_triangle(
     :class:`TriangleReport` in (x, y, z) order; the check applies the rule
     of :func:`spaces._valid_tol` through :class:`_Scan`.  Phi and d are
     symmetric, so that triple has x < y and the scan reads each pair once.
-    The homogeneous gauges read the distances through :func:`_headroom`,
-    so no sum overflows, and the report is scaled back.
+    The homogeneous gauges read the distances of :func:`spaces._scaled`,
+    and the report is scaled back by its rule.
     """
     n = space.n
     _valid_tol(tol)
     if n < 2:
         return TriangleReport(True, None, 0.0, 0.0, np.inf, phi.describe(), tol)
-    d, s = _headroom(space.dist) if type(phi) in _HOMOGENEOUS else (space.dist, 0)
+    d, s = _scaled(space.dist) if type(phi) in _HOMOGENEOUS else (space.dist, 0)
 
     scan = _Scan(0.0)  # every floor -tol d(x, y) is at most 0
     for xa, xb, lo, hi in _pair_rows(n):
@@ -333,8 +325,7 @@ def check_triangle(
         x, z, y = scan.violation
     lhs = float(d[x, y])
     rhs = float(np.asarray(phi(d[x, z], d[y, z])))
-    with np.errstate(over="ignore"):
-        lhs, rhs, margin = (float(np.ldexp(v, s)) for v in (lhs, rhs, rhs - lhs))
+    lhs, rhs, margin = (float(_unscaled(v, s)) for v in (lhs, rhs, rhs - lhs))
     return TriangleReport(scan.violation is None, (x, z, y), lhs, rhs, margin,
                           phi.describe(), tol)
 
@@ -345,12 +336,13 @@ def minimal_bmetric_K(space: SemimetricSpace) -> float:
     Computed as the maximum of d(x, y) / (d(x, z) + d(z, y)) over pairs
     x != y and every z (z = x or z = y contributes exactly 1, so the
     result is always >= 1 when n >= 3).  Returns 0 for n < 3 by
-    convention.  The space is a metric iff the value is <= 1.
+    convention.  The space is a metric iff the value is <= 1.  The
+    quotients are read on the distances of :func:`spaces._scaled`.
     """
     n = space.n
     if n < 3:
         return 0.0
-    d = _headroom(space.dist)[0]
+    d = _scaled(space.dist)[0]
     best = 0.0
     for xa, xb, lo, hi in _pair_rows(n):
         # y > x, so each denominator has a positive term: no 0/0, no t/0;
@@ -375,7 +367,10 @@ class PtolemyReport(Report):
     It is picked like the witness of :class:`TriangleReport`, with
     lhs = d(x, z) d(t, y).  Every verdict is exhaustive: ``checked`` counts
     3 C(n, 4) inequalities, one per pairing of each 4-subset, and ``mode``
-    is always "exhaustive".
+    is always "exhaustive".  lhs, rhs and margin are scaled back by
+    :func:`spaces._unscaled`: a product beyond the float range reads inf,
+    and one below it 0.0, so the margin of a failing report is negative or,
+    where the true one underflows, -0.0.
     """
 
     holds: bool
@@ -442,6 +437,21 @@ def _quadruple_blocks(d: np.ndarray):
         p0 = p1
 
 
+def _own_scale(q, rows):
+    """``(products, margins, exps)``: the three pairing products and margins
+    of the quadruples ``rows`` of a block of :func:`_quadruple_blocks`, each
+    on its own scale, so that row r is that of quadruple rows[r] times
+    2**-exps[r].  That scale is the rule of :func:`spaces._scaled` for the
+    largest geometric mean sqrt(d d') of a pairing, which cannot overflow:
+    the largest product lies in [1/4, 1), a normal float."""
+    six = np.stack([q[a][b][rows] for a, b in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))])
+    root = np.sqrt(six)
+    e = _scaled(np.max(root[0::2] * root[1::2], axis=0, keepdims=True), axis=0)[1][0]
+    ab, ce, fg = np.ldexp(six[0::2], -e) * np.ldexp(six[1::2], -e)
+    return (np.stack([ab, ce, fg], axis=1),
+            np.stack([ce + fg - ab, ab + fg - ce, ab + ce - fg], axis=1), 2 * e)
+
+
 def is_ptolemaic(space: SemimetricSpace, tol: float = DEFAULT_TOL) -> PtolemyReport:
     """Check every 4-subset against all three product pairings.
 
@@ -450,37 +460,65 @@ def is_ptolemaic(space: SemimetricSpace, tol: float = DEFAULT_TOL) -> PtolemyRep
     streamed by :func:`_quadruple_blocks` in blocks of whole (i, j) runs, so
     in O(n^2 + _QUAD_BLOCK) memory; the witness is the first minimum margin
     in (i, j, k, l, pairing) order, or the first violation when that one is
-    within its floor, whatever the block boundaries.  The products are
-    formed on the distances times 2**-e, e the binary exponent of the
-    largest one, which is exact and cannot overflow; scaled back, a report
-    field may read inf, never NaN.  Vacuously true for n < 4.
+    within its floor, whatever the block boundaries.
+
+    The products are formed on the distances of :func:`spaces._scaled`.
+    Where the least of those, squared, is not a normal float, a product may
+    underflow (or, past the clamp, overflow), so each quadruple whose
+    products are not all normal is decided again by :func:`_own_scale`: a
+    violation there is a violation, and its margin enters the scan scaled
+    back to the space's scale.  The report reads the witness on its own
+    scale.  Vacuously true for n < 4.
     """
     n = space.n
     _valid_tol(tol)
     if n < 4:
         return PtolemyReport(True, None, 0.0, 0.0, np.inf, "exhaustive", 0, tol)
 
-    e = math.frexp(float(np.max(space.dist)))[1]
+    d, s = _scaled(space.dist)
+    wide = float(np.min(d, where=d > 0, initial=np.inf)) ** 2 < _TINY
     scan = _Scan(0.0)  # every floor -tol lhs is at most 0
-    for i, j, k, l, q in _quadruple_blocks(np.ldexp(space.dist, -e)):
-        ab = q[0][1] * q[2][3]
-        ce = q[0][2] * q[1][3]
-        fg = q[0][3] * q[1][2]
-        margins = np.stack([ce + fg - ab, ab + fg - ce, ab + ce - fg], axis=1)
+    # past the clamp of _scaled a product may overflow: _own_scale decides those
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j, k, l, q in _quadruple_blocks(d):
+            ab = q[0][1] * q[2][3]
+            ce = q[0][2] * q[1][3]
+            fg = q[0][3] * q[1][2]
+            margins = np.stack([ce + fg - ab, ab + fg - ce, ab + ce - fg], axis=1)
+            rows = ()
+            if wide:  # the quadruples whose products are not all normal
+                low = np.minimum(np.minimum(ab, ce), fg)
+                high = np.maximum(np.maximum(ab, ce), fg)
+                rows = np.flatnonzero(~((low >= _TINY) & (high < np.inf)))
+            if len(rows):
+                products, own, exps = _own_scale(q, rows)
+                ok = own >= -tol * products
+                # a violation stays below 0 on the space's scale, however far it underflows
+                back = _unscaled(own, exps[:, None])
+                margins[rows] = np.where(ok, back, np.minimum(back, np.nextafter(0.0, -1.0)))
 
-        def witness(flat):
-            m, pairing = divmod(flat, 3)
-            return (int(i[m]), int(j[m]), int(k[m]), int(l[m]), pairing,
-                    float((ab, ce, fg)[pairing][m]), float(margins[m, pairing]))
+            def floors():
+                floor = -tol * np.stack([ab, ce, fg], axis=1)
+                if len(rows):
+                    floor[rows] = np.where(ok, -np.inf, 0.0)
+                return floor
 
-        scan.add(margins, witness, lambda: -tol * np.stack([ab, ce, fg], axis=1))
-    ii, jj, kk, ll, pairing, lhs, margin = scan.least
+            scan.add(margins, lambda flat: (*(int(v[flat // 3]) for v in (i, j, k, l)),
+                                            flat % 3), floors)
+
+    def worst(w):  # lhs, margin and their exponent at a witness, on its own scale
+        quad = w[:4]
+        products, margins, exps = _own_scale([[d[[u], [v]] for v in quad] for u in quad], [0])
+        return float(products[0, w[4]]), float(margins[0, w[4]]), 2 * s + int(exps[0])
+
+    ii, jj, kk, ll, pairing = scan.least
+    lhs, margin, e = worst(scan.least)
     if scan.violation is not None and margin >= -tol * lhs:
-        ii, jj, kk, ll, pairing, lhs, margin = scan.violation
+        ii, jj, kk, ll, pairing = scan.violation
+        lhs, margin, e = worst(scan.violation)
     # arrange the worst quadruple as (x, y, z, t) with lhs = d(x,z) d(t,y)
     quad = ((ii, ll, jj, kk), (ii, ll, kk, jj), (ii, kk, ll, jj))[pairing]
-    with np.errstate(over="ignore"):
-        lhs, rhs, margin = (float(np.ldexp(v, 2 * e)) for v in (lhs, lhs + margin, margin))
+    lhs, rhs, margin = (float(_unscaled(v, e)) for v in (lhs, lhs + margin, margin))
     return PtolemyReport(scan.violation is None, quad, lhs, rhs, margin,
                          "exhaustive", scan.count, tol)
 

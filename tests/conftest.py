@@ -488,6 +488,51 @@ def naive_betweenness(space, tol=1e-9):
     return out
 
 
+def naive_qs_in_logs(f, eta, tol=1e-9):
+    """The quasisymmetry report of eta = C t**alpha, a power, linear or
+    bi-Lipschitz modulus, by loops over the triples (x, a, b), a, b != x.
+    The ratios t = d(x,a)/d(x,b) and r = rho(fx,fa)/rho(fx,fb) are Python
+    float quotients.  Where both are normal floats the pair holds iff
+    eta(t) >= (1 - tol) r; otherwise it is decided in logs,
+    log C + alpha (log d(x,a) - log d(x,b)) >= log(1 - tol) +
+    (log rho(fx,fa) - log rho(fx,fb)), with math.log.  The witness has the
+    smallest t among the violations, then the largest r, then comes last in
+    (x, a, b) order; the report shows t, r and eta(t) as floats."""
+    from qsym import QsReport
+
+    d = np.asarray(f.domain.dist).tolist()
+    rho = f.image_matrix().tolist()
+    tiny = np.finfo(float).tiny
+    n = f.domain.n
+    worst = None
+    checked = 0
+    for x in range(n):
+        for a in range(n):
+            for b in range(n):
+                if a == x or b == x:
+                    continue
+                checked += 1
+                t = d[x][a] / d[x][b]
+                r = rho[x][a] / rho[x][b]
+                with np.errstate(over="ignore"):
+                    value = float(np.asarray(eta.eval(t)))
+                if tiny <= t < math.inf and tiny <= r < math.inf:
+                    ok = value >= (1 - tol) * r
+                else:
+                    log_eta = math.log(eta.C) + eta.alpha * (math.log(d[x][a]) -
+                                                             math.log(d[x][b]))
+                    ok = log_eta >= math.log1p(-tol) + (math.log(rho[x][a]) -
+                                                        math.log(rho[x][b]))
+                if not ok and (worst is None or t < worst[0] or
+                               (t == worst[0] and r >= worst[1])):
+                    worst = (t, r, value, (x, a, b))
+    if worst is None:
+        return QsReport(True, None, None, None, None, None, eta.describe(), tol, checked)
+    t, r, value, triple = worst
+    return QsReport(False, triple, tuple(f.domain.labels[i] for i in triple), t, r, value,
+                    eta.describe(), tol, checked)
+
+
 @pytest.fixture
 def line3():
     from qsym import collinear_space
