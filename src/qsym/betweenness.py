@@ -193,14 +193,21 @@ def check_l02_conditions(
 
 
 def power_generator(n: float) -> Callable:
-    """The generator x -> x**n / 2 (monotone, 0 at 0, 1/2 at 1)."""
+    """The generator x -> x**n / 2 (monotone, 0 at 0, 1/2 at 1).  Its
+    ``complement`` is x -> 1/2 - f(1 - x) = -expm1(n log1p(-x)) / 2, which
+    keeps its digits where 1 - x rounds to 1."""
     if n <= 0:
         raise ValueError("exponent must be positive")
 
     def gen(x):
         return np.asarray(x, dtype=float) ** n / 2.0
 
+    def complement(x):
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf, expm1(-inf) = -1
+            return -np.expm1(n * np.log1p(-np.asarray(x, dtype=float))) / 2.0
+
     gen.label = f"x^{n:g}/2"
+    gen.complement = complement
     return gen
 
 

@@ -226,14 +226,29 @@ class CompositeModulus(Modulus):
 
     Below 1 the value is 1/2 + f1(t) - f1(1 - t); above 1 it is the
     reciprocal of the same expression in f2 at 1/t.  Both branches meet in
-    eta(1) = 1 when the generators fix 0 and send 1 to 1/2.
+    eta(1) = 1 when the generators fix 0 and send 1 to 1/2.  At a small
+    argument x (t or 1/t) the expression cancels: below 2**-10 it keeps
+    fewer than 42 bits, and where 1 - x rounds to 1 none.  There a
+    generator with a ``complement`` attribute, x -> 1/2 - f(1 - x), is
+    read as f(x) + complement(x), which does not cancel.
     """
 
     def __init__(self, f1: Callable, f2: Callable, label: str = "k8"):
         self.f1 = _vectorized(f1)
         self.f2 = _vectorized(f2)
+        self.c1, self.c2 = (getattr(f, "complement", None) for f in (f1, f2))
         self.name = label
         _check_grid_monotone(self)
+
+    @staticmethod
+    def _branch(f: Callable, complement: Optional[Callable], x: np.ndarray) -> np.ndarray:
+        """1/2 + f(x) - f(1 - x) at an array x."""
+        v = 0.5 + np.asarray(f(x), dtype=float) - np.asarray(f(1.0 - x), dtype=float)
+        if complement is not None:
+            small = x < 2.0 ** -10
+            v[small] = np.asarray(f(x[small]), dtype=float) + np.asarray(
+                complement(x[small]), dtype=float)
+        return v
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -241,15 +256,8 @@ class CompositeModulus(Modulus):
         t = np.atleast_1d(t)
         out = np.empty_like(t)
         low = t <= 1.0
-        tl = t[low]
-        out[low] = 0.5 + np.asarray(self.f1(tl), dtype=float) - np.asarray(
-            self.f1(1.0 - tl), dtype=float
-        )
-        th = 1.0 / t[~low]
-        denom = 0.5 + np.asarray(self.f2(th), dtype=float) - np.asarray(
-            self.f2(1.0 - th), dtype=float
-        )
-        out[~low] = 1.0 / denom
+        out[low] = self._branch(self.f1, self.c1, t[low])
+        out[~low] = 1.0 / self._branch(self.f2, self.c2, 1.0 / t[~low])
         return float(out[0]) if scalar else out
 
 

@@ -9,7 +9,10 @@ in O(n**2) memory and evaluates a modulus once per block.
 :func:`check_qs` decides the defining implication triple by triple: an
 increasing eta verifies f exactly when r <= eta(t) within tol for every
 realized pair, and the first failing envelope knot is the smallest flagged
-t.  :func:`eta_ratio_report` streams the same rows.  The empirical
+t.  For a power modulus C t**alpha it separates per base point, the
+condition of Tukia and Vaisala, and the scan reads only the rows that
+:func:`_power_rows` can neither certify nor rule out as the witness's.
+:func:`eta_ratio_report` streams the same rows.  The empirical
 envelope (:func:`empirical_modulus`), the running maximum H of r over
 ratios <= t, is kept at its strict records, the ratios where H rises, each
 with its witness; the step function they span equals H everywhere.  It is
@@ -84,30 +87,49 @@ class EmpiricalEnvelope:
         return (lab[x], lab[a], lab[b])
 
 
+def _off_diagonal(f: PointMap):
+    """(D, R): row x holds the distances from x to the other points, in
+    index order, and R their image distances; None for a constant map."""
+    R = f.image_matrix()
+    if not R.any():
+        return None
+    n = f.domain.n
+    off = ~np.eye(n, dtype=bool)
+    return np.asarray(f.domain.dist)[off].reshape(n, n - 1), R[off].reshape(n, n - 1)
+
+
 def _rows(f: PointMap):
     """The base points x of the realized ratios, in blocks of whole rows.
 
     Yields ``(start, d, rho)`` for as many consecutive base points as fit
-    in about ``_ROW_BLOCK`` ratios, at least one.  Row i holds the
-    distances from the block's i-th base point to the other points, in
-    increasing order, and rho their image distances.  The ratios of a
-    block are ``_ratios(d)`` and ``_ratios(rho)``, and position k among
-    them is position start + k in the (x, a, b) order of all ratios, the
-    triple :func:`_triples` names.  A constant map (every ratio 0/0) yields
-    nothing.  Image ratios are finite only when :func:`_collapse` finds no
-    triple; a caller that reads them checks that first.
+    in about ``_ROW_BLOCK`` ratios, at least one: the rows of
+    :func:`_off_diagonal`.  The ratios of a block are ``_ratios(d)`` and
+    ``_ratios(rho)``, and position k among them is position start + k in
+    the (x, a, b) order of all ratios, the triple :func:`_triples` names.
+    A constant map (every ratio 0/0) yields nothing.  Image ratios are
+    finite only when :func:`_collapse` finds no triple; a caller that reads
+    them checks that first.  :func:`_kept` cuts them to the rows that
+    :func:`_power_rows` picks.
     """
-    R = f.image_matrix()
-    if not R.any():
+    DR = _off_diagonal(f)
+    if DR is None:
         return
-    n = f.domain.n
-    off = ~np.eye(n, dtype=bool)
-    # row x of each: its n - 1 entries off the diagonal
-    D = np.asarray(f.domain.dist)[off].reshape(n, n - 1)
-    R = R[off].reshape(n, n - 1)
+    D, R = DR
+    n = len(D)
     step = max(1, _ROW_BLOCK // (n - 1) ** 2)
     for i in range(0, n, step):
         yield i * (n - 1) ** 2, D[i:i + step], R[i:i + step]
+
+
+def _kept(blocks, read: list, width: int):
+    """The blocks of :func:`_rows`, ``width`` ratios a row, cut to the run
+    from their first to their last row x with ``read[x]``: a row between
+    holds no flagged ratio at or below the witness's (:func:`_power_rows`)."""
+    for start, d, rho in blocks:
+        i = start // width
+        k = [j for j in range(len(d)) if read[i + j]]
+        if k:
+            yield start + k[0] * width, d[k[0]:k[-1] + 1], rho[k[0]:k[-1] + 1]
 
 
 def _collapse(f: PointMap) -> Optional[tuple]:
@@ -163,6 +185,57 @@ def _off_range(f: PointMap, eta: Modulus, start: int, pos, *ratios) -> np.ndarra
             f"the ratio d({x},{a})/d({x},{b}) or its image is not a normal float: "
             "only a power modulus (power:, linear:, bilip:) is compared there, in logs")
     return odd
+
+
+def _power_rows(eta: Modulus, tol: float, D: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Which rows of D, R (:func:`_off_diagonal`) the scan of eta = C t**alpha
+    in ``moduli._POWER_FAMILY`` reads, one bool per base point.
+
+    The test separates per base point (Tukia and Vaisala): with
+    g(a) = log rho(fx,fa) - alpha log d(x,a), pair (a, b) of row x holds
+    iff g(a) - g(b) <= B = log C - log(1 - tol).  ``band`` bounds the float
+    error of t, t**alpha, C t**alpha, (1 - tol) r and the logs: floats flag
+    no pair below B - band and every pair above B + band in a regular row,
+    whose ratios, image ratios and eta(t) stay a unit of log inside the
+    normal floats.  Other rows are read.  A regular row with max g - min g
+    <= B - band is certified.  In the rest, a flagged t has log t at least
+    the row's bound min_a [log d(x,a) - max{log d(x,b) : g(b) <= g(a) - c}]
+    at c = B - band.  The least bound at c = B + band is the log t of a
+    flagged pair, so a row whose bound exceeds it by more than band cannot
+    hold the least flagged t, the witness's, and is not read.
+    """
+    alpha, log_C = eta.alpha, float(eta.log_C)
+    lost = -math.log1p(-tol) if tol < 1.0 else math.inf  # -log(1 - tol)
+    B = log_C + lost
+    ld, lr = np.log(D), np.log(R)
+    g = lr - alpha * ld
+    band = 64 * 2.0 ** -52 * (np.abs(lr).max() + (1 + alpha) * np.abs(ld).max() + abs(log_C)
+                              + (lost if tol < 1.0 else 0.0) + alpha + 1)
+    spread = ld.max(axis=1) - ld.min(axis=1)  # log of the row's largest t
+    edge = -math.log(_TINY) - 1.0
+    regular = (spread < edge) & (lr.max(axis=1) - lr.min(axis=1) < edge) & \
+        (abs(log_C) + alpha * spread < edge)
+    read = ~regular | (g.max(axis=1) - g.min(axis=1) > B - band)
+    left = np.flatnonzero(read & regular)
+    if left.size:
+        order = np.argsort(g[left], axis=1)
+        g, ld = np.take_along_axis(g[left], order, 1), np.take_along_axis(ld[left], order, 1)
+        flagged = _least_log_t(g, ld, B + band).min()
+        read[left[_least_log_t(g, ld, B - band) > flagged + band]] = False
+    return read
+
+
+def _least_log_t(g: np.ndarray, ld: np.ndarray, c: float) -> np.ndarray:
+    """Per row of g, increasing, and ld: the least ld[a] - ld[b] over the
+    pairs with g[b] <= g[a] - c, inf where none has.  The b of an a are a
+    prefix of the row; one stable merge of g with g - c counts them, and a
+    prefix maximum of ld gives their largest ld[b]."""
+    m = g.shape[1]
+    merged = np.argsort(np.concatenate([g, g - c], axis=1), axis=1, kind="stable")
+    k = np.flatnonzero(merged >= m).reshape(-1, m) % (2 * m) - np.arange(m)  # how many b
+    top = np.maximum.accumulate(ld, axis=1).ravel()[np.maximum(k - 1, 0) +
+                                                    m * np.arange(len(g))[:, None]]
+    return np.min(np.where(k > 0, ld - top, np.inf), axis=1)
 
 
 def _records(t: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -244,6 +317,11 @@ def check_qs(f: PointMap, eta: Modulus, tol: float = DEFAULT_TOL) -> QsReport:
     The witness is ranked by t and r, not by scan position, so this scan
     keeps its own rule instead of the first-in-order ``triangle._Scan``.
 
+    For ``power:``, ``linear:`` and ``bilip:`` on n >= 3 points the scan
+    reads only the rows of :func:`_power_rows`, with the report of the
+    full scan, ``checked`` included: a holding check costs O(n**2), a
+    failing one O(n**2 log n) plus the rows read.
+
     Where the domain or codomain distances span 2**1022 or more
     (:func:`spaces._wide`), a ratio t or r of :func:`_off_range` is decided
     in logs, log C + alpha log t >= log(1 - tol) + log r, each log a
@@ -280,14 +358,20 @@ def _scan_qs(f: PointMap, eta: Modulus, tol: float) -> QsReport:
                         float(np.asarray(eta.eval(t))), eta.describe(), tol, 0)
     wide = _wide(f.domain.dist) or _wide(f.codomain.dist)
     log_floor = math.log1p(-tol) if tol < 1.0 else -math.inf
-    checked = 0
+    n = f.domain.n
+    DR = _off_diagonal(f)
+    checked = 0 if DR is None else n * (n - 1) ** 2
+    if DR is not None and n >= 3 and type(eta) in _POWER_FAMILY:  # only rows that can fail
+        read = _power_rows(eta, tol, *DR)
+        blocks = _kept(_rows(f), read.tolist(), (n - 1) ** 2) if read.any() else ()
+    else:
+        blocks = _rows(f)
     lo = np.inf
     worst = None  # (r, eta(lo), x, a, b) of the kept violation at t = lo
     with np.errstate(all="ignore") if wide else nullcontext():
-        for start, d, rho in _rows(f):
+        for start, d, rho in blocks:
             t = _ratios(d)
             r = _ratios(rho)
-            checked += len(t)
             pos = None
             if worst is not None:  # only a ratio t <= lo can displace the kept violation
                 pos = np.nonzero(t <= lo)[0]

@@ -307,9 +307,10 @@ def transform_distances(
 ) -> SemimetricSpace:
     """Apply ``scaler`` elementwise to every distance.
 
-    The scaler must fix 0 and be strictly increasing; both are checked on
-    the space's spectrum (:class:`ValidationError`).  The result is
-    revalidated.
+    The scaler must fix 0 and be strictly increasing.  On the space's
+    spectrum its float values must fix 0 and never decrease; two distances
+    may round to one value (:class:`ValidationError` otherwise).
+    :func:`build_space` decides whether the result is a semimetric.
     """
     g = _vectorized(scaler)
     sp = np.unique(space.dist)  # the spectrum, 0 first
@@ -318,8 +319,8 @@ def transform_distances(
         raise ValidationError("scaler produced non-finite values on the spectrum")
     if scaled[0] != 0.0:
         raise ValidationError(f"scaler(0) = {scaled[0]:.3g}, expected 0")
-    if np.any(np.diff(scaled) <= 0):
-        k = int(np.argmax(np.diff(scaled) <= 0))
+    if np.any(np.diff(scaled) < 0):
+        k = int(np.argmax(np.diff(scaled) < 0))
         raise ValidationError(
             f"scaler not strictly increasing on the spectrum: "
             f"g({sp[k]:.6g}) = {scaled[k]:.6g}, g({sp[k + 1]:.6g}) = {scaled[k + 1]:.6g}"

@@ -15,6 +15,7 @@ powers; other moduli take the log path 1/eta(t) = exp(-log eta(t)).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -24,7 +25,7 @@ from .errors import PreconditionFailed, ValidationError
 from .moduli import _POWER_FAMILY, Modulus, PowerModulus, _inv_eta
 from .quasisymmetry import check_qs
 from .report import Report
-from .spaces import _TINY, DEFAULT_TOL, PointMap, SemimetricSpace, _scaled, _valid_tol
+from .spaces import _TINY, DEFAULT_TOL, PointMap, SemimetricSpace, _scaled, _valid_tol, _wide
 from .triangle import (
     _HOMOGENEOUS,
     _QUAD_ORDERINGS,
@@ -69,6 +70,19 @@ def _power_table(eta: Modulus, D: np.ndarray, squared: bool = False):
     if np.min(S, where=off, initial=np.inf) >= _TINY and _TINY <= low < np.inf:
         return P, C, S
     return None
+
+
+def _normal_ratios(space: SemimetricSpace, mask, xa: int, lo: int, what: str, *ratios):
+    """Raise :class:`ValidationError` at the first entry of a block of
+    ``_pair_rows`` where ``mask`` holds and some array of ``ratios`` reads 0
+    or inf or is subnormal.  The message names its triple (x, y, z) and
+    ``what`` reads such a ratio."""
+    odd = mask & ~np.logical_and.reduce([(r >= _TINY) & (r < np.inf) for r in ratios])
+    if odd.any():
+        i, j, z = np.unravel_index(np.argmax(odd), odd.shape)
+        x, y, z = (space.labels[k] for k in (xa + i, lo + j, z))
+        raise ValidationError(
+            f"a ratio of d({x},{y}), d({x},{z}) and d({y},{z}) is not a normal float: only {what}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +132,14 @@ def check_transfer_condition(
     On a table a positively homogeneous gauge (additive, bmetric, max) is read
     undivided: the premise as Phi1(S[x,z], S[y,z]) >= (1 - tol) S[x,y], with
     lhs1 their quotient, the conclusion as Phi2(P[x,z], P[y,z]) / (C P[x,y]).
+
+    Where the distances span 2**1022 or more (:func:`spaces._wide`), a ratio
+    may leave the normal floats, so such a premise is read undivided on
+    ``_scaled`` distances, and a power modulus takes 1/eta(t1) as
+    exp(-log C - alpha (log d(x,y) - log d(x,z))); a ratio off the normal
+    floats that a custom gauge or another modulus would read is a
+    :class:`ValidationError` naming its triple.  The witness shows t1, t2
+    and lhs1 as they read in floats, so an overflowed one reads inf.
     """
     scan = _Scan(1.0 - _valid_tol(tol))
     if pairs is None:
@@ -141,13 +163,25 @@ def check_transfer_condition(
         D = np.asarray(space.dist)
         n = space.n
         table = _power_table(eta, D)
-        S = table[2] if table is not None and type(phi1) in _HOMOGENEOUS else None
+        wide = table is None and _wide(D)  # a table's distances span less than 2**1021
+        S = None
+        if type(phi1) in _HOMOGENEOUS:  # undivided on a table, or where a ratio can overflow
+            S = table[2] if table is not None else _scaled(D)[0] if wide else None
+        logs = wide and type(eta) in _POWER_FAMILY  # ratios off the normal floats in logs
+        if logs:
+            with np.errstate(divide="ignore"):
+                LD = np.log(D)
 
         def premise_rows(xa, xb, lo, hi):  # the premise pairs of a block
             if S is None:
                 dxy = _pair_column(D, xa, xb, lo, hi)
-                lhs1 = np.asarray(phi1(D[xa:xb, None] / dxy, D[None, lo:hi] / dxy),
-                                  dtype=float)
+                u, v = D[xa:xb, None] / dxy, D[None, lo:hi] / dxy
+                if wide:
+                    triples = np.ones(u.shape, dtype=bool)
+                    _distinct(triples, xa, xb, lo, hi)
+                    _normal_ratios(space, triples, xa, lo, "a homogeneous gauge (additive, "
+                                   "bmetric, max) is read there, undivided", u, v)
+                lhs1 = np.asarray(phi1(u, v), dtype=float)
                 premise = lhs1 >= 1.0 - tol
             else:  # undivided; the witness forms its lhs1 again, so that a
                 # block keeps one full-size float array fewer alive
@@ -157,51 +191,61 @@ def check_transfer_condition(
             _distinct(premise, xa, xb, lo, hi)  # z != x, y; y > x
             return lhs1, premise
 
-        stop = n - 1
-        for xa, xb, lo, hi in _pair_rows(n):
-            if xa > stop:
-                break
-            lhs1, premise = premise_rows(xa, xb, lo, hi)
-            if table is None:
-                dxy = _pair_column(D, xa, xb, lo, hi)
-                with np.errstate(divide="ignore"):
-                    t1, t2 = (dxy / D[xa:xb, None])[premise], (dxy / D[None, lo:hi])[premise]
-                lhs2 = np.asarray(phi2(_inv_eta(eta, t1), _inv_eta(eta, t2)), dtype=float)
-            else:
-                P, C, _ = table
-                cxy = C * _pair_column(P, xa, xb, lo, hi)
-                if type(phi2) in _HOMOGENEOUS:
-                    lhs2 = phi2(P[xa:xb, None], P[None, lo:hi])
-                    lhs2 /= cxy
-                    lhs2 = lhs2[premise]
+        with np.errstate(over="ignore") if wide else nullcontext():
+            stop = n - 1
+            for xa, xb, lo, hi in _pair_rows(n):
+                if xa > stop:
+                    break
+                lhs1, premise = premise_rows(xa, xb, lo, hi)
+                if table is None:
+                    dxy = _pair_column(D, xa, xb, lo, hi)
+                    with np.errstate(divide="ignore"):
+                        ts = dxy / D[xa:xb, None], dxy / D[None, lo:hi]
+                    if wide and not logs:
+                        _normal_ratios(space, premise, xa, lo, "a power modulus (power:, "
+                                       "linear:, bilip:) is compared there, in logs", *ts)
+                    inv = [_inv_eta(eta, t[premise]) for t in ts]
+                    if logs:  # off the normal floats, log t is a difference of logs
+                        lxy = _pair_column(LD, xa, xb, lo, hi)
+                        for v, t, l in zip(inv, ts, (LD[xa:xb, None], LD[None, lo:hi])):
+                            odd = premise & ~((t >= _TINY) & (t < np.inf))
+                            v[odd[premise]] = np.exp(-eta.log_C - eta.alpha * (lxy - l)[odd])
+                    lhs2 = np.asarray(phi2(*inv), dtype=float)
                 else:
-                    lhs2 = np.asarray(phi2(P[xa:xb, None] / cxy, P[None, lo:hi] / cxy),
-                                      dtype=float)[premise]
-            if not lhs2.size:
-                continue
+                    P, C, _ = table
+                    cxy = C * _pair_column(P, xa, xb, lo, hi)
+                    if type(phi2) in _HOMOGENEOUS:
+                        lhs2 = phi2(P[xa:xb, None], P[None, lo:hi])
+                        lhs2 /= cxy
+                        lhs2 = lhs2[premise]
+                    else:
+                        lhs2 = np.asarray(phi2(P[xa:xb, None] / cxy, P[None, lo:hi] / cxy),
+                                          dtype=float)[premise]
+                if not lhs2.size:
+                    continue
 
-            def witness(k):
-                i, j, z = np.unravel_index(np.flatnonzero(premise)[k], premise.shape)
-                x, y = xa + i, lo + j
-                side = lhs1[i, j, z] if S is None else phi1(S[x, z], S[y, z]) / S[x, y]
-                return (float(D[x, y] / D[x, z]), float(D[x, y] / D[y, z]), float(side),
-                        float(lhs2[k]))
+                def witness(k):
+                    i, j, z = np.unravel_index(np.flatnonzero(premise)[k], premise.shape)
+                    x, y = xa + i, lo + j
+                    side = lhs1[i, j, z] if S is None else phi1(S[x, z], S[y, z]) / S[x, y]
+                    return (float(D[x, y] / D[x, z]), float(D[x, y] / D[y, z]), float(side),
+                            float(lhs2[k]))
 
-            scan.add(lhs2, witness)
+                scan.add(lhs2, witness)
+                if scan.violation is not None:
+                    # finish the violating x, where the full scan stops: in a
+                    # packed block, drop the premise pairs of its later base points
+                    stop = xa
+                    if xb - xa > 1:
+                        at = np.flatnonzero(premise)[int(np.argmax(~(lhs2 >= scan.floor)))]
+                        stop += int(at) // premise[0].size
+                        scan.count -= int(np.count_nonzero(premise[stop - xa + 1:]))
+            # the full scan meets each premise pair (x, y, z) again as (y, x, z)
+            # in row y; after a violation, only the rows y <= stop
+            checked = 2 * scan.count
             if scan.violation is not None:
-                # finish the violating x, where the full scan stops: in a
-                # packed block, drop the premise pairs of its later base points
-                stop = xa
-                if xb - xa > 1:
-                    at = np.flatnonzero(premise)[int(np.argmax(~(lhs2 >= scan.floor)))]
-                    stop += int(at) // premise[0].size
-                    scan.count -= int(np.count_nonzero(premise[stop - xa + 1:]))
-        # the full scan meets each premise pair (x, y, z) again as (y, x, z)
-        # in row y; after a violation, only the rows y <= stop
-        checked = 2 * scan.count
-        if scan.violation is not None:
-            checked = scan.count + sum(int(np.count_nonzero(premise_rows(*rows)[1]))
-                                       for rows in _pair_rows(stop + 1))
+                checked = scan.count + sum(int(np.count_nonzero(premise_rows(*rows)[1]))
+                                           for rows in _pair_rows(stop + 1))
         mode = "realized"
     holds = scan.violation is None
     return TransferReport(holds, checked, scan.least if holds else scan.violation, mode, tol)

@@ -19,6 +19,7 @@ from qsym import (
     detect_pseudolinear,
     eta_from_generators,
     line_embed,
+    parse_modulus,
     power_generator,
     preserves_betweenness,
     pseudolinear_quadruple,
@@ -187,6 +188,24 @@ def test_generator_modulus_values():
     assert eta.eval(0.25) + eta.eval(0.75) == pytest.approx(1.0, abs=1e-15)
     assert eta.eval(4.0) == pytest.approx(64.0 / 19.0, abs=1e-12)
     assert eta.eval(1.0) == pytest.approx(1.0)
+
+
+def test_the_power_generator_complement_does_not_cancel():
+    g = power_generator(3)
+    x = np.array([0.0, 1e-300, 1e-20, 0.25, 1.0])
+    # 1/2 - f(1 - x) = (1 - (1 - x)**3) / 2, 0.5 at x = 1 with no warning
+    assert g.complement(x).tolist() == pytest.approx([0.0, 1.5e-300, 1.5e-20, 37 / 128, 0.5],
+                                                     rel=1e-15)
+
+
+def test_the_k8_modulus_keeps_its_digits_at_small_ratios():
+    # below 1, k8:2,3 is t**2/2 + (1 - (1 - t)**2)/2 = t
+    eta = parse_modulus("k8:2,3")
+    assert eta.eval(1e-20) == pytest.approx(1e-20, rel=1e-12)
+    assert eta.eval(0.25) == 0.25
+    t = np.geomspace(1e-300, 1e300, 6001)
+    values = eta.eval(t)
+    assert np.all(np.isfinite(values)) and np.all(np.diff(values) > 0)
 
 
 def test_generator_endpoint_rejection():

@@ -413,6 +413,13 @@ def test_invert_eta(capsys):
     assert "eta'(9) = 3" in out
 
 
+def test_invert_eta_inverts_k8_at_a_large_ratio(capsys):
+    # eta'(1e30) inverts k8:2,3 at 1e-30, where its low branch reads t
+    code, out, _ = run(capsys, "invert-eta", "--eta", "k8:2,3", "--at", "1e30")
+    assert code == 0
+    assert "eta'(1e+30) = 1e+30" in out
+
+
 # --------------------------------------------------------------- transfer
 
 

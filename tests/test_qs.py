@@ -629,36 +629,52 @@ def row_walks(monkeypatch):
     return walks
 
 
-def test_one_scan_per_verdict(line4, row_walks):
+@pytest.fixture
+def verdict_scans(monkeypatch):
+    """How many verdicts ``check_qs`` computes, via ``_scan_qs``: a holding
+    power verdict walks no rows."""
+    scans = []
+    scan = quasisymmetry._scan_qs
+
+    def counted(f, eta, tol):
+        scans.append(f)
+        return scan(f, eta, tol)
+
+    monkeypatch.setattr(quasisymmetry, "_scan_qs", counted)
+    return scans
+
+
+def test_one_scan_per_verdict(line4, verdict_scans, row_walks):
     f = snowflake_map(line4, 0.5)
     eta = PowerModulus(0.5)
     A = SubsetRef(line4, (0, 1))
     B = SubsetRef(line4, (0, 1, 2, 3))
     rep = check_qs(f, eta)
-    assert rep.holds and len(row_walks) == 1
+    assert rep.holds and len(verdict_scans) == 1
     assert tv_bounds(f, eta, A, B, Additive(), Additive()).holds
     assert bounded_image_bounds(f, eta, Additive(), Additive()).holds
     end = verify_transfer_end_to_end(f, Additive(), Additive(), eta)
-    assert len(row_walks) == 1
+    assert len(verdict_scans) == 1
     assert end.qs is rep
-    # a failing verdict and each ratio report are one scan too
+    # a failing verdict is one scan too, and each ratio report one walk
     assert not check_qs(f, PowerModulus(0.25)).holds
-    assert len(row_walks) == 2
+    assert len(verdict_scans) == 2
+    walks = len(row_walks)
     assert eta_ratio_report(f, eta).holds
     assert not eta_ratio_report(f, LinearModulus(0.5)).holds
-    assert len(row_walks) == 4
+    assert len(row_walks) == walks + 2
 
 
-def test_verdicts_are_kept_per_modulus_object(line4, row_walks):
+def test_verdicts_are_kept_per_modulus_object(line4, verdict_scans):
     f = snowflake_map(line4, 0.5)
     first, second = PowerModulus(0.5), PowerModulus(0.5)
     rep = check_qs(f, first)
     again = check_qs(f, second)
-    assert len(row_walks) == 2
+    assert len(verdict_scans) == 2
     assert again == rep and again is not rep
     assert check_qs(f, first) is rep and check_qs(f, second) is again
     assert check_qs(snowflake_map(line4, 0.5), first) is not rep
-    assert len(row_walks) == 3
+    assert len(verdict_scans) == 3
 
 
 def test_verdicts_are_kept_per_tol(row_walks):

@@ -159,11 +159,22 @@ def test_transform_distances_scaler_checks(line3):
                        match=r"^scaler not strictly increasing on the spectrum: g\(0\) = -0, "
                              r"g\(1\) = -1$"):
         transform_distances(line3, lambda d: -d)
-    with pytest.raises(ValidationError,
-                       match=r"^scaler not strictly increasing on the spectrum: g\(1\) = 1, "
-                             r"g\(2\) = 1$"):
-        # collapses 1 and 2 -> not strictly increasing on the spectrum
-        transform_distances(line3, lambda d: np.minimum(d, 1.0))
+    # collapses 1, 2 and 3: the float image may merge distances, and
+    # build_space decides whether the result is a semimetric
+    assert np.asarray(transform_distances(line3, lambda d: np.minimum(d, 1.0)).dist)[0, 2] == 1.0
+
+
+def test_a_scaler_whose_float_values_merge_two_distances_is_accepted():
+    # sqrt rounds 1 and 1 + 2**-52 to 1.0
+    X = build_space("abc", [[0, 1, 1 + 2 ** -52], [1, 0, 2], [1 + 2 ** -52, 2, 0]])
+    f = snowflake_map(X, 0.5)
+    assert f.image_dist(0, 1) == f.image_dist(0, 2) == 1.0
+    with pytest.raises(ValidationError, match=r"^scaler not strictly increasing on the "
+                                              r"spectrum: g\(1\) = 1, g\(2\) = 0\.5$"):
+        transform_distances(X, lambda d: np.where(d > 1.5, d / 4, d))
+    # a merge into 0 leaves an off-diagonal zero, which build_space rejects
+    with pytest.raises(ValidationError):
+        transform_distances(X, lambda d: np.maximum(d - 1.0, 0.0))
 
 
 def test_snowflake_values(line3):

@@ -1,3 +1,4 @@
+import json
 import warnings
 from unittest import mock
 
@@ -10,6 +11,7 @@ from qsym import (
     CallableModulus,
     BiLipschitzModulus,
     CustomGauge,
+    ExpRatioModulus,
     LinearModulus,
     MaxGauge,
     PowerModulus,
@@ -30,10 +32,13 @@ from qsym import (
     transform_distances,
     transform_map,
     ultrametric_space,
+    ValidationError,
     verify_transfer_end_to_end,
 )
 
 from qsym import transfer, triangle
+from qsym.cli import main
+from qsym.fileio import save_space
 from conftest import naive_ptolemy_transfer, naive_transfer_scan, power_table
 
 
@@ -535,3 +540,36 @@ def test_transfer_holds_implies_image_triangle(seed):
     f = snowflake_map(X, 0.5)
     rep = verify_transfer_end_to_end(f, Additive(), ScaledAdditive(2.0), PowerModulus(0.5))
     assert rep.consistent
+
+
+#: a line whose distances span 1e-300..1e10: the ratio 1e310 reads inf
+WIDE_LINE = [0.0, 1e-300, 1.0, 1e10]
+
+
+@pytest.mark.parametrize("eta", [PowerModulus(0.5), PowerModulus(2.0)])
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_the_realized_transfer_on_a_wide_line_reads_its_ratios_in_logs(eta, tol):
+    # the homogeneous premise is read undivided, and 1/eta(1e310) = 1e-155
+    # (alpha 0.5) from logs; the oracle's 1e310 reads inf, and its 1/eta 0,
+    # which is lost beside the other ratio's 1/eta in every premise pair
+    X = collinear_space(WIDE_LINE)
+    for phi2 in (Additive(), ScaledAdditive(2.0), MaxGauge()):
+        rep = check_transfer_condition(Additive(), phi2, eta, pairs=X, tol=tol)
+        assert rep.checked_pairs > 0
+        with np.errstate(over="ignore"):
+            assert repr(rep) == repr(naive_transfer_scan(Additive(), phi2, eta, X, tol=tol))
+
+
+def test_the_wide_line_is_an_input_error_for_other_moduli_and_custom_gauges(tmp_path):
+    X = collinear_space(WIDE_LINE)
+    with pytest.raises(ValidationError, match=r"^a ratio of d\(0,1e-300\), d\(0,1e\+10\) and "
+                                              r"d\(1e-300,1e\+10\) is not a normal float: only a "
+                                              r"power modulus"):
+        check_transfer_condition(Additive(), Additive(), ExpRatioModulus(), pairs=X)
+    with pytest.raises(ValidationError, match=r"not a normal float: only a homogeneous gauge"):
+        check_transfer_condition(CustomGauge(lambda u, v: u + v), Additive(), PowerModulus(0.5),
+                                 pairs=X)
+    save_space(X, tmp_path / "line.json")
+    (tmp_path / "id.json").write_text(json.dumps({"assignment": {p: p for p in X.labels}}))
+    assert main(["transfer", "--eta", "expratio", f"--domain={tmp_path / 'line.json'}",
+                 f"--codomain={tmp_path / 'line.json'}", f"--map={tmp_path / 'id.json'}"]) == 2
