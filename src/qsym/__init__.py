@@ -26,33 +26,33 @@ _EXPORTS = {
         random_semimetric_space ultrametric_space wilson_space""",
     "triangle": """
         Additive CustomGauge MaxGauge PtolemyReport ScaledAdditive
-        TriangleFunction TriangleReport check_triangle invert_diag is_ptolemaic
+        TriangleFunction TriangleReport check_triangle is_ptolemaic
         minimal_bmetric_K parse_triangle_function""",
     "moduli": """
         BiLipschitzModulus CallableModulus CompositeModulus EmpiricalModulus
-        ExpRatioModulus InvolutiveModulus LinearModulus Modulus PowerModulus
-        SandwichModulus inverse_modulus invert_modulus parse_modulus""",
+        ExpRatioModulus LinearModulus Modulus PowerModulus inverse_modulus
+        invert_modulus parse_modulus""",
     "quasisymmetry": """
         DiameterBoundsReport EmpiricalEnvelope PairBoundsReport QsReport
         RatioIdentityReport SnowflakeFit bounded_image_bounds check_qs
-        empirical_modulus eta_from_sandwich eta_ratio_report fit_snowflake
-        image_subset minimal_bilipschitz_L tv_bounds""",
+        empirical_modulus eta_ratio_report fit_snowflake image_subset
+        minimal_bilipschitz_L tv_bounds""",
     "transfer": """
         EndToEndReport PtolemyTransferReport TransferReport
         check_transfer_condition minimal_transfer_K2 ptolemy_transfer_check
         verify_transfer_end_to_end""",
     "betweenness": """
-        BetweennessTriple QuadrupleShape betweenness_image_structure
-        betweenness_triples check_l02_conditions detect_pseudolinear
-        eta_from_generators line_embed power_generator preserves_betweenness""",
+        BetweennessTriple QuadrupleShape betweenness_triples
+        check_l02_conditions detect_pseudolinear eta_from_generators line_embed
+        power_generator preserves_betweenness""",
     "weak_similarity": """
         ScalingFunction WeakSimilarity brute_force_weak_similarity
         check_involution_identity check_monotone_implications
-        compose_weak_similarities eta_from_antisymmetric find_weak_similarity
-        forced_scaling qs_from_weaksim space_ranks verify_weak_similarity""",
+        find_weak_similarity forced_scaling qs_from_weaksim space_ranks
+        verify_weak_similarity""",
     "fileio": """
-        envelope_text load_envelope_points load_map load_space save_envelope
-        save_map save_space""",
+        envelope_text load_envelope_points load_space save_envelope
+        save_space""",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 

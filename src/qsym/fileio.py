@@ -2,8 +2,9 @@
 
 Two space formats: a structured JSON document
 {"name": ..., "points": [...], "matrix": [[...]]} and a CSV alternative
-(header row of labels, then matrix rows).  Maps are JSON documents with
-an assignment object; envelopes are "t H" lines, one per record, ascending.
+(header row of labels, then matrix rows).  Maps are read from JSON
+documents with an assignment object; envelopes are "t H" lines, one per
+record, ascending.
 Floats are written with repr, so a load of a save is bitwise identical.
 """
 
@@ -18,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ParseError
-from .spaces import DEFAULT_TOL, PointMap, SemimetricSpace, _valid_tol, build_map, build_space
+from .spaces import DEFAULT_TOL, SemimetricSpace, _valid_tol, build_space
 
 PathLike = Union[str, Path]
 
@@ -161,32 +162,6 @@ def load_map_document(path: PathLike):
     _require(isinstance(dom, str), '"domain" must be a string', path)
     _require(isinstance(cod, str), '"codomain" must be a string', path)
     return dom, cod, assignment
-
-
-def load_map(
-    path: PathLike,
-    domain: SemimetricSpace,
-    codomain: SemimetricSpace,
-    require_bijective: bool = False,
-) -> PointMap:
-    _, _, assignment = load_map_document(path)
-    return build_map(domain, codomain, assignment, require_bijective=require_bijective)
-
-
-def save_map(
-    f: PointMap, path: PathLike, domain_name: str = "", codomain_name: str = ""
-):
-    doc = {
-        "domain": domain_name,
-        "codomain": codomain_name,
-        "assignment": {
-            f.domain.labels[i]: f.codomain.labels[f.assignment[i]]
-            for i in range(f.domain.n)
-        },
-    }
-    with _open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
 
 
 #: knots formatted per block: the float objects and line strings of one

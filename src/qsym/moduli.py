@@ -10,7 +10,9 @@ grid.  The empirical variant is the right-continuous step envelope
 recovered from a concrete map and is allowed to be merely nondecreasing.
 The power moduli C t**alpha (``power:``, ``linear:``, ``bilip:``) are one
 class with its alpha = 1 members as subclasses; other modules read C and
-alpha through the exact-type tuple ``_POWER_FAMILY``.
+alpha through the exact-type tuple ``_POWER_FAMILY``.  The rest are the
+exp-ratio modulus, the two-branch composite of two partition generators,
+a validated callable, and the numeric inverse of any of them.
 """
 
 from __future__ import annotations
@@ -151,14 +153,14 @@ def _inv_eta(eta: Modulus, t: np.ndarray) -> np.ndarray:
         return np.exp(-np.asarray(eta.log_eval(t), dtype=float))
 
 
-def _submult_failure(p: Callable, C: float = 1.0) -> Optional[tuple]:
+def _submult_failure(p: Callable) -> Optional[tuple]:
     """The first (u, v, lhs, rhs) on the ``SUBMULT_AXIS`` grid with lhs = p(uv)
-    above rhs = C p(u) p(v) by a relative 1e-9, or None; inf > inf is false."""
+    above rhs = p(u) p(v) by a relative 1e-9, or None; inf > inf is false."""
     u = SUBMULT_AXIS[:, None]
     v = SUBMULT_AXIS[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = np.asarray(p(u * v), dtype=float)
-        rhs = C * np.asarray(p(u), dtype=float) * np.asarray(p(v), dtype=float)
+        rhs = np.asarray(p(u), dtype=float) * np.asarray(p(v), dtype=float)
         bad = (1.0 - 1e-9) * lhs > rhs
     if not np.any(bad):
         return None
@@ -203,24 +205,6 @@ class ExpRatioModulus(Modulus):
         return _log_expm1(t) - _log_expm1(1.0 / t)
 
 
-class SandwichModulus(Modulus):
-    """eta(t) = C K**2 phi1(t), built by ``eta_from_sandwich``."""
-
-    def __init__(self, C: float, K: float, phi1: Callable, label: str = "phi1"):
-        if C <= 0:
-            raise ValueError("sandwich constant C must be positive")
-        if K < 1:
-            raise ValueError("sandwich constant K must be >= 1")
-        self.C = float(C)
-        self.K = float(K)
-        self.phi1 = _vectorized(phi1)
-        self.name = f"sandwich:C={C:g},K={K:g},{label}"
-        _check_grid_monotone(self)
-
-    def eval(self, t):
-        return self.C * self.K ** 2 * np.asarray(self.phi1(t), dtype=float)
-
-
 class CompositeModulus(Modulus):
     """Two-branch modulus built from a pair of partition generators.
 
@@ -259,40 +243,6 @@ class CompositeModulus(Modulus):
         out[low] = self._branch(self.f1, self.c1, t[low])
         out[~low] = 1.0 / self._branch(self.f2, self.c2, 1.0 / t[~low])
         return float(out[0]) if scalar else out
-
-
-class InvolutiveModulus(Modulus):
-    """eta(t) = exp(psi(t, 1/t)) for an antisymmetric kernel psi.
-
-    The involution identity eta(k) eta(1/k) = 1 holds by construction.
-    Build through ``eta_from_antisymmetric``, which also probes the
-    antisymmetry.
-    """
-
-    def __init__(self, psi: Callable, label: str = "involutive"):
-        self.psi = _vectorized(psi, arity=2)
-        self.name = label
-        g = self.log_eval(MONOTONE_GRID)
-        if not np.all(np.isfinite(g)):
-            raise ValidationError(f"{label}: kernel non-finite on the probe grid")
-        if np.any(np.diff(g) <= 0):
-            raise ValidationError(
-                f"{label}: exp(psi(t, 1/t)) is not strictly increasing on the probe grid"
-            )
-
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.zeros_like(t)
-        pos = t > 0
-        with np.errstate(over="ignore"):
-            out[pos] = np.exp(np.asarray(self.psi(t[pos], 1.0 / t[pos]), dtype=float))
-        return float(out[0]) if scalar else out
-
-    def log_eval(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.asarray(self.psi(t, 1.0 / t), dtype=float)
 
 
 class CallableModulus(Modulus):

@@ -19,8 +19,7 @@ with its witness; the step function they span equals H everywhere.  It is
 built from the same rows, one block's records at a time.
 
 On top of these sit the derived analyses: snowflake fitting,
-sandwich-built moduli, bi-Lipschitz constants, and the two-sided diameter
-distortion bounds.
+bi-Lipschitz constants, and the two-sided diameter distortion bounds.
 """
 
 from __future__ import annotations
@@ -29,24 +28,16 @@ import math
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .errors import PreconditionFailed, ValidationError
-from .moduli import (
-    _POWER_FAMILY,
-    EmpiricalModulus,
-    Modulus,
-    MONOTONE_GRID,
-    SandwichModulus,
-    _submult_failure,
-    _vectorized,
-)
+from .moduli import _POWER_FAMILY, EmpiricalModulus, Modulus
 from .report import Report
 from .spaces import _TINY, DEFAULT_TOL, PointMap, SubsetRef, _valid_tol, _wide, diameter
-from .triangle import TriangleFunction, invert_diag
+from .triangle import TriangleFunction
 
 #: pinned tolerances of the ratio-identity report
 RATIO_PRODUCT_TOL = 1e-9
@@ -526,48 +517,6 @@ def fit_snowflake(f: PointMap, tol: float = DEFAULT_TOL) -> Optional[SnowflakeFi
     return SnowflakeFit(lam, alpha, abs(alpha - 1.0) <= 1e-12)
 
 
-def eta_from_sandwich(
-    phi1: Callable, phi2: Callable, C: float, K: float, label: str = "phi1"
-) -> SandwichModulus:
-    """Build eta(t) = C K**2 phi1(t) after probing the sandwich hypotheses.
-
-    Checks, on fixed probe grids, phi1 <= phi2 <= K phi1 and
-    phi2(u v) <= C phi2(u) phi2(v) (:class:`ValidationError` otherwise,
-    naming the first failing probe).  phi1 must itself be a
-    homeomorphism of the half line; that is validated by the modulus
-    constructor.
-    """
-    if C <= 0:
-        raise ValueError("sandwich constant C must be positive")
-    if K < 1:
-        raise ValueError("sandwich constant K must be >= 1")
-    p1 = _vectorized(phi1)
-    p2 = _vectorized(phi2)
-
-    g = MONOTONE_GRID
-    with np.errstate(over="ignore", invalid="ignore"):
-        v1 = np.asarray(p1(g), dtype=float)
-        v2 = np.asarray(p2(g), dtype=float)
-        # points where both sides overflow compare as inf < inf, which
-        # asserts nothing
-        low_bad = v2 < (1.0 - 1e-9) * v1
-        high_bad = (1.0 - 1e-9) * v2 > K * v1
-    if np.any(low_bad) or np.any(high_bad):
-        k = int(np.argmax(low_bad | high_bad))
-        raise ValidationError(
-            f"phi1 <= phi2 <= K phi1 fails at t = {g[k]:.6g}: "
-            f"phi1 = {v1[k]:.6g}, phi2 = {v2[k]:.6g}, K = {K:g}"
-        )
-
-    if failure := _submult_failure(p2, C):
-        u, v, lhs, rhs = failure
-        raise ValidationError(
-            f"phi2(uv) <= C phi2(u) phi2(v) fails at u = {u:.6g}, v = {v:.6g}: "
-            f"lhs = {lhs:.6g}, rhs = {rhs:.6g}"
-        )
-    return SandwichModulus(C, K, p1, label=label)
-
-
 def minimal_bilipschitz_L(f: PointMap) -> Optional[float]:
     """The smallest L with d/L <= rho <= L d on all pairs, or None when a
     distinct pair has image distance 0."""
@@ -670,9 +619,9 @@ def tv_bounds(
         raise ValueError("image subsets are degenerate (zero diameter)")
 
     upper_lhs = dfA / dfB
-    upper_rhs = float(np.asarray(eta.eval(dA / invert_diag(phi1, dB))))
+    upper_rhs = float(np.asarray(eta.eval(dA / phi1.diag_inverse(dB))))
     lower_lhs = 1.0 / float(np.asarray(eta.eval(dB / dA)))
-    lower_rhs = dfA / invert_diag(phi2, dfB)
+    lower_rhs = dfA / phi2.diag_inverse(dfB)
     upper_slack = upper_rhs - upper_lhs
     lower_slack = lower_rhs - lower_lhs
     upper_holds = bool(upper_slack >= -tol * upper_lhs)
@@ -743,8 +692,8 @@ def bounded_image_bounds(
     if dX <= 0 or dfX <= 0:
         raise ValueError("degenerate diameters")
 
-    p1inv = invert_diag(phi1, dX)
-    p2inv = invert_diag(phi2, dfX)
+    p1inv = phi1.diag_inverse(dX)
+    p2inv = phi2.diag_inverse(dfX)
     iu = np.triu_indices(n, k=1)
     d = np.asarray(f.domain.dist)[iu]
     rho = f.image_matrix()[iu]

@@ -14,7 +14,7 @@ constructors, since only those enforce the axioms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -215,18 +215,6 @@ class PointMap:
         inv = np.empty(self.codomain.n, dtype=int)
         inv[self.assignment] = np.arange(self.domain.n)
         return PointMap(self.codomain, self.domain, _frozen_array(inv, dtype=int), True)
-
-    def compose(self, then: "PointMap") -> "PointMap":
-        """The map ``then(self(.))``; ``then.domain`` must be our codomain."""
-        if then.domain is not self.codomain and then.domain != self.codomain:
-            raise ValidationError("composition mismatch: codomain != next domain")
-        comp = then.assignment[self.assignment]
-        return PointMap(
-            self.domain,
-            then.codomain,
-            _frozen_array(comp, dtype=int),
-            bijective=self.bijective and then.bijective,
-        )
 
 
 # ----------------------------------------------------------------------

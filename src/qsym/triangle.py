@@ -41,7 +41,9 @@ class TriangleFunction:
         return self(t, t)
 
     def diag_inverse(self, y: float) -> float:
-        """Solve phi(t) = y for t >= 0.  Closed form where available."""
+        """Solve phi(t) = y for t >= 0, as a Python float.  Closed form for
+        the built-in gauges; bisection with bracket doubling otherwise, to
+        residual ``1e-12 * y``."""
         raise NotImplementedError
 
     @property
@@ -69,7 +71,7 @@ class ScaledAdditive(TriangleFunction):
         return s if self.K == 1.0 else self.K * s
 
     def diag_inverse(self, y):
-        return y / (2.0 * self.K)
+        return float(y) / (2.0 * self.K)
 
     @property
     def classical_coefficient(self):
@@ -142,28 +144,15 @@ class CustomGauge(TriangleFunction):
             raise ValidationError(f"{self.name}: not monotone on the probe grid")
 
     def diag_inverse(self, y):
-        return _bisect_diag(self, y)
-
-
-def _bisect_diag(phi: TriangleFunction, y: float) -> float:
-    """Invert phi.diag by the modulus bisection, once the diagonal is seen
-    to be strictly increasing on the probe grid."""
-    if float(y) > 0:
-        probe = np.asarray(phi.diag(GAUGE_PROBE_AXIS), dtype=float)
-        if np.any(np.diff(probe) <= 0):
-            raise NotInvertible(
-                f"{phi.name}: diagonal gauge is not strictly increasing on the probe grid"
-            )
-    return _bisect(phi.diag, y, f"{phi.name} diagonal")
-
-
-def invert_diag(phi: TriangleFunction, y: float) -> float:
-    """Inverse of the diagonal gauge t -> Phi(t, t) at y >= 0.
-
-    Closed forms for the built-in variants; bisection with bracket doubling
-    otherwise, to residual ``1e-12 * y``.
-    """
-    return float(phi.diag_inverse(y))
+        """Invert the diagonal by the modulus bisection, once it is seen to
+        be strictly increasing on the probe grid."""
+        if float(y) > 0:
+            probe = np.asarray(self.diag(GAUGE_PROBE_AXIS), dtype=float)
+            if np.any(np.diff(probe) <= 0):
+                raise NotInvertible(
+                    f"{self.name}: diagonal gauge is not strictly increasing on the probe grid"
+                )
+        return _bisect(self.diag, y, f"{self.name} diagonal")
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import PreconditionFailed, TooLarge, ValidationError
-from .moduli import (
-    CallableModulus,
-    INVOLUTION_GRID,
-    InvolutiveModulus,
-    Modulus,
-    _submult_failure,
-    _vectorized,
-)
+from .moduli import CallableModulus, INVOLUTION_GRID, Modulus, _submult_failure, _vectorized
 from .quasisymmetry import check_qs
 from .report import Report
 from .spaces import RANK_TOL, PointMap, SemimetricSpace, _equal, _valid_tol, _worst
@@ -404,33 +397,6 @@ def check_involution_identity(
     return InvolutionReport(bool(ok.all()), float(defect[i]), float(ks[i]), len(ks), "grid", tol)
 
 
-#: probe axis for antisymmetry of two-argument kernels
-ANTISYM_AXIS = np.geomspace(1e-3, 1e3, 25)
-
-
-def eta_from_antisymmetric(psi: Callable, label: str = "involutive") -> Modulus:
-    """Promote an antisymmetric kernel to the modulus exp(psi(t, 1/t)).
-
-    psi(x, z) = -psi(z, x) is probed on a grid pair sample
-    (:class:`ValidationError` on failure); the resulting modulus must
-    still be strictly increasing with limit 0 at 0, which the constructor
-    validates on the log grid.
-    """
-    p = _vectorized(psi, arity=2)
-    x = np.repeat(ANTISYM_AXIS, len(ANTISYM_AXIS))
-    z = np.tile(ANTISYM_AXIS, len(ANTISYM_AXIS))
-    fwd = np.asarray(p(x, z), dtype=float)
-    bwd = np.asarray(p(z, x), dtype=float)
-    bad = np.abs(fwd + bwd) > 1e-9 * np.maximum(np.abs(fwd), np.abs(bwd))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValidationError(
-            f"psi({x[i]:.4g}, {z[i]:.4g}) + psi({z[i]:.4g}, {x[i]:.4g}) = "
-            f"{fwd[i] + bwd[i]:.3g}, expected 0"
-        )
-    return InvolutiveModulus(psi, label=label)
-
-
 def qs_from_weaksim(
     ws: WeakSimilarity, phistar: Callable, tol: float = 1e-9
 ) -> Modulus:
@@ -468,15 +434,3 @@ def qs_from_weaksim(
             f"{rep.witness_labels}, t = {rep.t:.6g})"
         )
     return eta
-
-
-def compose_weak_similarities(
-    first: WeakSimilarity, second: WeakSimilarity, tol: float = RANK_TOL
-) -> WeakSimilarity:
-    """Compose realizations: (phi2 . phi1, f2 . f1)."""
-    if second.f.domain is not first.f.codomain:
-        raise ValueError("realizations do not chain: codomain/domain mismatch")
-    f = first.f.compose(second.f)
-    mapped = np.array([second.phi(v, tol) for v in first.phi.codomain_values])
-    phi = ScalingFunction(first.phi.domain_values, mapped)
-    return WeakSimilarity(f, phi)

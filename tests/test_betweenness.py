@@ -8,10 +8,7 @@ import pytest
 
 from qsym import (
     PowerModulus,
-    PreconditionFailed,
-    SubsetRef,
     ValidationError,
-    betweenness_image_structure,
     betweenness_triples,
     build_space,
     check_l02_conditions,
@@ -262,54 +259,6 @@ def test_line_embed_shifts_to_anchor():
 def test_line_embed_singleton():
     one = build_space(("o",), [[0.0]])
     np.testing.assert_allclose(line_embed(one), [0.0])
-
-
-# -------------------------------------------------------- image structure
-
-
-def test_image_structure_requires_preservation(line4):
-    f = snowflake_map(line4, 0.5)
-    A = SubsetRef(line4, (0, 1, 2, 3))
-    with pytest.raises(PreconditionFailed, match="betweenness preservation"):
-        betweenness_image_structure(f, A)
-
-
-def test_image_structure_rejects_foreign_subset(line4):
-    f = transform_map(line4, lambda d: 2.0 * d)
-    other = collinear_space([0.0, 1.0, 3.0, 6.0])
-    with pytest.raises(ValueError):
-        betweenness_image_structure(f, SubsetRef(other, (0, 1)))
-
-
-def test_image_structure_on_scaled_line(line4):
-    f = transform_map(line4, lambda d: 3.0 * d)
-    rep = betweenness_image_structure(f, SubsetRef(line4, (0, 1, 2, 3)))
-    assert rep.holds and rep.line_preserved and rep.quadruple_preserved
-    np.testing.assert_allclose(rep.domain_line, [0.0, 1.0, 3.0, 6.0])
-    np.testing.assert_allclose(rep.image_line, [0.0, 3.0, 9.0, 18.0])
-    # a line is in particular a degenerate pseudolinear quadruple, so both
-    # detectors may fire; the report only demands image structure when the
-    # domain has it
-    assert rep.to_dict()["holds"] is True
-
-
-def test_image_structure_on_scaled_quadruple():
-    q = pseudolinear_quadruple(1.0, 2.0)
-    f = transform_map(q, lambda d: 2.0 * d)
-    rep = betweenness_image_structure(f, SubsetRef(q, (0, 1, 2, 3)))
-    assert rep.holds
-    assert rep.domain_line is None and rep.image_line is None
-    assert rep.domain_quadruple.found and rep.image_quadruple.found
-    assert rep.image_quadruple.s == 2.0 and rep.image_quadruple.t == 4.0
-    assert rep.quadruple_preserved
-
-
-def test_image_structure_on_three_point_subset(line4):
-    f = transform_map(line4, lambda d: 2.0 * d)
-    rep = betweenness_image_structure(f, SubsetRef(line4, (0, 1, 2)))
-    assert rep.holds
-    assert rep.domain_quadruple is None and rep.image_quadruple is None
-    np.testing.assert_allclose(rep.domain_line, [0.0, 1.0, 3.0])
 
 
 def test_betweenness_triples_leaves_the_collector_as_it_found_it():

@@ -7,7 +7,10 @@ usage or input errors and failed hypotheses (one ``error:`` line on
 stderr).
 """
 
+import ast
+import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -785,6 +788,8 @@ def test_cli_loads_only_what_its_subcommand_runs(tmp_path):
              f"print(code, [m for m in {ANALYSIS_MODULES!r} if 'qsym.' + m in sys.modules])")
     for argv in (["check", str(space)], ["invert-eta", "--eta", "expratio"]):
         assert _probe(probe, *argv).splitlines()[-1] == "0 []"
+    assert _probe(probe, "between", "--space", str(space)).splitlines()[-1] == \
+        "0 ['betweenness']"
 
 
 def test_every_public_name_resolves():
@@ -796,9 +801,41 @@ def test_every_public_name_resolves():
     assert set(qsym.__all__) <= set(star)
     assert star["check_qs"] is qsym.check_qs
     for gone in ("spectrum", "Spectrum", "eval_modulus", "no_such_name",
-                 "UnboundedEnvelope", "NotQuasisymmetric", "NoBracket", "NonSymmetric"):
+                 "UnboundedEnvelope", "NotQuasisymmetric", "NoBracket", "NonSymmetric",
+                 "eta_from_sandwich", "SandwichModulus", "eta_from_antisymmetric",
+                 "InvolutiveModulus", "betweenness_image_structure",
+                 "compose_weak_similarities", "load_map", "save_map", "invert_diag"):
         with pytest.raises(AttributeError):
             getattr(qsym, gone)
+
+
+#: where a public function counts as used by name: the CLI, the demos, the
+#: acceptance tests and the benchmark (strings too, so a traced benchmark
+#: target counts)
+REACHING_FILES = ("src/qsym/cli.py", "demos/*.py", "tests/test_acceptance.py", "bench/*.py")
+
+
+def test_every_public_function_is_reached():
+    root = Path(__file__).resolve().parents[1]
+    words = set()
+    for pattern in REACHING_FILES:
+        for path in sorted(root.glob(pattern)):
+            words |= set(re.findall(r"\w+", path.read_text()))
+    # or by code in the library itself: names, attributes and imports, not
+    # docstrings
+    for path in sorted((root / "src" / "qsym").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                words.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                words.add(node.attr)
+            elif isinstance(node, ast.alias):
+                words.add(node.name)
+    functions = [name for name in qsym.__all__ if inspect.isfunction(getattr(qsym, name))]
+    assert len(functions) > 40
+    assert [name for name in functions if name not in words] == []
 
 
 def test_six_error_classes_one_per_action():

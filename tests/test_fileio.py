@@ -8,13 +8,12 @@ import pytest
 from qsym import (
     ParseError,
     ValidationError,
+    build_map,
     build_space,
     empirical_modulus,
     load_envelope_points,
-    load_map,
     load_space,
     save_envelope,
-    save_map,
     save_space,
     snowflake_map,
 )
@@ -148,10 +147,11 @@ def test_missing_file_is_a_parse_error(tmp_path):
 def test_map_roundtrip(tmp_path, line4):
     f = snowflake_map(line4, 0.5)
     path = tmp_path / "map.json"
-    save_map(f, path, domain_name="X", codomain_name="Y")
+    labels = {a: b for a, b in zip(f.domain.labels, f.codomain.labels)}
+    path.write_text(json.dumps({"domain": "X", "codomain": "Y", "assignment": labels}))
     dom, cod, assignment = load_map_document(path)
-    assert (dom, cod) == ("X", "Y")
-    back = load_map(path, f.domain, f.codomain, require_bijective=True)
+    assert (dom, cod, assignment) == ("X", "Y", labels)
+    back = build_map(f.domain, f.codomain, assignment, require_bijective=True)
     assert np.array_equal(back.assignment, f.assignment)
     assert back.is_bijection()
 
@@ -160,7 +160,7 @@ def test_map_document_reorders_by_domain(tmp_path, line3):
     path = tmp_path / "map.json"
     doc = {"assignment": {"3": "0", "0": "3", "1": "1"}}
     path.write_text(json.dumps(doc))
-    f = load_map(path, line3, line3)
+    f = build_map(line3, line3, load_map_document(path)[2])
     assert tuple(int(v) for v in f.assignment) == (2, 1, 0)
 
 
@@ -178,19 +178,20 @@ def test_map_target_and_coverage_errors(tmp_path, line3):
     path = tmp_path / "map.json"
     path.write_text(json.dumps({"assignment": {"0": "0", "1": "9", "3": "3"}}))
     with pytest.raises(ValidationError, match=r"^target '9' is not a point of the codomain$"):
-        load_map(path, line3, line3)
+        build_map(line3, line3, load_map_document(path)[2])
 
     path.write_text(json.dumps({"assignment": {"0": "0", "1": "1"}}))
     with pytest.raises(ValidationError, match=r"^domain point '3' has no image$"):
-        load_map(path, line3, line3)
+        build_map(line3, line3, load_map_document(path)[2])
 
 
 def test_map_bijectivity_flag(tmp_path, line3):
     path = tmp_path / "map.json"
     path.write_text(json.dumps({"assignment": {"0": "0", "1": "0", "3": "3"}}))
-    assert not load_map(path, line3, line3).is_bijection()
+    _, _, assignment = load_map_document(path)
+    assert not build_map(line3, line3, assignment).is_bijection()
     with pytest.raises(ValidationError, match=r"^assignment is not a bijection onto the codomain$"):
-        load_map(path, line3, line3, require_bijective=True)
+        build_map(line3, line3, assignment, require_bijective=True)
 
 
 # --------------------------------------------------------- envelope files

@@ -7,11 +7,9 @@ from qsym import (
     CallableModulus,
     EmpiricalModulus,
     ExpRatioModulus,
-    InvolutiveModulus,
     LinearModulus,
     NotInvertible,
     PowerModulus,
-    SandwichModulus,
     ValidationError,
     inverse_modulus,
     invert_modulus,
@@ -59,26 +57,6 @@ def test_exp_ratio_log_path_survives_overflow():
     assert np.all(np.isfinite(big))
     # log eta(t) ~ t - log(e^{1/t} - 1) ~ t + log t for large t
     assert big[0] == pytest.approx(1e3 + np.log(1e3), rel=1e-6)
-
-
-def test_sandwich_modulus_form():
-    eta = SandwichModulus(2.0, 3.0, lambda t: t, label="id")
-    assert eta(1.5) == pytest.approx(2.0 * 9.0 * 1.5)
-    with pytest.raises(ValueError):
-        SandwichModulus(-1.0, 2.0, lambda t: t)
-    with pytest.raises(ValueError):
-        SandwichModulus(1.0, 0.5, lambda t: t)
-
-
-def test_involutive_modulus():
-    eta = InvolutiveModulus(lambda a, b: 0.5 * (np.log(a) - np.log(b)), label="logmean")
-    # psi(t, 1/t) = log t, so eta is the identity
-    assert eta(5.0) == pytest.approx(5.0)
-    assert eta(0.0) == 0.0
-    with pytest.raises(ValidationError,
-                       match=r"^involutive: exp\(psi\(t, 1/t\)\) is not strictly increasing on "
-                             r"the probe grid$"):
-        InvolutiveModulus(lambda a, b: b - a)  # decreasing in t
 
 
 def test_callable_modulus_validation():
@@ -230,9 +208,7 @@ def test_every_modulus_kind_evaluates_a_square_array_elementwise():
     root = CallableModulus(lambda t: 2.0 * np.sqrt(t), label="2t^0.5")
     kinds = [
         PowerModulus(0.5), LinearModulus(3.0), BiLipschitzModulus(2.0), ExpRatioModulus(),
-        SandwichModulus(2.0, 3.0, lambda t: t, label="id"), parse_modulus("k8:2,3"),
-        InvolutiveModulus(lambda a, b: 0.5 * (np.log(a) - np.log(b)), label="logmean"),
-        root, EmpiricalModulus([0.1, 1.0, 5.0], [0.5, 1.5, 3.0]), inverse_modulus(root),
+        parse_modulus("k8:2,3"), root, EmpiricalModulus([0.1, 1.0, 5.0], [0.5, 1.5, 3.0]), inverse_modulus(root),
     ]
     # repeated arguments and 0 included
     t = np.concatenate([[0.0, 1.0, 1.0, 20.0], np.geomspace(0.05, 20.0, 12)])

@@ -25,7 +25,6 @@ from qsym import (
     check_qs,
     collinear_space,
     empirical_modulus,
-    eta_from_sandwich,
     eta_ratio_report,
     euclidean_space,
     fit_snowflake,
@@ -277,21 +276,6 @@ def test_fit_soundness_via_check_qs():
         fit = fit_snowflake(f)
         assert fit is not None
         assert check_qs(f, PowerModulus(fit.exponent)).holds
-
-
-def test_eta_from_sandwich():
-    eta = eta_from_sandwich(lambda t: t, lambda t: 1.5 * t, C=1.0, K=2.0)
-    assert eta(2.0) == pytest.approx(1.0 * 4.0 * 2.0)
-    with pytest.raises(ValidationError,
-                       match=r"^phi1 <= phi2 <= K phi1 fails at t = 1e-06: phi1 = 1e-06, phi2 = "
-                             r"3e-06, K = 2$"):
-        eta_from_sandwich(lambda t: t, lambda t: 3.0 * t, C=1.0, K=2.0)
-    with pytest.raises(ValidationError,
-                       match=r"^phi2\(uv\) <= C phi2\(u\) phi2\(v\) fails at u = 1\.15832, v = "
-                             r"5\.03649: lhs = 340\.682, rhs = 334\.085$"):
-        # e**t - 1 is superadditive at large arguments, so the
-        # submultiplicativity probe fails (u = v = 2 is a witness)
-        eta_from_sandwich(np.expm1, np.expm1, C=1.0, K=1.0)
 
 
 def test_minimal_bilipschitz_L(line3):

@@ -121,8 +121,6 @@ def test_point_map_roundtrip(line3):
     assert R.shape == (3, 3)
     g = f.inverse()
     assert list(g.assignment) == [0, 1, 2]
-    comp = f.compose(g)
-    assert list(comp.assignment) == [0, 1, 2]
 
 
 def test_point_map_accepts_plain_sequences(line3):
@@ -143,11 +141,6 @@ def test_build_map_validation(line3):
     # non-bijective assignment is fine when not requested
     f = build_map(line3, Y, {"0": "0", "1": "0", "3": "3"})
     assert not f.is_bijection()
-
-
-def test_compose_mismatch(line3, line4):
-    with pytest.raises(ValidationError, match=r"^composition mismatch: codomain != next domain$"):
-        identity_map(line3).compose(identity_map(line4))
 
 
 def test_transform_distances_scaler_checks(line3):

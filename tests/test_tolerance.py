@@ -21,7 +21,6 @@ from qsym import (
     PowerModulus,
     ScaledAdditive,
     SubsetRef,
-    betweenness_image_structure,
     betweenness_triples,
     bounded_image_bounds,
     brute_force_weak_similarity,
@@ -33,7 +32,6 @@ from qsym import (
     check_transfer_condition,
     check_triangle,
     collinear_space,
-    compose_weak_similarities,
     detect_pseudolinear,
     euclidean_space,
     find_weak_similarity,
@@ -302,8 +300,6 @@ TOL_TAKERS = {
     "check_l02_conditions": lambda tol, path: check_l02_conditions(ETA1, tol=tol),
     "detect_pseudolinear": lambda tol, path: detect_pseudolinear(X4, tol),
     "line_embed": lambda tol, path: line_embed(X4, tol),
-    "betweenness_image_structure": lambda tol, path: betweenness_image_structure(
-        ID4, SubsetRef(X4, (0, 1, 2)), tol),
     "space_ranks": lambda tol, path: space_ranks(X4, tol),
     "forced_scaling": lambda tol, path: forced_scaling(X4, X4, tol),
     "verify_weak_similarity": lambda tol, path: verify_weak_similarity(WS, tol),
@@ -312,7 +308,6 @@ TOL_TAKERS = {
     "check_monotone_implications": lambda tol, path: check_monotone_implications(ID4, tol),
     "check_involution_identity": lambda tol, path: check_involution_identity(ETA1, tol=tol),
     "qs_from_weaksim": lambda tol, path: qs_from_weaksim(WS, lambda t: t, tol),
-    "compose_weak_similarities": lambda tol, path: compose_weak_similarities(WS, WS, tol),
     "ScalingFunction.__call__": lambda tol, path: WS.phi(1.0, tol),
 }
 

@@ -11,6 +11,7 @@ from qsym import (
     Additive,
     CustomGauge,
     MaxGauge,
+    NotInvertible,
     PowerModulus,
     ScaledAdditive,
     ValidationError,
@@ -18,7 +19,6 @@ from qsym import (
     check_triangle,
     collinear_space,
     euclidean_space,
-    invert_diag,
     is_ptolemaic,
     minimal_bmetric_K,
     parse_triangle_function,
@@ -165,10 +165,19 @@ def test_custom_gauge_rejections():
 
 
 def test_invert_diag():
-    # diag of additive is 2t, of bmetric:K is 2Kt, of max is t
-    assert invert_diag(Additive(), 9.0) == pytest.approx(4.5)
-    assert invert_diag(ScaledAdditive(2.0), 9.0) == pytest.approx(2.25)
-    assert invert_diag(MaxGauge(), 9.0) == pytest.approx(9.0)
+    # diag of additive is 2t, of bmetric:K is 2Kt, of max is t, of l2 is sqrt(2) t
+    l2 = CustomGauge(lambda u, v: np.sqrt(u * u + v * v), name="l2")
+    cases = [(Additive(), 4.5), (ScaledAdditive(2.0), 2.25), (MaxGauge(), 9.0),
+             (l2, 9.0 / np.sqrt(2.0))]
+    for phi, expected in cases:
+        got = phi.diag_inverse(9.0)
+        assert type(got) is float
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)
+    # a valid gauge whose diagonal goes flat above 1 has no inverse
+    capped = CustomGauge(lambda u, v: np.minimum(np.maximum(u, v), 1.0))
+    with pytest.raises(NotInvertible, match=r"^custom: diagonal gauge is not strictly "
+                                            r"increasing on the probe grid$"):
+        capped.diag_inverse(0.5)
 
 
 def test_is_ptolemaic_euclidean_and_square():

@@ -23,8 +23,6 @@ from qsym import (
     check_involution_identity,
     check_monotone_implications,
     collinear_space,
-    compose_weak_similarities,
-    eta_from_antisymmetric,
     eta_from_generators,
     find_weak_similarity,
     power_generator,
@@ -33,7 +31,6 @@ from qsym import (
     space_ranks,
     transform_distances,
     euclidean_space,
-    transform_map,
     verify_weak_similarity,
 )
 from qsym.spaces import RANK_TOL
@@ -553,25 +550,6 @@ def test_involution_identity_generator_moduli():
     assert rep.points == 2
 
 
-# -------------------------------------------------- antisymmetric kernels
-
-
-def test_eta_from_antisymmetric_identity():
-    psi = lambda x, z: (np.log(x) - np.log(z)) / 2.0
-    eta = eta_from_antisymmetric(psi, label="log-half")
-    assert eta.name == "log-half"
-    assert eta.eval(2.0) == pytest.approx(2.0, rel=1e-12)
-    assert eta.eval(0.25) == pytest.approx(0.25, rel=1e-12)
-    assert check_involution_identity(eta).holds
-
-
-def test_eta_from_antisymmetric_rejects_symmetric_kernel():
-    with pytest.raises(ValidationError,
-                       match=r"^psi\(0\.001, 0\.001\) \+ psi\(0\.001, 0\.001\) = 0\.002, "
-                             r"expected 0$"):
-        eta_from_antisymmetric(lambda x, z: x)
-
-
 # ------------------------------------------------------- qs continuation
 
 
@@ -599,33 +577,3 @@ def test_qs_from_weaksim_rejects_supermultiplicative(line4):
                        match=r"^phistar\(5\.83388\) = 340\.682 > 334\.085 = phistar\(1\.15832\) "
                              r"\* phistar\(5\.03649\)$"):
         qs_from_weaksim(ws, np.expm1)
-
-
-# ------------------------------------------------------------ composition
-
-
-def test_compose_weak_similarities():
-    X = collinear_space([0.0, 1.0, 3.0])
-    f1 = transform_map(X, lambda d: 2.0 * d)
-    Y = f1.codomain
-    f2 = transform_map(Y, lambda d: 3.0 * d)
-    Z = f2.codomain
-    ws1 = find_weak_similarity(X, Y)
-    ws2 = find_weak_similarity(Y, Z)
-    both = compose_weak_similarities(ws1, ws2)
-    assert verify_weak_similarity(both)
-    assert both.f.domain is X and both.f.codomain is Z
-    assert both.phi.pairs() == [(0.0, 0.0), (1.0, 6.0), (2.0, 12.0), (3.0, 18.0)]
-
-
-def test_compose_requires_chained_spaces():
-    X = collinear_space([0.0, 1.0, 3.0])
-    Y = transform_distances(X, lambda d: 2.0 * d)
-    # Y is an equal but distinct object, so a ws built on a fresh copy
-    # does not chain
-    ws1 = find_weak_similarity(X, Y)
-    ws_other = find_weak_similarity(
-        transform_distances(X, lambda d: 2.0 * d), collinear_space([0.0, 2.0, 6.0])
-    )
-    with pytest.raises(ValueError, match="do not chain"):
-        compose_weak_similarities(ws1, ws_other)
