@@ -12,7 +12,8 @@ realized pair, and the first failing envelope knot is the smallest flagged
 t.  For a power modulus C t**alpha it separates per base point, the
 condition of Tukia and Vaisala, and the scan reads only the rows that
 :func:`_power_rows` can neither certify nor rule out as the witness's.
-:func:`eta_ratio_report` streams the same rows.  The empirical
+There eta(t) eta(1/t) = C**2 at every ratio, so :func:`eta_ratio_report`
+scans nothing; for any other modulus it streams the rows.  The empirical
 envelope (:func:`empirical_modulus`), the running maximum H of r over
 ratios <= t, is kept at its strict records, the ratios where H rises, each
 with its witness; the step function they span equals H everywhere.  It is
@@ -412,33 +413,41 @@ def eta_ratio_report(f: PointMap, eta: Modulus) -> RatioIdentityReport:
 
     Every realized ratio t comes with its reciprocal (swap a and b), so any
     modulus that verifies f must satisfy eta(t) eta(1/t) >= 1 there, and
-    eta(1) >= 1.  The blocks of :func:`_rows` are streamed: ``min_product``
-    is the smallest product (a NaN first) and ``at_t`` the smallest ratio
-    attaining it, the envelope knot where the minimum over knots lands.
-    Ties go to the smallest t, not the first position, so the first
-    minimum of ``triangle._Scan`` does not fit.  ``checked`` counts the
-    ratios scanned.  Only domain ratios are read, so a map that collapses
-    a pair gets a report too.  Where the domain distances span 2**1022 or
-    more, a product at a ratio of :func:`_off_range` is C**2, exactly
-    eta(t) eta(1/t) for eta = C t**alpha.  Pure report; tolerances are
-    ``RATIO_PRODUCT_TOL`` and ``ETA_ONE_TOL``.
+    eta(1) >= 1.  ``min_product`` is the smallest product (a NaN first) and
+    ``at_t`` the smallest ratio attaining it, the envelope knot where the
+    minimum over knots lands.  Ties go to the smallest t, not the first
+    position, so the first minimum of ``triangle._Scan`` does not fit.
+    ``checked`` counts the realized ratios, n (n-1)**2.  Only domain ratios
+    are read, so a map that collapses a pair gets a report too.
+
+    For eta = C t**alpha in ``moduli._POWER_FAMILY`` the product is C**2 at
+    every ratio, so nothing is scanned: ``min_product`` is C * C, at the
+    least realized ratio, min over x of min_a d(x,a) / max_b d(x,b).  Any
+    other modulus streams the blocks of :func:`_rows`; where the domain
+    distances span 2**1022 or more, a ratio of :func:`_off_range` is an
+    input error.  Pure report; tolerances are ``RATIO_PRODUCT_TOL`` and
+    ``ETA_ONE_TOL``.
     """
-    wide = _wide(f.domain.dist)
-    checked = 0
+    n = f.domain.n
     best = None  # (product with NaN as -inf, t, product) of the minimum
-    with np.errstate(all="ignore") if wide else nullcontext():
-        for start, d, _ in _rows(f):
-            t = _ratios(d)
-            checked += len(t)
-            prod = _ratio_products(eta, t)
-            odd = _off_range(f, eta, start, None, t) if wide else ()
-            if len(odd):  # eta(t) eta(1/t) = C t**alpha C t**-alpha
-                prod[odd] = eta.C * eta.C
-            key = np.where(np.isnan(prod), -np.inf, prod)
-            tie = np.nonzero(key == key.min())[0]
-            j = tie[np.argmin(t[tie])]
-            if best is None or (key[j], t[j]) < best[:2]:
-                best = (key[j], t[j], prod[j])
+    if type(eta) in _POWER_FAMILY:  # C t**alpha C t**-alpha
+        DR = _off_diagonal(f)
+        if DR is not None:
+            low = eta.C * eta.C
+            best = (low, (DR[0].min(axis=1) / DR[0].max(axis=1)).min(), low)
+    else:
+        wide = _wide(f.domain.dist)
+        with np.errstate(all="ignore") if wide else nullcontext():
+            for start, d, _ in _rows(f):
+                t = _ratios(d)
+                prod = _ratio_products(eta, t)
+                if wide:  # raises at a ratio off the normal floats
+                    _off_range(f, eta, start, None, t)
+                key = np.where(np.isnan(prod), -np.inf, prod)
+                tie = np.nonzero(key == key.min())[0]
+                j = tie[np.argmin(t[tie])]
+                if best is None or (key[j], t[j]) < best[:2]:
+                    best = (key[j], t[j], prod[j])
     eta_one = float(np.asarray(eta.eval(1.0)))
     eta_one_ok = bool(eta_one >= 1.0 - ETA_ONE_TOL)
     if best is None:
@@ -452,7 +461,7 @@ def eta_ratio_report(f: PointMap, eta: Modulus) -> RatioIdentityReport:
         eta_one,
         product_ok,
         eta_one_ok,
-        checked,
+        n * (n - 1) ** 2,
     )
 
 

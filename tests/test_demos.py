@@ -1,4 +1,4 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, with no RuntimeWarning."""
 
 import os
 import subprocess
@@ -17,6 +17,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=120)
+    # the RuntimeWarning filter of the test suite and of CI's benchmark smoke
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

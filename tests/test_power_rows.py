@@ -20,6 +20,7 @@ from qsym import (
     build_space,
     check_qs,
     collinear_space,
+    eta_ratio_report,
     euclidean_space,
     identity_map,
     snowflake_map,
@@ -155,6 +156,14 @@ def test_a_holding_power_check_forms_no_ratio(ratio_rows):
     f = snowflake_map(euclidean_space(200, 2, seed=1), 0.5)
     rep = check_qs(f, PowerModulus(0.5))
     assert rep.holds and rep.checked == 200 * 199 ** 2
+    assert ratio_rows == []
+
+
+def test_a_power_ratio_report_forms_no_ratio(ratio_rows):
+    f = snowflake_map(euclidean_space(200, 2, seed=1), 0.5)
+    rep = eta_ratio_report(f, PowerModulus(0.5))
+    assert rep.holds and rep.checked == 200 * 199 ** 2
+    assert rep.min_product == 1.0
     assert ratio_rows == []
 
 

@@ -15,6 +15,7 @@ from qsym import (
     ExpRatioModulus,
     LinearModulus,
     MaxGauge,
+    PointMap,
     PowerModulus,
     PreconditionFailed,
     ScaledAdditive,
@@ -43,9 +44,10 @@ from qsym import (
     verify_transfer_end_to_end,
 )
 from qsym import quasisymmetry
-from qsym.moduli import Modulus
+from qsym.moduli import _POWER_FAMILY, Modulus
 
 from conftest import knot_qs_report, knot_ratio_report, naive_envelope
+from test_float_range import WIDE_LINES
 
 
 def exp_line_map():
@@ -469,8 +471,63 @@ def test_streamed_verdicts_match_the_envelope_path(kind, image, n, seed, tol):
         with np.errstate(all="ignore"):
             ratio = eta_ratio_report(f, eta)
             want = knot_ratio_report(f, eta)
-        assert _without_checked(ratio) == _without_checked(want)
+        if type(eta) in _POWER_FAMILY:  # C**2 at the least ratio, not a scanned product
+            _assert_power_ratio_report(f, eta, ratio)
+        else:
+            assert _without_checked(ratio) == _without_checked(want)
         assert ratio.checked == n * (n - 1) ** 2
+
+
+#: power-family moduli whose C**2 lies on either side of 1 - RATIO_PRODUCT_TOL
+POWER_MODULI = [
+    PowerModulus(0.5), PowerModulus(0.45), PowerModulus(2.0), LinearModulus(1.0),
+    LinearModulus(0.5), LinearModulus(1 - 1e-9), LinearModulus(1 + 1e-9),
+    BiLipschitzModulus(1.5), BiLipschitzModulus(1 + 1e-9),
+]
+
+
+def _assert_power_ratio_report(f, eta, rep, wide=False):
+    """eta(t) eta(1/t) = C**2 at every realized ratio of an injective map,
+    read at the least knot of the loop envelope; off a wide space the
+    verdict is that of the knot path's products."""
+    n = f.domain.n
+    with np.errstate(all="ignore"):
+        ts = naive_envelope(f)[0]
+        want = None if wide else knot_ratio_report(f, eta)
+    assert rep.min_product == eta.C * eta.C
+    assert rep.at_t == ts[0]
+    assert rep.checked == n * (n - 1) ** 2
+    if want is not None:
+        assert (rep.holds, rep.product_ok, rep.eta_one_ok, rep.eta_one) == \
+            (want.holds, want.product_ok, want.eta_one_ok, want.eta_one)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(sorted(PARITY_SPACES)),
+    st.sampled_from(sorted(PARITY_SPACES) + ["snowflake", "inverse"]),
+    st.integers(2, 7),
+    st.integers(0, 10_000),
+    st.sampled_from(POWER_MODULI),
+)
+def test_a_power_ratio_report_is_c_squared_at_the_least_ratio(kind, image, n, seed, eta):
+    f = _parity_map(kind, image, n, seed)
+    _assert_power_ratio_report(f, eta, eta_ratio_report(f, eta))
+    # a constant map realizes no ratio: the empty report of the knot path
+    point = build_space(["p"], [[0.0]])
+    const = build_map(f.domain, point, {lab: "p" for lab in f.domain.labels})
+    assert eta_ratio_report(const, eta) == knot_ratio_report(const, eta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(WIDE_LINES, WIDE_LINES, st.sampled_from(POWER_MODULI))
+def test_a_power_ratio_report_on_wide_lines_is_c_squared(X, Y, eta):
+    if Y.n < X.n:
+        X, Y = Y, X
+    for f in (PointMap(X, Y, np.arange(X.n)), PointMap(X, Y, np.arange(X.n)[::-1])):
+        rep = eta_ratio_report(f, eta)
+        _assert_power_ratio_report(f, eta, rep, wide=True)
+        assert rep.product_ok is (eta.C * eta.C >= 1 - quasisymmetry.RATIO_PRODUCT_TOL)
 
 
 def test_first_violation_in_a_near_duplicate_chain():
@@ -640,13 +697,16 @@ def test_one_scan_per_verdict(line4, verdict_scans, row_walks):
     end = verify_transfer_end_to_end(f, Additive(), Additive(), eta)
     assert len(verdict_scans) == 1
     assert end.qs is rep
-    # a failing verdict is one scan too, and each ratio report one walk
+    # a failing verdict is one scan too
     assert not check_qs(f, PowerModulus(0.25)).holds
     assert len(verdict_scans) == 2
+    # a power-family ratio report walks no rows, any other modulus one
     walks = len(row_walks)
     assert eta_ratio_report(f, eta).holds
     assert not eta_ratio_report(f, LinearModulus(0.5)).holds
-    assert len(row_walks) == walks + 2
+    assert len(row_walks) == walks
+    assert eta_ratio_report(f, CallableModulus(np.sqrt, label="root")).holds
+    assert len(row_walks) == walks + 1
 
 
 def test_verdicts_are_kept_per_modulus_object(line4, verdict_scans):
