@@ -42,7 +42,7 @@ _EXPORTS = {
         check_transfer_condition minimal_transfer_K2 ptolemy_transfer_check
         verify_transfer_end_to_end""",
     "betweenness": """
-        BetweennessTriple QuadrupleShape betweenness_triples
+        BetweennessTriple BetweennessTriples QuadrupleShape betweenness_triples
         check_l02_conditions detect_pseudolinear eta_from_generators line_embed
         power_generator preserves_betweenness""",
     "weak_similarity": """

@@ -9,10 +9,11 @@ pseudolinear quadruple detection, and Menger-style line embedding.
 
 from __future__ import annotations
 
-import gc
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,6 +30,9 @@ GENERATOR_GRID = 128
 #: default partition sample count for the two equality conditions
 PARTITION_SAMPLES = 512
 
+#: array rows turned into Python tuples at a time
+_ROWS_AT_A_TIME = 4096
+
 
 class BetweennessTriple(NamedTuple):
     """y between x and z, with the realized equality slack."""
@@ -40,12 +44,15 @@ class BetweennessTriple(NamedTuple):
 
 
 def _between_columns(D: np.ndarray, tol: float):
-    """The betweenness triples of D as four lists x, y, z, slack, with
-    x < z, in (x, z, y) order: each pair row (x, z) against every y, on the
-    distances of :func:`spaces._scaled`, with the slacks scaled back."""
+    """The betweenness triples of D as int32 arrays x, y, z and a float64
+    slack array, with x < z, in (x, z, y) order: each pair row (x, z)
+    against every y, on the distances of :func:`spaces._scaled`, with the
+    slacks scaled back.  Each block's hits are kept as arrays and joined
+    at the end, one column at a time, so no Python object is made per
+    triple and the peak is 28 bytes per triple."""
     _valid_tol(tol)
     D, s = _scaled(D)
-    xs, ys, zs, slacks = [], [], [], []
+    columns = tuple([np.empty(0, dtype)] for dtype in (np.int32,) * 3 + (float,))
     for xa, xb, lo, hi in _pair_rows(len(D)):
         direct = D[xa:xb, lo:hi, None]
         through = D[xa:xb, None] + D[None, lo:hi]  # d(x, y) + d(y, z)
@@ -54,31 +61,78 @@ def _between_columns(D: np.ndarray, tol: float):
         if not ok.any():
             continue
         x, z, y = np.nonzero(ok)
-        for i, count in enumerate(np.bincount(x, minlength=xb - xa).tolist()):
-            xs += [xa + i] * count
-        ys += y.tolist()
-        zs += (z + lo).tolist()
-        slacks += _unscaled(np.abs(direct[x, z, 0] - through[x, z, y]), s).tolist()
-    return xs, ys, zs, slacks
+        slack = _unscaled(np.abs(direct[x, z, 0] - through[x, z, y]), s)
+        hits = (x + xa).astype(np.int32), y.astype(np.int32), (z + lo).astype(np.int32), slack
+        for parts, hit in zip(columns, hits):
+            parts.append(hit)
+    joined = []
+    for parts in columns:  # each column's pieces go before the next is joined
+        joined.append(np.concatenate(parts))
+        parts.clear()
+    return tuple(joined)
+
+
+def _named_rows(cls, columns):
+    """The named tuples ``cls`` of the rows of equal-length arrays, as Python
+    numbers, converted :data:`_ROWS_AT_A_TIME` rows at a time."""
+    for lo in range(0, len(columns[0]), _ROWS_AT_A_TIME):
+        rows = zip(*(c[lo:lo + _ROWS_AT_A_TIME].tolist() for c in columns))
+        # tuple.__new__ runs in C, the named tuple's generated __new__ in Python
+        yield from map(tuple.__new__, repeat(cls), rows)
+
+
+class BetweennessTriples(Sequence):
+    """The betweenness triples of a space, read-only, in (x, z, y) order.
+
+    The triples live in the int32 arrays ``x``, ``y``, ``z`` and the
+    float64 array ``slack``, 20 bytes per triple; a
+    :class:`BetweennessTriple` of Python ints and a float is made only when
+    one is read.  Indexing takes an int, negative ones too, or a slice,
+    which gives a view of the same kind.  Equal to another instance, or to
+    a list or tuple, with the same triples in the same order.
+    """
+
+    __slots__ = ("x", "y", "z", "slack")
+
+    def __init__(self, x, y, z, slack):
+        for name, column in zip(self.__slots__, (x, y, z, slack)):
+            column = np.asarray(column).view()
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    def _columns(self):
+        return self.x, self.y, self.z, self.slack
+
+    def __len__(self) -> int:
+        return len(self.slack)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return BetweennessTriples(*(c[i] for c in self._columns()))
+        i = operator.index(i)
+        return BetweennessTriple(*(c[i].item() for c in self._columns()))
+
+    def __iter__(self):
+        return _named_rows(BetweennessTriple, self._columns())
+
+    def __eq__(self, other):
+        if isinstance(other, BetweennessTriples):
+            return all(map(np.array_equal, self._columns(), other._columns()))
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}: {len(self)} triples>"
 
 
 def betweenness_triples(
     space: SemimetricSpace, tol: float = DEFAULT_TOL
-) -> list:
+) -> BetweennessTriples:
     """All triples with y between x and z, canonicalized to x < z and
-    sorted by (x, z, y).  The cyclic garbage collector is paused while the
-    list is built and switched back on afterwards only if it was on before."""
-    columns = _between_columns(np.asarray(space.dist), tol)
-    # the tuples hold no references back, so the cyclic collector that
-    # their allocation would trigger over and over can find nothing
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        # tuple.__new__ runs in C, the named tuple's generated __new__ in Python
-        return list(map(tuple.__new__, repeat(BetweennessTriple), zip(*columns)))
-    finally:
-        if enabled:
-            gc.enable()
+    sorted by (x, z, y), as a :class:`BetweennessTriples` of 20 bytes per
+    triple: it holds arrays, not one object per triple."""
+    return BetweennessTriples(*_between_columns(np.asarray(space.dist), tol))
 
 
 class BetweennessViolation(NamedTuple):
@@ -106,17 +160,17 @@ def preserves_betweenness(
 ) -> BetweennessPreservationReport:
     """Check that every domain betweenness triple maps to an image triple
     satisfying the same additive equality within tol; both sides read
-    their distances through :func:`spaces._scaled`."""
+    their distances through :func:`spaces._scaled`, and the image side
+    is gathered from the domain's triple arrays."""
     xs, ys, zs, slacks = _between_columns(np.asarray(f.domain.dist), tol)
     R, s = _scaled(f.image_matrix())
     direct = R[xs, zs]
     through = R[xs, ys] + R[ys, zs]
     image = _unscaled(np.abs(direct - through), s)
-    bad = np.flatnonzero(~_equal(direct, through, tol)).tolist()
-    violations = tuple(
-        BetweennessViolation(xs[i], ys[i], zs[i], slacks[i], float(image[i])) for i in bad
-    )
-    return BetweennessPreservationReport(not bad, len(xs), violations, tol)
+    bad = ~_equal(direct, through, tol)
+    violations = tuple(_named_rows(BetweennessViolation,
+                                   [c[bad] for c in (xs, ys, zs, slacks, image)]))
+    return BetweennessPreservationReport(not violations, len(xs), violations, tol)
 
 
 class PartitionViolation(NamedTuple):

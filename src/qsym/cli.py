@@ -23,11 +23,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import ParseError, QsymError
 from .spaces import DEFAULT_TOL, RANK_TOL, build_map
+
+#: the text lines that :func:`_emit` joins into one write
+_LINES_PER_WRITE = 4096
 
 #: the flags that name a map's domain, codomain and assignment files
 _MAP_FLAGS = ("--domain", "--codomain", "--map")
@@ -39,7 +43,8 @@ def _emit(args, payload: dict, lines, holds=True, files=(), tol: str = "tol") ->
     Under ``--json`` the document is ``command``, then, when the handler
     read ``files``, their sha256 hashes as ``inputs`` and the option
     ``tol`` names (the verdict's tolerance) under its own name, then the
-    handler's ``payload``; otherwise each of ``lines`` is printed.
+    handler's ``payload``; otherwise each of ``lines``, an iterable that
+    may be lazy, is printed, a chunk of lines per write.
     """
     if args.json:
         from .report import to_json
@@ -52,7 +57,9 @@ def _emit(args, payload: dict, lines, holds=True, files=(), tol: str = "tol") ->
             head[tol] = getattr(args, tol)
         print(to_json({**head, **payload}))
     else:
-        sys.stdout.write("".join([f"{line}\n" for line in lines]))
+        lines = iter(lines)
+        while chunk := [f"{line}\n" for line in islice(lines, _LINES_PER_WRITE)]:
+            sys.stdout.write("".join(chunk))
     return 0 if holds else 1
 
 
@@ -366,17 +373,19 @@ def _cmd_between(args) -> int:
                 f"triple ({space.labels[v[0]]}, {space.labels[v[1]]}, "
                 f"{space.labels[v[2]]}): image slack {v[4]:.6g}"
             )
-        return _emit(args, {"report": rep.to_dict()}, lines, rep.holds, files)
+        payload = {"report": rep.to_dict()} if args.json else {}
+        return _emit(args, payload, lines, rep.holds, files)
     triples = btw.betweenness_triples(space, tol=args.tol)
-    payload = {
-        "triples": [{"x": t.x, "y": t.y, "z": t.z, "slack": t.slack} for t in triples],
-    }
-    lines = [f"{len(triples)} betweenness triples"] + [
-        f"{space.labels[t.y]} between {space.labels[t.x]} and {space.labels[t.z]} "
-        f"(slack {t.slack:.3g})"
-        for t in triples
-    ]
-    return _emit(args, payload, lines, files=files)
+    if args.json:
+        payload = {
+            "triples": [{"x": x, "y": y, "z": z, "slack": slack} for x, y, z, slack in triples],
+        }
+        return _emit(args, payload, (), files=files)
+    labels = space.labels
+    lines = chain([f"{len(triples)} betweenness triples"], (
+        f"{labels[y]} between {labels[x]} and {labels[z]} (slack {slack:.3g})"
+        for x, y, z, slack in triples))
+    return _emit(args, {}, lines, files=files)
 
 
 def _cmd_eta_k8(args) -> int:

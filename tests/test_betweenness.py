@@ -1,12 +1,14 @@
 """Betweenness triples, partition conditions, generator moduli, and
 line/quadruple structure."""
 
-import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qsym import (
+    BetweennessTriple,
+    BetweennessTriples,
     PowerModulus,
     ValidationError,
     betweenness_triples,
@@ -25,6 +27,8 @@ from qsym import (
     transform_map,
     ultrametric_space,
 )
+
+from qsym import triangle
 
 from conftest import naive_betweenness, subspace
 
@@ -87,6 +91,78 @@ def test_triples_match_naive_on_random_spaces(seed):
     ):
         mine = sorted((t.x, t.y, t.z) for t in betweenness_triples(sp))
         assert mine == naive_betweenness(sp)
+
+
+def oracle_triples(space):
+    """The loop oracle's triples as named tuples of Python numbers, in
+    (x, z, y) order, each with its slack |d(x,z) - (d(x,y) + d(y,z))|."""
+    d = np.asarray(space.dist).tolist()
+    return [BetweennessTriple(x, y, z, abs(d[x][z] - (d[x][y] + d[y][z])))
+            for x, y, z in sorted(naive_betweenness(space), key=lambda t: (t[0], t[2], t[1]))]
+
+
+@pytest.mark.parametrize("space", [
+    collinear_space(range(9)),
+    collinear_space([0.0, 0.5, 1.75, 3.0, 7.25]),
+    pseudolinear_quadruple(1.0, 2.0),
+    ultrametric_space(8, seed=3),
+    random_semimetric_space(8, seed=1),
+], ids=["line9", "line5", "pseudolinear", "ultrametric", "random"])
+def test_the_triples_behave_as_a_list_of_named_tuples(space):
+    triples, expect = betweenness_triples(space), oracle_triples(space)
+    assert isinstance(triples, BetweennessTriples)
+    assert triples == expect and expect == triples and triples == tuple(expect)
+    assert list(triples) == expect and len(triples) == len(expect)
+    assert bool(triples) == bool(expect)
+    assert triples == betweenness_triples(space) and not triples != betweenness_triples(space)
+    for t in triples:
+        assert type(t) is BetweennessTriple
+        assert [type(v) for v in t] == [int, int, int, float]
+    if expect:
+        assert triples[0] == expect[0] and triples[-1] == expect[-1]
+        assert triples[len(expect) // 2] == expect[len(expect) // 2]
+        assert [type(v) for v in triples[-1]] == [int, int, int, float]
+        assert triples[1:] == expect[1:] and triples[::-2] == expect[::-2]
+        assert triples.index(expect[-1]) == len(expect) - 1 and expect[0] in triples
+        assert triples != expect[:-1]
+        assert triples != expect[:-1] + [expect[-1]._replace(slack=0.5)]
+    with pytest.raises(IndexError):
+        triples[len(expect)]
+    with pytest.raises(IndexError):
+        triples[-len(expect) - 1]
+    with pytest.raises(TypeError):
+        triples[0.0]
+
+
+def test_no_triples_equal_the_empty_list():
+    for space in (collinear_space([0.0]), collinear_space([0.0, 1.0]),
+                  build_space("abc", [[0, 1, 1], [1, 0, 1], [1, 1, 0]])):
+        triples = betweenness_triples(space)
+        assert triples == [] and [] == triples and triples == ()
+        assert not triples and len(triples) == 0 and list(triples) == []
+
+
+def test_the_triples_are_read_only():
+    triples = betweenness_triples(collinear_space(range(5)))
+    with pytest.raises(ValueError):
+        triples.slack[0] = 1.0
+    with pytest.raises(TypeError):
+        triples[0] = triples[1]
+
+
+def test_the_triples_cost_at_most_48_bytes_each():
+    # 20 bytes a triple in four arrays, up to 28 while the blocks' pieces
+    # are joined, beside one block of scan temporaries and the scaled copy
+    n = 150
+    X = collinear_space(range(n))
+    tracemalloc.start()
+    try:
+        triples = betweenness_triples(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(triples) == n * (n - 1) * (n - 2) // 6
+    assert peak <= 48 * len(triples) + 8 * 8 * (n * n + triangle._PAIR_BLOCK)
 
 
 # ----------------------------------------------------------- preservation
@@ -259,15 +335,3 @@ def test_line_embed_shifts_to_anchor():
 def test_line_embed_singleton():
     one = build_space(("o",), [[0.0]])
     np.testing.assert_allclose(line_embed(one), [0.0])
-
-
-def test_betweenness_triples_leaves_the_collector_as_it_found_it():
-    # the collector is off while the triples are built, and only then
-    X = collinear_space(range(6))
-    assert gc.isenabled()
-    assert len(betweenness_triples(X)) == 20 and gc.isenabled()
-    gc.disable()
-    try:
-        assert len(betweenness_triples(X)) == 20 and not gc.isenabled()
-    finally:
-        gc.enable()

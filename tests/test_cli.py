@@ -589,6 +589,25 @@ def test_between_triples(files, capsys):
     assert "1 between 0 and 3" in out
 
 
+def test_between_text_is_written_in_chunks_and_json_holds_every_triple(files, capsys,
+                                                                      monkeypatch):
+    from qsym import cli
+
+    path = str(files["tmp"] / "line9.json")
+    save_space(collinear_space(range(9)), path)
+    code, whole, _ = run(capsys, "between", "--space", path)
+    assert code == 0 and whole.splitlines()[0] == "84 betweenness triples"
+    assert len(whole.splitlines()) == 85 and whole.endswith("(slack 0)\n")
+    for size in (1, 5, 84, 85):
+        monkeypatch.setattr(cli, "_LINES_PER_WRITE", size)
+        assert run(capsys, "between", "--space", path)[1] == whole
+    code, out, _ = run(capsys, "between", "--space", path, "--json")
+    triples = json.loads(out)["triples"]
+    assert code == 0 and len(triples) == 84
+    assert triples[0] == {"x": 0, "y": 1, "z": 2, "slack": 0}
+    assert triples[-1] == {"x": 6, "y": 7, "z": 8, "slack": 0}
+
+
 def test_between_line_embedding(files, capsys):
     code, out, _ = run(capsys, "between", "--space", files["line.json"], "--line")
     assert code == 0

@@ -111,7 +111,9 @@ def test_pair_rows_cover_each_pair_once_in_order(monkeypatch, block):
     minimal_bmetric_K,
     lambda X: check_transfer_condition(Additive(), Additive(), PowerModulus(0.5), pairs=X),
     betweenness_triples,
-], ids=["check_triangle", "minimal_bmetric_K", "check_transfer_condition", "betweenness_triples"])
+    lambda X: preserves_betweenness(snowflake_map(X, 0.5)),
+], ids=["check_triangle", "minimal_bmetric_K", "check_transfer_condition", "betweenness_triples",
+        "preserves_betweenness"])
 def test_the_pair_kernels_stream_in_quadratic_memory(kernel):
     # a block holds at most _PAIR_BLOCK (x, y, z) entries or one y-row, so
     # the peak is O(n^2 + _PAIR_BLOCK) floats, not O(n^3); the last base
