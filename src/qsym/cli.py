@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterator
 from itertools import chain, islice
 
 import numpy as np
@@ -43,9 +44,12 @@ def _emit(args, payload: dict, lines, holds=True, files=(), tol: str = "tol") ->
     Under ``--json`` the document is ``command``, then, when the handler
     read ``files``, their sha256 hashes as ``inputs`` and the option
     ``tol`` names (the verdict's tolerance) under its own name, then the
-    handler's ``payload``; otherwise each of ``lines``, an iterable that
+    handler's ``payload``, written one field at a time; a payload value
+    that is an iterator yields the JSON text of one value in pieces, each
+    written as it comes.  Otherwise each of ``lines``, an iterable that
     may be lazy, is printed, a chunk of lines per write.
     """
+    out = sys.stdout
     if args.json:
         from .report import to_json
 
@@ -55,12 +59,38 @@ def _emit(args, payload: dict, lines, holds=True, files=(), tol: str = "tol") ->
 
             head["inputs"] = {str(p): sha256_file(p) for p in files}
             head[tol] = getattr(args, tol)
-        print(to_json({**head, **payload}))
+        sep = "{"
+        for key, value in {**head, **payload}.items():
+            out.write(f"{sep}{to_json(key)}: ")
+            if isinstance(value, Iterator):
+                out.writelines(value)
+            else:
+                out.write(to_json(value))
+            sep = ", "
+        out.write("}\n")
     else:
         lines = iter(lines)
         while chunk := [f"{line}\n" for line in islice(lines, _LINES_PER_WRITE)]:
-            sys.stdout.write("".join(chunk))
+            out.write("".join(chunk))
     return 0 if holds else 1
+
+
+def _triples_json(triples):
+    """The JSON list of betweenness ``triples`` by the rules of
+    :func:`report.to_json`, formatted from their columns in pieces of
+    :data:`_LINES_PER_WRITE` triples."""
+    from .report import to_json
+
+    yield "["
+    sep = ""
+    for lo in range(0, len(triples), _LINES_PER_WRITE):
+        block = triples[lo:lo + _LINES_PER_WRITE]
+        x, y, z, slack = (c.tolist() for c in (block.x, block.y, block.z, block.slack))
+        yield sep + ", ".join([
+            f'{{"x": {a}, "y": {b}, "z": {c}, "slack": {to_json(d)}}}'
+            for a, b, c, d in zip(x, y, z, slack)])
+        sep = ", "
+    yield "]"
 
 
 def _indices(text: str, n: int, what: str):
@@ -377,10 +407,7 @@ def _cmd_between(args) -> int:
         return _emit(args, payload, lines, rep.holds, files)
     triples = btw.betweenness_triples(space, tol=args.tol)
     if args.json:
-        payload = {
-            "triples": [{"x": x, "y": y, "z": z, "slack": slack} for x, y, z, slack in triples],
-        }
-        return _emit(args, payload, (), files=files)
+        return _emit(args, {"triples": _triples_json(triples)}, (), files=files)
     labels = space.labels
     lines = chain([f"{len(triples)} betweenness triples"], (
         f"{labels[y]} between {labels[x]} and {labels[z]} (slack {slack:.3g})"

@@ -6,6 +6,9 @@ Two space formats: a structured JSON document
 documents with an assignment object; envelopes are "t H" lines, one per
 record, ascending.
 Floats are written with repr, so a load of a save is bitwise identical.
+A saved JSON space is the bytes of ``json.dump(doc, fh, indent=1)`` and a
+newline, a saved CSV the rows of ``csv.writer``; each unordered pair is
+formatted once, from the bit-symmetric matrix.
 """
 
 from __future__ import annotations
@@ -127,23 +130,42 @@ def load_space(path: PathLike, tol: float = DEFAULT_TOL) -> SemimetricSpace:
     return load_space_document(path, tol)[0]
 
 
+def _distance_strings(space: SemimetricSpace) -> list:
+    """The rows of ``space.dist`` as lists of ``repr`` strings.
+
+    ``dist`` is bit-symmetric, so row i formats only its entries from the
+    diagonal on and takes the ones before it from the rows above: each
+    unordered pair is formatted once.
+    """
+    rows = []
+    for i, row in enumerate(np.asarray(space.dist).tolist()):
+        rows.append([above[i] for above in rows] + list(map(repr, row[i:])))
+    return rows
+
+
 def save_space(space: SemimetricSpace, path: PathLike, name: str = ""):
-    """Write a space as JSON, or CSV when the path ends in .csv."""
+    """Write a space as JSON, or CSV when the path ends in .csv.
+
+    The JSON bytes are those of ``json.dump(doc, fh, indent=1)`` and a
+    newline, for ``doc = {"name": ..., "points": [...], "matrix": [[...]]}``;
+    the CSV rows are ``csv.writer`` rows of the labels and of the ``repr``
+    strings.  Each matrix row is joined in C and written as one string.
+    """
+    rows = _distance_strings(space)
     if str(path).lower().endswith(".csv"):
         with _open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(space.labels)
-            for row in np.asarray(space.dist):
-                writer.writerow([repr(float(v)) for v in row])
+            writer.writerows(rows)
         return
-    doc = {
-        "name": name,
-        "points": list(space.labels),
-        "matrix": [[float(v) for v in row] for row in np.asarray(space.dist)],
-    }
+    head = json.dumps({"name": name, "points": list(space.labels)}, indent=1)
     with _open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(head[:-len("\n}")])  # the object stays open for "matrix"
+        sep = ',\n "matrix": [\n'
+        for row in rows:
+            fh.write(sep + "  [\n   " + ",\n   ".join(row) + "\n  ]")
+            sep = ",\n"
+        fh.write("\n ]\n}\n")
 
 
 def load_map_document(path: PathLike):

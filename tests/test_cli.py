@@ -20,6 +20,7 @@ import pytest
 
 import qsym
 from qsym import (
+    build_space,
     collinear_space,
     empirical_modulus,
     euclidean_space,
@@ -606,6 +607,49 @@ def test_between_text_is_written_in_chunks_and_json_holds_every_triple(files, ca
     assert code == 0 and len(triples) == 84
     assert triples[0] == {"x": 0, "y": 1, "z": 2, "slack": 0}
     assert triples[-1] == {"x": 6, "y": 7, "z": 8, "slack": 0}
+
+
+def _parent_between_json(path, tol):
+    """``between --space --json`` as one document of one dict per triple,
+    serialized whole by ``report.to_json``."""
+    from qsym.betweenness import betweenness_triples
+    from qsym.report import to_json
+
+    triples = betweenness_triples(load_space(path, tol), tol=tol)
+    return to_json({
+        "command": "between",
+        "inputs": {path: sha256_file(path)},
+        "tol": tol,
+        "triples": [{"x": x, "y": y, "z": z, "slack": slack} for x, y, z, slack in triples],
+    }) + "\n"
+
+
+def test_between_json_streams_the_bytes_of_the_whole_document(files, capsys, monkeypatch):
+    from qsym import cli
+    from qsym.spaces import DEFAULT_TOL
+
+    rng = np.random.default_rng(5)
+    steps = np.triu(rng.integers(1, 4, (12, 12)), 1)
+    spaces = {
+        # tenths are inexact, so some slacks are nonzero and drop at tol 0
+        "collinear": collinear_space([0.1 * k for k in range(12)]),
+        "random": build_space([f"p{i}" for i in range(12)], steps + steps.T),
+        "ultrametric": ultrametric_space(9, seed=3),
+    }
+    counts = {}
+    for name, space in spaces.items():
+        path = str(files["tmp"] / f"{name}.json")
+        save_space(space, path)
+        for tol, flags in ((DEFAULT_TOL, ()), (0.0, ("--tol", "0"))):
+            want = _parent_between_json(path, tol)
+            counts[name, tol] = len(json.loads(want)["triples"])
+            for size in (1, 7, 4096):
+                monkeypatch.setattr(cli, "_LINES_PER_WRITE", size)
+                code, out, _ = run(capsys, "between", "--space", path, "--json", *flags)
+                assert code == 0 and out == want, (name, tol, size)
+    assert counts["ultrametric", DEFAULT_TOL] == 0
+    assert counts["random", 0.0] > 7 and counts["collinear", 0.0] > 7
+    assert counts["collinear", 0.0] < counts["collinear", DEFAULT_TOL]
 
 
 def test_between_line_embedding(files, capsys):

@@ -1,5 +1,7 @@
 """Round trips and parse diagnostics for the flat-file formats."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -10,7 +12,9 @@ from qsym import (
     ValidationError,
     build_map,
     build_space,
+    collinear_space,
     empirical_modulus,
+    euclidean_space,
     load_envelope_points,
     load_space,
     save_envelope,
@@ -18,6 +22,8 @@ from qsym import (
     snowflake_map,
 )
 from qsym.fileio import load_map_document, load_space_document, sha256_file
+
+from test_float_range import four_cycle
 
 
 @pytest.fixture
@@ -57,6 +63,58 @@ def test_space_json_defaults_name_empty(tmp_path, line3):
     _, name = load_space_document(path)
     assert name == ""
     assert load_space(path).labels == line3.labels
+
+
+#: labels and names with JSON escapes, CSV quoting and non-ASCII text
+AWKWARD = ('say "hi"', "back\\slash", "a,b", "naïve", "日本", "€ 1,0")
+
+
+def _writer_cases():
+    rng = np.random.default_rng(11)
+    three = rng.random((3, 3)) + 0.5
+    sixty = rng.random((60, 60)) * 10.0 ** rng.integers(-3, 4, (60, 60))
+    return {
+        "n1": (build_space(["only"], [[0.0]]), ""),
+        "n2": (build_space(AWKWARD[:2], [[0, np.sqrt(2.0)], [np.sqrt(2.0), 0]]),
+               'the "pair", \\ über'),
+        "n3": (build_space(AWKWARD[3:], np.triu(three, 1) + np.triu(three, 1).T), "ünï"),
+        "n60": (build_space([f"{AWKWARD[i % 6]}{i}" for i in range(60)],
+                            np.triu(sixty, 1) + np.triu(sixty, 1).T), "sixty, \"wide\""),
+        "euclidean60": (euclidean_space(60, 3, seed=4), "e60"),
+        "integers": (build_space("abcd", [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1],
+                                          [3, 2, 1, 0]]), "ints"),
+        "wide_line": (collinear_space([0.0, 2.0 ** -600, np.ldexp(3, -610), 1.0,
+                                       np.ldexp(7, 590), 2.0 ** 600]), "2^±600"),
+        "four_cycle": (four_cycle(1e-170, 2e-170, far=1.0), "1e-170"),
+    }
+
+
+WRITER_CASES = _writer_cases()
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_saved_bytes_match_the_stdlib_writers(tmp_path, case):
+    space, name = WRITER_CASES[case]
+    D = np.asarray(space.dist)
+    doc = {"name": name, "points": list(space.labels),
+           "matrix": [[float(v) for v in row] for row in D]}
+    path = tmp_path / "sp.json"
+    save_space(space, path, name=name)
+    assert path.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+    back, back_name = load_space_document(path)
+    assert back_name == name and back.labels == space.labels
+    assert np.array_equal(np.asarray(back.dist).view(np.int64), D.view(np.int64))
+
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(space.labels)
+    writer.writerows([repr(float(v)) for v in row] for row in D)
+    path = tmp_path / "sp.csv"
+    save_space(space, path)
+    assert path.read_bytes() == text.getvalue().encode("utf-8")
+    back = load_space(path)
+    assert back.labels == space.labels
+    assert np.array_equal(np.asarray(back.dist).view(np.int64), D.view(np.int64))
 
 
 def test_space_json_missing_keys(tmp_path):
